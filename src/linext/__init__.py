@@ -3,7 +3,7 @@ partial orders: a weighted adjacent-transposition chain, coupling from the
 past over a bounding chain, a continuous embedding, and a nested-family
 contraction estimator, with exact oracles and bit/comparison accounting."""
 
-from .bitrng import BitStream, StepDraw, Transcript
+from .bitrng import BitStream, StepDraw
 from .chain import BetaParam, chain_step, max_displacement, weight
 from .cftp import (
     THETA,
@@ -57,7 +57,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BetaParam", "BitStream", "CftpStats", "CoalescenceError", "CycleError",
     "GuardError", "KernelMatrix", "LinextError", "ParseError", "PoissonReport",
-    "Poset", "Relabeling", "StepDraw", "THETA", "TpaRunResult", "Transcript",
+    "Poset", "Relabeling", "StepDraw", "THETA", "TpaRunResult",
     "TwoPhaseEstimate", "bounding_chain_step", "bounds", "canonicalize",
     "ceil_perm", "chain_kernel", "chain_step", "close_transitively",
     "count_exact", "distance", "enumerate_extensions", "generate",

@@ -28,10 +28,6 @@ class StepDraw(NamedTuple):
     c2: int
 
 
-# A recorded sequence of StepDraw values, replayed verbatim by the sampler.
-Transcript = tuple[StepDraw, ...]
-
-
 class BitStream:
     """Buffered fair-bit generator keyed by (seed, label), with bit counters.
 

@@ -14,24 +14,28 @@ provably keeps the state compatible with the bound, and when no wildcards
 remain the bound pins the driven trajectory exactly. It is exposed (and
 property-tested) as ``bounding_chain_step``.
 
-The second layer is the sampler. The bound above certifies only the one
-driven trajectory, which makes the naive "restart at the home state and
-return the coalesced bound" recursion biased toward home (worked example: on
-the 2-element free order with horizon 1 it returns the identity with
-probability 11/16 instead of 1/2). ``generate`` therefore uses a certificate
-that is valid for every trajectory at once: blocks of heat-bath pair updates.
-A step picks adjacent slots and redraws the order of the two values there
-from its exact conditional distribution, using one shared lazily-realized
-uniform per step; states that meet at a redrawn pair merge and never separate.
-A block whose update map sends the entire support to a single permutation is
-a constant map, so standard coupling from the past applies: run a block, and
-if it did not collapse, recurse with a doubled horizon and fresh randomness
-for the deeper past, then replay this block's recorded draws on the returned
-state. Collapse is tracked either explicitly (the support is enumerated and
-evolved as a set, guarded by size) or, for the unconstrained order at
-beta = n, by the classical monotone sandwich of bottom and top trajectories
-under the shared sort/unsort coupling. Either way the returned permutation is
-an exact draw from the weighted distribution.
+The second layer is the sampler, coupling from the past (Propp-Wilson): run a
+block of steps, and if its update map is not certified constant, recurse with
+a doubled horizon and fresh randomness for the deeper past, then replay this
+block's recorded randomness on the returned state. ``generate`` certifies a
+constant block map in one of two ways, chosen from the input:
+
+- Bounding chain (any order). The block draws the bound's own coins
+  (i, c3, c2), which do not depend on any state, and records the bound's
+  right entry B(i + 1) before each step. Every state then derives its coin as
+  c1 = 1 - c3 when its left element equals that entry and c1 = c3 otherwise,
+  so c1 is fair given the state, and every start is driven along the same
+  bound trajectory. A block that ends with no wildcard left therefore maps
+  every state to the bound: it is constant.
+- Explicit support (orders with at most ``SUPPORT_LIMIT`` extensions). The
+  support is enumerated and evolved as a set under heat-bath pair updates: a
+  step picks adjacent slots and redraws the order of the two values there from
+  its exact conditional law, using one shared lazily-realized uniform. States
+  that meet at a redrawn pair merge, and a block that leaves one survivor is
+  constant. On small supports this collapses far sooner than the bound does.
+
+Either way the returned permutation is an exact draw from the weighted
+distribution.
 """
 
 from __future__ import annotations
@@ -41,14 +45,15 @@ from functools import lru_cache
 from typing import Sequence
 
 from .bitrng import BitStream, StepDraw
-from .chain import BetaParam, _sigma_step_inplace, weight
+from .chain import BetaParam, _sigma_step_inplace, max_displacement, weight
 from .errors import CoalescenceError, GuardError, LinextError
+from .exact import enumerate_extensions
 from .poset import Poset
 
 THETA = 0  # wildcard bound entry: no restriction at all
 
 DEFAULT_MAX_LEVELS = 40
-DEFAULT_SUPPORT_GUARD = 10_000
+SUPPORT_LIMIT = 10_000  # most extensions tracked as an explicit set
 
 
 @dataclass
@@ -170,7 +175,7 @@ def bounding_chain_step(sigma: Sequence[int], b: Sequence[int], bp: BetaParam,
 
 
 # ---------------------------------------------------------------------------
-# Exact sampler: collapse-certified blocks of heat-bath pair updates
+# Exact sampler: coupling from the past with a collapse certificate per block
 # ---------------------------------------------------------------------------
 
 
@@ -237,20 +242,6 @@ def _pair_outcome(s: int, l: int, i: int, u: _LazyU, cap: int, pen: float,
     return u.le(fl / (fs + fl), stream)
 
 
-def _resample_pair(sig: list, i: int, u: _LazyU, cap: int, pen: float,
-                   above: Sequence[int], stream: BitStream) -> None:
-    a = sig[i - 1]
-    b = sig[i]
-    if a < b:
-        s, l = a, b
-    else:
-        s, l = b, a
-    if _pair_outcome(s, l, i, u, cap, pen, above, stream):
-        sig[i - 1], sig[i] = l, s
-    else:
-        sig[i - 1], sig[i] = s, l
-
-
 def _resampled_tuple(state: tuple, i: int, u: _LazyU, cap: int, pen: float,
                      above: Sequence[int], stream: BitStream) -> tuple:
     a = state[i - 1]
@@ -268,76 +259,15 @@ def _resampled_tuple(state: tuple, i: int, u: _LazyU, cap: int, pen: float,
     return state[:i - 1] + (first, second) + state[i + 1:]
 
 
-class _SetTracker:
-    """Evolves the explicit set of support states; collapse = one survivor."""
-
-    __slots__ = ("states", "comps")
-
-    def __init__(self, support: tuple):
-        self.states = set(support)
-        self.comps = 0
-
-    def step(self, i: int, u: _LazyU, cap: int, pen: float,
-             above: Sequence[int], stream: BitStream) -> None:
-        self.comps += len(self.states)
-        self.states = {
-            _resampled_tuple(s, i, u, cap, pen, above, stream) for s in self.states
-        }
-
-    def collapsed(self):
-        if len(self.states) == 1:
-            return next(iter(self.states))
-        return None
-
-
-class _SandwichTracker:
-    """Bottom (identity) and top (reversal) trajectories under the shared
-    sort/unsort coupling; valid for the relation-free order at beta = n.
-
-    The shared update is monotone for prefix dominance (for every threshold k
-    and prefix j, the count of values above k in the first j slots), identity
-    and reversal are the global extremes of that order, and equal heights
-    determine the permutation, so the two trajectories meeting pins every
-    trajectory in between.
-    """
-
-    __slots__ = ("bottom", "top", "comps")
-
-    def __init__(self, n: int):
-        self.bottom = list(range(1, n + 1))
-        self.top = list(range(n, 0, -1))
-        self.comps = 0
-
-    def step(self, i: int, u: _LazyU, cap: int, pen: float,
-             above: Sequence[int], stream: BitStream) -> None:
-        self.comps += 2
-        _resample_pair(self.bottom, i, u, cap, pen, above, stream)
-        _resample_pair(self.top, i, u, cap, pen, above, stream)
-
-    def collapsed(self):
-        if self.bottom == self.top:
-            return tuple(self.bottom)
-        return None
-
-
 @lru_cache(maxsize=128)
-def _support_states(poset: Poset, cap: int, guard: int) -> tuple:
-    from .exact import count_exact, enumerate_extensions
-
-    total = count_exact(poset)
-    if total > guard:
-        raise GuardError(
-            f"perfect sampling on this order needs explicit support tracking "
-            f"(L(P)={total} > guard {guard}); only the relation-free order at "
-            f"beta = n supports large instances"
-        )
-    from .chain import max_displacement
-
-    return tuple(s for s in enumerate_extensions(poset) if max_displacement(s) <= cap)
-
-
-def _is_antichain(poset: Poset) -> bool:
-    return all(poset.raw_masks[a] == 0 for a in range(1, poset.n + 1))
+def _support_states(poset: Poset, cap: int) -> tuple | None:
+    """The extensions with displacement at most cap, or None when the order
+    has more than SUPPORT_LIMIT extensions. Cached either way."""
+    try:
+        extensions = enumerate_extensions(poset, guard=SUPPORT_LIMIT)
+    except GuardError:
+        return None
+    return tuple(s for s in extensions if max_displacement(s) <= cap)
 
 
 class _Acc:
@@ -349,69 +279,119 @@ class _Acc:
         self.comps = 0
         self.levels_left = levels_left
 
+    def enter_level(self) -> None:
+        if self.levels_left <= 0:
+            raise CoalescenceError(
+                f"no collapse after {self.levels} doublings ({self.steps} steps); "
+                f"raise max_levels or check the instance"
+            )
+        self.levels_left -= 1
+        self.levels += 1
 
-def _gen_rec(t: int, stream: BitStream, poset: Poset, bp: BetaParam,
-             support: tuple | None, acc: _Acc) -> list:
-    if acc.levels_left <= 0:
-        raise CoalescenceError(
-            f"no collapse after {acc.levels} doublings ({acc.steps} steps); "
-            f"raise max_levels or check the instance"
-        )
-    acc.levels_left -= 1
-    acc.levels += 1
+
+def _set_rec(t: int, stream: BitStream, poset: Poset, bp: BetaParam,
+             support: tuple, acc: _Acc) -> tuple:
+    """One block on the explicit support; it is constant when one state is left."""
+    acc.enter_level()
     n = poset.n
     cap = bp.cap
     pen = bp.pen
     above = poset.raw_masks
-    tracker = _SetTracker(support) if support is not None else _SandwichTracker(n)
+    states = set(support)
     transcript: list[tuple[int, _LazyU]] = []
     append = transcript.append
     uniform_int = stream.uniform_int
     for _ in range(t):
         i = uniform_int(n - 1)
         u = _LazyU()
-        tracker.step(i, u, cap, pen, above, stream)
+        acc.comps += len(states)
+        states = {_resampled_tuple(s, i, u, cap, pen, above, stream) for s in states}
         append((i, u))
     acc.steps += t
-    acc.comps += tracker.comps
-    value = tracker.collapsed()
-    if value is not None:
-        return list(value)
-    sig = _gen_rec(2 * t, stream, poset, bp, support, acc)
+    if len(states) == 1:
+        return states.pop()
+    sig = _set_rec(2 * t, stream, poset, bp, support, acc)
     for i, u in transcript:
-        _resample_pair(sig, i, u, cap, pen, above, stream)
+        sig = _resampled_tuple(sig, i, u, cap, pen, above, stream)
     acc.steps += t
     acc.comps += t
     return sig
 
 
+def _bound_rec(t: int, stream: BitStream, poset: Poset, bp: BetaParam,
+               acc: _Acc) -> list:
+    """One block of the bounding chain; it is constant when no wildcard is left."""
+    acc.enter_level()
+    n = poset.n
+    cap = bp.cap
+    pen = bp.pen
+    above = poset.raw_masks
+    uniform_int = stream.uniform_int
+    next_bit = stream.next_bit
+    bernoulli = stream.bernoulli
+    pos = [0] * t
+    up = [0] * t
+    gate = [1] * t
+    right = [0] * t
+    bnd = list(initial_bound(n))
+    placed = 1
+    comps = 0
+    for k in range(t):
+        i = uniform_int(n - 1)
+        c3 = next_bit()
+        pos[k] = i
+        up[k] = c3
+        right[k] = bnd[i]
+        if pen != 1.0:
+            gate[k] = bernoulli(pen)
+        if c3:
+            comps += _bound_step_inplace(bnd, i, c3, gate[k], cap, above)
+            if not bnd[-1]:
+                placed += 1
+                bnd[-1] = placed
+    acc.steps += t
+    acc.comps += comps
+    if placed == n:
+        return bnd
+    sig = _bound_rec(2 * t, stream, poset, bp, acc)
+    comps = 0
+    for k in range(t):
+        i = pos[k]
+        c3 = up[k]
+        c1 = 1 - c3 if sig[i - 1] == right[k] else c3
+        if c1:
+            comps += _sigma_step_inplace(sig, i, c1, gate[k], cap, above)
+    acc.steps += t
+    acc.comps += comps
+    return sig
+
+
 def generate(bp: BetaParam, t: int, stream: BitStream, poset: Poset,
-             max_levels: int = DEFAULT_MAX_LEVELS,
-             support_guard: int = DEFAULT_SUPPORT_GUARD) -> tuple[tuple[int, ...], CftpStats]:
+             max_levels: int = DEFAULT_MAX_LEVELS) -> tuple[tuple[int, ...], CftpStats]:
     """Draw one exact sample of the weighted extension distribution, starting
     the block-doubling recursion at horizon t.
 
-    Returns the sample together with its work accounting. Termination is
-    probabilistic; after max_levels doublings the call aborts with a
-    diagnostic rather than looping forever.
+    Orders with at most SUPPORT_LIMIT extensions track the explicit support;
+    all others run the bounding chain. Returns the sample together with its
+    work accounting. Termination is probabilistic; after max_levels doublings
+    the call aborts with a diagnostic rather than looping forever.
     """
     if t < 1:
         raise LinextError("horizon t must be at least 1")
     if not poset.identity_is_extension:
         raise LinextError("poset must be canonicalized before sampling")
-    n = poset.n
-    if n == 1:
+    if poset.n == 1:
         return (1,), CftpStats()
-    if _is_antichain(poset) and bp.beta == n:
-        support = None
-    else:
-        support = _support_states(poset, bp.cap, support_guard)
-        if len(support) == 1:
-            return support[0], CftpStats()
+    support = _support_states(poset, bp.cap)
+    if support is not None and len(support) == 1:
+        return support[0], CftpStats()
     bits0 = stream.bits_consumed
     cont0 = stream.bits_continuous
     acc = _Acc(max_levels)
-    sig = _gen_rec(t, stream, poset, bp, support, acc)
+    if support is None:
+        sig = _bound_rec(t, stream, poset, bp, acc)
+    else:
+        sig = _set_rec(t, stream, poset, bp, support, acc)
     poset.add_queries(acc.comps)
     stats = CftpStats(
         total_steps=acc.steps,
@@ -425,12 +405,8 @@ def generate(bp: BetaParam, t: int, stream: BitStream, poset: Poset,
 
 def perfect_sample(bp: BetaParam, stream: BitStream, poset: Poset,
                    t0: int | None = None,
-                   max_levels: int = DEFAULT_MAX_LEVELS,
-                   support_guard: int = DEFAULT_SUPPORT_GUARD) -> tuple[tuple[int, ...], CftpStats]:
+                   max_levels: int = DEFAULT_MAX_LEVELS) -> tuple[tuple[int, ...], CftpStats]:
     """Draw one exact sample, starting the recursion at t0 (default 2 n^2)."""
-    if poset.n == 1:
-        return (1,), CftpStats()
     if t0 is None:
         t0 = 2 * poset.n * poset.n
-    return generate(bp, t0, stream, poset, max_levels=max_levels,
-                    support_guard=support_guard)
+    return generate(bp, t0, stream, poset, max_levels=max_levels)

@@ -37,8 +37,8 @@ class BetaParam:
 
     def __init__(self, beta: float, n: int | None = None):
         beta = float(beta)
-        if beta < 0.0:
-            raise LinextError(f"beta must be nonnegative, got {beta}")
+        if not math.isfinite(beta) or beta < 0.0:
+            raise LinextError(f"beta must be finite and nonnegative, got {beta}")
         if n is not None and beta > n:
             raise LinextError(f"beta must be at most n={n}, got {beta}")
         self.beta = beta

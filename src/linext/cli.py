@@ -57,6 +57,17 @@ def _load_input(path: str, fmt: str) -> tuple[Poset, Relabeling, dict]:
     return poset, relab, meta
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of counts: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _resolve_seed(args, report: dict, warnings: list) -> int:
     if args.seed is not None:
         report["seed"] = args.seed
@@ -322,14 +333,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="64-bit seed")
     p.add_argument("--runs-override", type=int, default=None,
                    help="replace both phases' run counts (voids the guarantee)")
-    p.add_argument("--parallel", type=int, default=1,
+    p.add_argument("--parallel", type=_positive_int, default=1,
                    help="worker processes; results are identical to serial")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("sample", help="perfect samples from the weighted extension distribution")
     add_input(p)
     p.add_argument("--beta", type=float, required=True, help="chain parameter in [0, n]")
-    p.add_argument("--count", type=int, default=1, help="number of draws")
+    p.add_argument("--count", type=_positive_int, default=1, help="number of draws")
     p.add_argument("--seed", type=int, default=None, help="64-bit seed")
     p.add_argument("--lift", action="store_true",
                    help="also emit the continuous lift of each draw")
@@ -350,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="per-sample work versus a priori bounds (CSV)")
     p.add_argument("--sizes", default="8,16,32", help="comma-separated sizes")
-    p.add_argument("--samples", type=int, default=20, help="samples per size")
+    p.add_argument("--samples", type=_positive_int, default=20, help="samples per size")
     p.add_argument("--seed", type=int, default=None, help="64-bit seed")
     p.set_defaults(func=_cmd_bench)
 

@@ -50,34 +50,41 @@ def count_exact(poset: Poset, max_n: int = EXACT_COUNT_MAX_N) -> int:
         memo[dset] = total
         return total
 
-    return ideal_count(full)
+    total = ideal_count(full)
+    del ideal_count  # it refers to itself; unlinking it frees the memo now, not at the next GC
+    return total
 
 
 def enumerate_extensions(poset: Poset, guard: int = ENUMERATION_GUARD) -> list[tuple[int, ...]]:
-    """All linear extensions in lexicographic order. Guarded by the exact count."""
-    total = count_exact(poset)
-    if total > guard:
-        raise GuardError(f"L(P)={total} exceeds enumeration guard {guard}")
+    """All linear extensions in lexicographic order. Raises GuardError as soon
+    as more than guard of them are found, so the check costs O(guard * n).
+    The search keeps its own stack, so any n works."""
     n = poset.n
     below = [poset.below_mask(e) for e in range(n + 1)]
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
-
-    def extend(remaining: int) -> None:
+    remaining = ((1 << (n + 1)) - 1) & ~1
+    untried = [remaining]  # per depth: the elements not yet tried next
+    while untried:
         if not remaining:
+            if len(out) == guard:
+                raise GuardError(f"L(P) exceeds enumeration guard {guard}")
             out.append(tuple(prefix))
-            return
-        rest = remaining
+        rest = untried[-1]
         while rest:
             low = rest & -rest
             rest ^= low
             e = low.bit_length() - 1
             if below[e] & remaining == 0:  # e is minimal among the rest
+                untried[-1] = rest
                 prefix.append(e)
-                extend(remaining ^ low)
-                prefix.pop()
-
-    extend(((1 << (n + 1)) - 1) & ~1)
+                remaining ^= low
+                untried.append(remaining)
+                break
+        else:
+            untried.pop()
+            if prefix:
+                remaining |= 1 << prefix.pop()
     return out
 
 

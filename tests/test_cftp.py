@@ -15,12 +15,12 @@ from linext import (
     BetaParam,
     BitStream,
     CoalescenceError,
-    GuardError,
     LinextError,
     StepDraw,
     bounding_chain_step,
     bounds,
     chain_step,
+    count_exact,
     enumerate_extensions,
     generate,
     initial_bound,
@@ -29,7 +29,7 @@ from linext import (
     validate_bounding_state,
     weight,
 )
-from linext.catalog import antichain_poset, chain_poset
+from linext.catalog import antichain_poset, chain_poset, random_poset
 
 from conftest import SMALL_POSET_BUILDERS
 
@@ -216,62 +216,6 @@ def test_resample_merges_twin_states(antichain4):
         assert a == b
 
 
-# -- monotone sandwich validity -----------------------------------------------------
-
-def _heights(p):
-    n = len(p)
-    rows = []
-    for k in range(1, n):
-        c = 0
-        row = []
-        for v in p:
-            if v > k:
-                c += 1
-            row.append(c)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _dominated(x, y):
-    return all(a <= b for rx, ry in zip(_heights(x), _heights(y))
-               for a, b in zip(rx, ry))
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_shared_coin_update_is_dominance_monotone(n):
-    poset = antichain_poset(n)
-    perms = list(itertools.permutations(range(1, n + 1)))
-    ident = tuple(range(1, n + 1))
-    rev = tuple(range(n, 0, -1))
-    for z in perms:
-        assert _dominated(ident, z) and _dominated(z, rev)
-    for x in perms:
-        for y in perms:
-            if not _dominated(x, y):
-                continue
-            for i in range(1, n):
-                for answer in (True, False):
-                    nx = cftp._resampled_tuple(x, i, _FixedU(answer), n, 1.0,
-                                               poset.raw_masks, None)
-                    ny = cftp._resampled_tuple(y, i, _FixedU(answer), n, 1.0,
-                                               poset.raw_masks, None)
-                    assert _dominated(nx, ny)
-
-
-def test_sandwich_and_set_engines_agree(antichain4):
-    bp = BetaParam(4.0, 4)
-    support = cftp._support_states(antichain4, 4, 10_000)
-    for k in range(200):
-        s1 = BitStream(900 + k)
-        s2 = BitStream(900 + k)
-        acc1 = cftp._Acc(40)
-        acc2 = cftp._Acc(40)
-        v1 = cftp._gen_rec(32, s1, antichain4, bp, None, acc1)
-        v2 = cftp._gen_rec(32, s2, antichain4, bp, support, acc2)
-        assert v1 == v2
-        assert s1.bits_consumed == s2.bits_consumed
-
-
 # -- generate / perfect_sample --------------------------------------------------------
 
 def test_generate_chain_returns_identity(chain5):
@@ -320,6 +264,119 @@ def test_generate_weighted_small_chi_square(pairs4):
     assert p >= 0.01
 
 
+# -- bounding-chain path: orders with more than SUPPORT_LIMIT extensions -----------
+
+def _pooled_chi_square_p(poset, bp, draws, seed):
+    """Chi-square p-value of perfect draws against the exact weights, with the
+    cells expecting fewer than five draws pooled into one. Also checks that no
+    draw falls outside the support."""
+    assert count_exact(poset) > cftp.SUPPORT_LIMIT  # so the bounding chain runs
+    z = partition_z(poset, bp)
+    support = [s for s in enumerate_extensions(poset) if weight(s, bp) > 0.0]
+    stream = BitStream(seed)
+    tally = Counter(perfect_sample(bp, stream.fork(f"d/{k}"), poset)[0]
+                    for k in range(draws))
+    assert set(tally) <= set(support)
+    observed, expected = [], []
+    rest_observed = rest_expected = 0.0
+    for s in support:
+        e = draws * weight(s, bp) / z
+        if e < 5.0:
+            rest_observed += tally[s]
+            rest_expected += e
+        else:
+            observed.append(tally[s])
+            expected.append(e)
+    observed.append(rest_observed)
+    expected.append(rest_expected)
+    return chisquare(observed, expected)[1]
+
+
+def test_bounding_path_weighted_antichain_chi_square():
+    poset = antichain_poset(8)  # L = 8! = 40320
+    assert _pooled_chi_square_p(poset, BetaParam(0.5, 8), 640, 1) >= 0.01
+
+
+def test_bounding_path_weighted_random_poset_chi_square():
+    poset = random_poset(random.Random(2), 10, density=0.2)  # L = 34020
+    assert _pooled_chi_square_p(poset, BetaParam(0.5, 10), 432, 1) >= 0.01
+
+
+def test_bounding_path_stats_accounting():
+    poset = antichain_poset(8)
+    stream = BitStream(43)
+    q0 = poset.query_count
+    sigma, stats = perfect_sample(BetaParam(1.5, 8), stream, poset)
+    assert poset.is_linear_extension(sigma)
+    assert stats.bits_discrete == stream.bits_consumed
+    assert stats.comparisons == poset.query_count - q0
+    assert stats.total_steps > 0 and stats.levels >= 1
+
+
+class _Script:
+    """Stands in for a BitStream and serves a bounding block its draws
+    (i, c3[, c2]) from a fixed list; running out means the block recursed."""
+
+    def __init__(self, steps):
+        self.draws = iter([x for step in steps for x in step])
+
+    def uniform_int(self, m):
+        return next(self.draws)
+
+    def next_bit(self):
+        return next(self.draws)
+
+    def bernoulli(self, p):
+        return next(self.draws)
+
+
+def _bound_block(script, poset, bp):
+    """The value of one bounding block driven by script, or None if it left a
+    wildcard (the block then asks for the deeper past, which the script lacks)."""
+    try:
+        return tuple(cftp._bound_rec(len(script), _Script(script), poset, bp, cftp._Acc(40)))
+    except StopIteration:
+        return None
+
+
+def test_bounding_block_two_elements_horizon_one(antichain2):
+    bp = BetaParam(2.0, 2)
+    assert _bound_block([(1, 1)], antichain2, bp) == (1, 2)
+    assert _bound_block([(1, 0)], antichain2, bp) is None
+
+
+@pytest.mark.parametrize("builder", SMALL_POSET_BUILDERS)
+def test_coalesced_bounding_block_is_constant(builder):
+    # Over every draw script of a short block: when the bound ends with no
+    # wildcard, every support state driven by the coupled step with the derived
+    # coin c1 (flipped from c3 where its left element is the bound's right
+    # entry) ends at the block's value.
+    poset = builder()
+    n = poset.n
+    if not 2 <= n <= 4:
+        return
+    t = n * (n - 1) // 2  # the fewest steps that can fill every wildcard
+    for beta in ((0.5, 1.3, float(n)) if n < 4 else (2.0, float(n))):
+        bp = BetaParam(beta, n)
+        gates = (0, 1) if bp.pen < 1.0 else (1,)
+        draws = [(i, c3, c2) for i in range(1, n) for c3 in (0, 1) for c2 in gates]
+        support = [s for s in enumerate_extensions(poset) if weight(s, bp) > 0.0]
+        coalesced = 0
+        for steps in itertools.product(draws, repeat=t):
+            script = [d if bp.pen < 1.0 else d[:2] for d in steps]
+            value = _bound_block(script, poset, bp)
+            if value is None:
+                continue
+            coalesced += 1
+            for start in support:
+                sigma, b = start, initial_bound(n)
+                for i, c3, c2 in steps:
+                    c1 = 1 - c3 if sigma[i - 1] == b[i] else c3
+                    sigma, b = bounding_chain_step(sigma, b, bp, StepDraw(i, c1, c2), poset)
+                assert sigma == b == value
+        assert coalesced > 0
+
+
 def test_generate_stats_accounting(antichain4):
     bp = BetaParam(4.0, 4)
     stream = BitStream(42)
@@ -336,12 +393,6 @@ def test_generate_rejects_uncanonical_poset():
     poset = close_transitively([(2, 1)], 2)  # not canonicalized
     with pytest.raises(LinextError):
         generate(BetaParam(1.0, 2), 4, BitStream(1), poset)
-
-
-def test_generate_support_guard():
-    poset = antichain_poset(8)
-    with pytest.raises(GuardError):
-        generate(BetaParam(1.5, 8), 16, BitStream(1), poset, support_guard=100)
 
 
 def test_generate_level_cap():

@@ -37,6 +37,14 @@ def test_beta_param_range_checks():
         BetaParam(4.5, 4)
 
 
+@pytest.mark.parametrize("beta", [float("nan"), float("inf"), float("-inf")])
+def test_beta_param_rejects_non_finite(beta):
+    with pytest.raises(LinextError):
+        BetaParam(beta)
+    with pytest.raises(LinextError):
+        BetaParam(beta, 4)
+
+
 # -- weight and displacement --------------------------------------------------------
 
 def test_weight_single_cap_coordinate():

@@ -183,6 +183,38 @@ def test_exit_code_2_on_bad_input(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
+def test_exit_code_2_on_non_finite_beta(pairs_file, beta):
+    code, _, err = run_cli(["sample", "--input", pairs_file, f"--beta={beta}",
+                            "--seed", "1"])
+    assert code == 2
+    assert "finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--beta", "1", "--seed", "1", "--count", "0"],
+    ["sample", "--beta", "1", "--seed", "1", "--count", "-2"],
+    ["estimate", "--epsilon", "0.5", "--delta", "0.2", "--seed", "1", "--parallel", "-3"],
+    ["estimate", "--epsilon", "0.5", "--delta", "0.2", "--seed", "1", "--parallel", "0"],
+])
+def test_exit_code_2_on_count_below_one(pairs_file, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--input", pairs_file])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples,message", [
+    ("0", "must be at least 1"), ("-1", "must be at least 1"), ("two", "expected an integer"),
+])
+def test_exit_code_2_on_bench_samples_below_one(samples, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--sizes", "4", "--samples", samples, "--seed", "1"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_exit_code_3_on_guard(tmp_path):
     big = tmp_path / "big.posets"
     big.write_text("n=30")

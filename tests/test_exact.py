@@ -1,5 +1,6 @@
 """Exact oracles: counting, enumeration, the normalizer, and the kernel."""
 
+import gc
 import random
 
 import numpy as np
@@ -47,6 +48,18 @@ def test_count_respects_cap():
         count_exact(antichain_poset(5), max_n=4)
 
 
+def test_count_leaves_no_reference_cycle():
+    # the memo is freed when the call returns, not at the next cyclic GC
+    poset = antichain_poset(6)
+    gc.collect()
+    gc.disable()
+    try:
+        count_exact(poset)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_count_matches_enumeration_on_random_posets():
     rng = random.Random(2024)
     for _ in range(30):
@@ -75,6 +88,18 @@ def test_enumerate_two_pairs_matches_brute_force(pairs4):
 def test_enumeration_guard():
     with pytest.raises(GuardError):
         enumerate_extensions(antichain_poset(8), guard=1000)
+
+
+def test_enumeration_guard_stops_the_search_early():
+    # 30! extensions: the guard trips after 100 of them are listed
+    with pytest.raises(GuardError):
+        enumerate_extensions(antichain_poset(30), guard=100)
+
+
+def test_enumerate_beyond_exact_count_cap():
+    # n above count_exact's cap, and deeper than Python's recursion limit, is
+    # fine when the extensions are few
+    assert enumerate_extensions(chain_poset(1200)) == [tuple(range(1, 1201))]
 
 
 # -- partition_z --------------------------------------------------------------
