@@ -4,12 +4,18 @@ These are the analytic upper bounds the samplers are benchmarked against:
 per-sample bounds on the expected work of one perfect draw at beta = n, and
 two variants of the total budget of a full two-phase estimate (the second is
 the as-printed restatement that multiplies where the schedule divides; both
-are surfaced for side-by-side comparison).
+are surfaced for side-by-side comparison). ``antichain_draw_work`` measures
+the per-sample work those bounds are checked against.
 """
 
 from __future__ import annotations
 
 import math
+
+from .bitrng import BitStream
+from .catalog import antichain_poset
+from .cftp import perfect_sample
+from .chain import BetaParam
 
 
 def sample_steps_bound(n: int) -> float:
@@ -32,6 +38,22 @@ def sample_comparisons_bound(n: int) -> float:
     if n < 2:
         return 0.0
     return 8.6 * n ** 3 * math.log(n)
+
+
+def antichain_draw_work(n: int, samples: int,
+                        stream: BitStream) -> tuple[float, float, float]:
+    """Mean steps, discrete bits and comparisons of perfect draws on the
+    relation-free order at beta = n, the case the per-sample bounds cover.
+    Draw k uses the fork "draw/k" of stream."""
+    poset = antichain_poset(n)
+    bp = BetaParam(float(n), n)
+    steps = bits = comps = 0
+    for k in range(samples):
+        _, stats = perfect_sample(bp, stream.fork(f"draw/{k}"), poset)
+        steps += stats.total_steps
+        bits += stats.bits_discrete
+        comps += stats.comparisons
+    return steps / samples, bits / samples, comps / samples
 
 
 def _phase_samples(a: float, epsilon: float, delta: float) -> tuple[float, float]:

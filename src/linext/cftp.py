@@ -17,22 +17,26 @@ property-tested) as ``bounding_chain_step``.
 The second layer is the sampler, coupling from the past (Propp-Wilson): run a
 block of steps, and if its update map is not certified constant, recurse with
 a doubled horizon and fresh randomness for the deeper past, then replay this
-block's recorded randomness on the returned state. ``generate`` certifies a
-constant block map in one of two ways, chosen from the input:
+block's recorded randomness on the returned state. Every state on both paths
+takes the same Metropolis step as ``chain_step``, with a move coin c1 that is
+fair given the state; only the way c1 is derived from the block's recorded
+bit, and the certificate that the block map is constant, differ. ``generate``
+picks the certificate from the input:
 
 - Bounding chain (any order). The block draws the bound's own coins
   (i, c3, c2), which do not depend on any state, and records the bound's
   right entry B(i + 1) before each step. Every state then derives its coin as
   c1 = 1 - c3 when its left element equals that entry and c1 = c3 otherwise,
-  so c1 is fair given the state, and every start is driven along the same
-  bound trajectory. A block that ends with no wildcard left therefore maps
-  every state to the bound: it is constant.
+  so every start is driven along the same bound trajectory. A block that ends
+  with no wildcard left therefore maps every state to the bound: it is
+  constant.
 - Explicit support (orders with at most ``SUPPORT_LIMIT`` extensions). The
-  support is enumerated and evolved as a set under heat-bath pair updates: a
-  step picks adjacent slots and redraws the order of the two values there from
-  its exact conditional law, using one shared lazily-realized uniform. States
-  that meet at a redrawn pair merge, and a block that leaves one survivor is
-  constant. On small supports this collapses far sooner than the bound does.
+  block draws (i, c, c2) and evolves the enumerated support as a set. Each
+  state keys its coin to the pair at slots (i, i+1): c1 = c when the pair is
+  ascending and 1 - c when it is descending. Twin states that differ only in
+  that pair then propose opposite moves and merge whenever the gate lets the
+  mover through, and a block that leaves one state is constant. On small
+  supports this collapses far sooner than the bound does.
 
 Either way the returned permutation is an exact draw from the weighted
 distribution.
@@ -179,86 +183,6 @@ def bounding_chain_step(sigma: Sequence[int], b: Sequence[int], bp: BetaParam,
 # ---------------------------------------------------------------------------
 
 
-class _LazyU:
-    """A uniform on (0, 1] realized bit by bit, shared within one step.
-
-    Threshold queries resolve as few bits as possible and memoize them, so
-    every trajectory and every replay of the step sees the same uniform. Bits
-    needed beyond the memo are drawn fresh from the stream, which only refines
-    decisions not yet taken and keeps the coupling consistent.
-    """
-
-    __slots__ = ("bits",)
-
-    def __init__(self):
-        self.bits: list[int] = []
-
-    def le(self, q: float, stream: BitStream) -> bool:
-        """Is U <= q? Exact for the float q; consumes expected O(1) bits."""
-        if q <= 0.0:
-            return False
-        if q >= 1.0:
-            return True
-        bits = self.bits
-        x = q
-        k = 0
-        while True:
-            if x >= 0.5:
-                b = 1
-                x = x + x - 1.0
-            else:
-                b = 0
-                x = x + x
-            if k == len(bits):
-                bits.append(stream.next_bit())
-            u = bits[k]
-            if u != b:
-                return u < b
-            if x == 0.0:  # q dyadic and prefix matched: U > q almost surely
-                return False
-            k += 1
-
-
-def _pair_outcome(s: int, l: int, i: int, u: _LazyU, cap: int, pen: float,
-                  above: Sequence[int], stream: BitStream) -> bool:
-    """Decide the redrawn order of values s < l at slots (i, i+1): True means
-    the larger value l comes first. Exactly one poset probe per call.
-
-    The conditional odds follow the displacement weights: a value landing at
-    displacement cap carries factor pen, beyond cap is impossible, and the
-    in-between factors cancel. Keying the decision to the value pair (not the
-    current order) makes states that share a redrawn pair merge.
-    """
-    if (above[s] >> l) & 1:  # s precedes l: ascending order forced
-        return False
-    el = l - i
-    if el > cap:
-        return False
-    es = s - i
-    if es > cap:
-        return True
-    fl = pen if el == cap else 1.0
-    fs = pen if es == cap else 1.0
-    return u.le(fl / (fs + fl), stream)
-
-
-def _resampled_tuple(state: tuple, i: int, u: _LazyU, cap: int, pen: float,
-                     above: Sequence[int], stream: BitStream) -> tuple:
-    a = state[i - 1]
-    b = state[i]
-    if a < b:
-        s, l = a, b
-    else:
-        s, l = b, a
-    if _pair_outcome(s, l, i, u, cap, pen, above, stream):
-        first, second = l, s
-    else:
-        first, second = s, l
-    if state[i - 1] == first:
-        return state
-    return state[:i - 1] + (first, second) + state[i + 1:]
-
-
 @lru_cache(maxsize=128)
 def _support_states(poset: Poset, cap: int) -> tuple | None:
     """The extensions with displacement at most cap, or None when the order
@@ -289,32 +213,60 @@ class _Acc:
         self.levels += 1
 
 
+def _keyed_coin(sig: Sequence[int], i: int, c: int) -> int:
+    """The move coin c1 of the Metropolis step keyed to the pair at slots
+    (i, i+1): c when the pair is ascending, 1 - c when it is descending. c1 is
+    fair given the state, so the keyed step's law is the chain's; twin states
+    that differ only in that pair propose opposite moves, and they merge
+    whenever the gate lets the mover through."""
+    return c if sig[i - 1] < sig[i] else 1 - c
+
+
 def _set_rec(t: int, stream: BitStream, poset: Poset, bp: BetaParam,
-             support: tuple, acc: _Acc) -> tuple:
+             support: tuple, acc: _Acc) -> list:
     """One block on the explicit support; it is constant when one state is left."""
     acc.enter_level()
     n = poset.n
     cap = bp.cap
     pen = bp.pen
     above = poset.raw_masks
-    states = set(support)
-    transcript: list[tuple[int, _LazyU]] = []
-    append = transcript.append
     uniform_int = stream.uniform_int
-    for _ in range(t):
+    next_bit = stream.next_bit
+    bernoulli = stream.bernoulli
+    pos = [0] * t
+    up = [0] * t
+    gate = [1] * t
+    states = set(support)
+    comps = 0
+    for k in range(t):
         i = uniform_int(n - 1)
-        u = _LazyU()
-        acc.comps += len(states)
-        states = {_resampled_tuple(s, i, u, cap, pen, above, stream) for s in states}
-        append((i, u))
+        c = next_bit()
+        pos[k] = i
+        up[k] = c
+        if pen != 1.0:
+            gate[k] = bernoulli(pen)
+        c2 = gate[k]
+        moved = set()
+        for s in states:
+            if _keyed_coin(s, i, c):
+                sig = list(s)
+                comps += _sigma_step_inplace(sig, i, 1, c2, cap, above)
+                s = tuple(sig)
+            moved.add(s)
+        states = moved
     acc.steps += t
+    acc.comps += comps
     if len(states) == 1:
-        return states.pop()
+        return list(states.pop())
     sig = _set_rec(2 * t, stream, poset, bp, support, acc)
-    for i, u in transcript:
-        sig = _resampled_tuple(sig, i, u, cap, pen, above, stream)
+    comps = 0
+    for k in range(t):
+        i = pos[k]
+        c1 = _keyed_coin(sig, i, up[k])
+        if c1:
+            comps += _sigma_step_inplace(sig, i, c1, gate[k], cap, above)
     acc.steps += t
-    acc.comps += t
+    acc.comps += comps
     return sig
 
 

@@ -22,13 +22,13 @@ import time
 from . import __version__
 from .bitrng import BitStream
 from .budgets import (
+    antichain_draw_work,
     sample_bits_bound,
     sample_comparisons_bound,
     sample_steps_bound,
     total_bits_bound,
     total_bits_bound_as_printed,
 )
-from .catalog import antichain_poset
 from .cftp import CftpStats, perfect_sample
 from .chain import BetaParam
 from .embed import lift
@@ -66,6 +66,17 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _comma_list(item):
+    """argparse type of a comma-separated list whose entries parse with item."""
+    def parse(text: str) -> list:
+        try:
+            return [item(part) for part in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated list, got {text!r}") from None
+    return parse
 
 
 def _resolve_seed(args, report: dict, warnings: list) -> int:
@@ -183,7 +194,7 @@ def _cmd_chain_diag(args) -> int:
     t0 = time.perf_counter()
     poset, _, meta = _load_input(args.input, args.format)
     if args.betas:
-        betas = [float(b) for b in args.betas.split(",")]
+        betas = args.betas
     else:
         betas = [b for b in _DIAG_BETAS if b < poset.n] + [float(poset.n)]
     rows = []
@@ -250,7 +261,6 @@ def _cmd_interval_demo(args) -> int:
 
 def _cmd_bench(args) -> int:
     t0 = time.perf_counter()
-    sizes = [int(s) for s in args.sizes.split(",")]
     warnings: list[str] = []
     if args.seed is None:
         seed = int.from_bytes(os.urandom(8), "big")
@@ -258,20 +268,12 @@ def _cmd_bench(args) -> int:
     else:
         seed = args.seed
     lines = ["n,beta,mean_steps,mean_bits,bound_bits,mean_comparisons,bound_comparisons"]
-    for n in sizes:
-        poset = antichain_poset(n)
-        bp = BetaParam(float(n), n)
-        stream = BitStream(seed, label=f"bench/{n}")
-        steps = bits = comps = 0
-        for k in range(args.samples):
-            _, stats = perfect_sample(bp, stream.fork(f"draw/{k}"), poset)
-            steps += stats.total_steps
-            bits += stats.bits_discrete
-            comps += stats.comparisons
-        m = args.samples
+    for n in args.sizes:
+        steps, bits, comps = antichain_draw_work(n, args.samples,
+                                                 BitStream(seed, label=f"bench/{n}"))
         lines.append(
-            f"{n},{float(n)},{steps / m},{bits / m},{sample_bits_bound(n)},"
-            f"{comps / m},{sample_comparisons_bound(n)}"
+            f"{n},{float(n)},{steps},{bits},{sample_bits_bound(n)},"
+            f"{comps},{sample_comparisons_bound(n)}"
         )
     sys.stdout.write("\n".join(lines) + "\n")
     wall = time.perf_counter() - t0
@@ -286,8 +288,7 @@ def _cmd_selftest(args) -> int:
     from . import selftest
 
     t0 = time.perf_counter()
-    ids = [int(c) for c in args.criteria.split(",")] if args.criteria else None
-    results = selftest.run_criteria(ids, log=lambda msg: sys.stderr.write(msg + "\n"))
+    results = selftest.run_criteria(args.criteria, log=lambda msg: sys.stderr.write(msg + "\n"))
     report = {
         "command": "selftest",
         "version": __version__,
@@ -348,7 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain-diag", help="explicit-kernel stationarity check")
     add_input(p)
-    p.add_argument("--betas", default=None, help="comma-separated beta values")
+    p.add_argument("--betas", type=_comma_list(float), default=None,
+                   help="comma-separated beta values")
     p.set_defaults(func=_cmd_chain_diag)
 
     p = sub.add_parser("interval-demo", help="interval contraction demo and product estimator")
@@ -360,13 +362,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_interval_demo)
 
     p = sub.add_parser("bench", help="per-sample work versus a priori bounds (CSV)")
-    p.add_argument("--sizes", default="8,16,32", help="comma-separated sizes")
+    p.add_argument("--sizes", type=_comma_list(_positive_int), default="8,16,32",
+                   help="comma-separated sizes")
     p.add_argument("--samples", type=_positive_int, default=20, help="samples per size")
     p.add_argument("--seed", type=int, default=None, help="64-bit seed")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
-    p.add_argument("--criteria", default=None, help="comma-separated criterion ids (default: all)")
+    p.add_argument("--criteria", type=_comma_list(int), default=None,
+                   help="comma-separated criterion ids (default: all)")
     p.set_defaults(func=_cmd_selftest)
 
     return parser

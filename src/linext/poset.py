@@ -15,9 +15,11 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CycleError, ParseError
+from .errors import CycleError, GuardError, ParseError
 
 Pair = tuple[int, int]
+
+MAX_ELEMENTS = 2000  # largest n closed; the closure is O(n^2) big-int operations
 
 
 class Poset:
@@ -238,10 +240,13 @@ def _check_range(a: int, b: int, n: int) -> None:
 def close_transitively(pairs: Iterable[Pair], n: int) -> Poset:
     """Build the Poset whose relation is the transitive closure of the pairs.
 
-    Raises CycleError when the closure would put any element below itself.
+    Raises CycleError when the closure would put any element below itself, and
+    GuardError, before allocating anything, when n exceeds MAX_ELEMENTS.
     """
     if n < 1:
         raise ParseError("n must be at least 1")
+    if n > MAX_ELEMENTS:
+        raise GuardError(f"n={n} is too large: at most {MAX_ELEMENTS} elements are supported")
     above = [0] * (n + 1)
     for a, b in pairs:
         _check_range(a, b, n)

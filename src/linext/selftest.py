@@ -17,7 +17,12 @@ import numpy as np
 from scipy.stats import chisquare
 
 from .bitrng import BitStream
-from .budgets import sample_bits_bound, sample_comparisons_bound, sample_steps_bound
+from .budgets import (
+    antichain_draw_work,
+    sample_bits_bound,
+    sample_comparisons_bound,
+    sample_steps_bound,
+)
 from .catalog import (
     antichain_poset,
     chain_poset,
@@ -226,18 +231,8 @@ def criterion_8_budgets() -> CriterionResult:
     details = []
     samples = 20
     for n in (8, 16, 32):
-        poset = antichain_poset(n)
-        bp = BetaParam(float(n), n)
-        stream = BitStream(SEED + 8, label=f"budget/{n}")
-        steps = bits = comps = 0
-        for k in range(samples):
-            _, stats = perfect_sample(bp, stream.fork(f"draw/{k}"), poset)
-            steps += stats.total_steps
-            bits += stats.bits_discrete
-            comps += stats.comparisons
-        mean_steps = steps / samples
-        mean_bits = bits / samples
-        mean_comps = comps / samples
+        mean_steps, mean_bits, mean_comps = antichain_draw_work(
+            n, samples, BitStream(SEED + 8, label=f"budget/{n}"))
         ok = (mean_bits <= sample_bits_bound(n)
               and mean_comps <= sample_comparisons_bound(n)
               and mean_steps <= sample_steps_bound(n))

@@ -19,6 +19,7 @@ from linext import (
     StepDraw,
     bounding_chain_step,
     bounds,
+    chain_kernel,
     chain_step,
     count_exact,
     enumerate_extensions,
@@ -30,6 +31,7 @@ from linext import (
     weight,
 )
 from linext.catalog import antichain_poset, chain_poset, random_poset
+from linext.chain import _sigma_step_inplace
 
 from conftest import SMALL_POSET_BUILDERS
 
@@ -154,65 +156,55 @@ def test_trajectory_invariants_random(pairs4):
     assert coalesced_at is not None
 
 
-# -- heat-bath pair update: exactness oracle -------------------------------------------
+# -- explicit-support path: the pair-keyed Metropolis step ----------------------------
 
-class _FixedU:
-    def __init__(self, answer):
-        self.answer = answer
-        self.q = None
-
-    def le(self, q, stream):
-        self.q = q
-        return self.answer
+def _keyed_step(sigma, i, c, c2, bp, poset):
+    """The set path's step: the Metropolis step with its move coin keyed to
+    the pair at slots (i, i+1)."""
+    sig = list(sigma)
+    _sigma_step_inplace(sig, i, cftp._keyed_coin(sig, i, c), c2, bp.cap, poset.raw_masks)
+    return tuple(sig)
 
 
-def _resample_kernel(poset, bp):
-    """Exact one-step kernel of the pair-resampling update, built by driving
-    the implementation through both coin outcomes and reading off the odds."""
+def _keyed_kernel(poset, bp):
+    """Exact one-step kernel of the set path's step, marginalized over its
+    randomness: position i, the bit c the move coin is keyed from, and the
+    gate c2."""
     support = [s for s in enumerate_extensions(poset) if weight(s, bp) > 0.0]
     idx = {s: k for k, s in enumerate(support)}
     n = poset.n
+    gates = [(1, 1.0)] if bp.pen == 1.0 else [(0, 1.0 - bp.pen), (1, bp.pen)]
     probs = np.zeros((len(support), len(support)))
     for s in support:
-        row = idx[s]
         for i in range(1, n):
-            u_hi = _FixedU(True)
-            hi = cftp._resampled_tuple(s, i, u_hi, bp.cap, bp.pen, poset.raw_masks, None)
-            u_lo = _FixedU(False)
-            lo = cftp._resampled_tuple(s, i, u_lo, bp.cap, bp.pen, poset.raw_masks, None)
-            if u_hi.q is None:  # forced outcome, no coin consulted
-                probs[row, idx[hi]] += 1.0 / (n - 1)
-            else:
-                probs[row, idx[hi]] += u_hi.q / (n - 1)
-                probs[row, idx[lo]] += (1.0 - u_hi.q) / (n - 1)
+            for c in (0, 1):
+                for c2, p2 in gates:
+                    nxt = _keyed_step(s, i, c, c2, bp, poset)
+                    probs[idx[s], idx[nxt]] += 0.5 * p2 / (n - 1)
     return support, probs
 
 
 @pytest.mark.parametrize("builder", SMALL_POSET_BUILDERS)
-def test_resample_update_is_stationary(builder):
+def test_keyed_step_marginal_is_the_chain_kernel(builder):
     poset = builder()
     n = poset.n
-    if n < 2:
-        return
     for beta in (0.25, 0.5, 1.0, 1.3, 2.0, float(n)):
         if beta > n:
             continue
         bp = BetaParam(beta, n)
-        support, probs = _resample_kernel(poset, bp)
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-        w = np.array([weight(s, bp) for s in support])
-        pi = w / w.sum()
-        assert np.max(np.abs(pi @ probs - pi)) <= 1e-12
+        support, probs = _keyed_kernel(poset, bp)
+        kernel = chain_kernel(poset, bp)
+        assert support == kernel.support
+        assert np.array_equal(probs, kernel.probs)
 
 
-def test_resample_merges_twin_states(antichain4):
-    # states differing only in the redrawn pair map to the same result
+def test_keyed_step_merges_twin_states(antichain4):
+    # states differing only in the pair at slots (2, 3) propose opposite
+    # moves, so with the gate open they land on the same state
     bp = BetaParam(4.0, 4)
-    for answer in (True, False):
-        a = cftp._resampled_tuple((1, 3, 2, 4), 2, _FixedU(answer), bp.cap, bp.pen,
-                                  antichain4.raw_masks, None)
-        b = cftp._resampled_tuple((1, 2, 3, 4), 2, _FixedU(answer), bp.cap, bp.pen,
-                                  antichain4.raw_masks, None)
+    for c in (0, 1):
+        a = _keyed_step((1, 3, 2, 4), 2, c, 1, bp, antichain4)
+        b = _keyed_step((1, 2, 3, 4), 2, c, 1, bp, antichain4)
         assert a == b
 
 
@@ -237,6 +229,22 @@ def test_perfect_sample_reproducible(pairs4):
     b = perfect_sample(bp, BitStream(123), pairs4)
     assert a[0] == b[0]
     assert a[1].as_dict() == b[1].as_dict()
+
+
+def test_perfect_sample_pinned_outputs(pairs4):
+    # Pins the draw and its accounting on each path. A change to the kernel,
+    # the coupling or the order in which bits are drawn fails here and must
+    # say in its change log why the new figures are right.
+    sigma, stats = perfect_sample(BetaParam(1.3, 4), BitStream(123), pairs4)
+    assert sigma == (2, 1, 3, 4)
+    assert stats.as_dict() == {"total_steps": 32, "levels": 1, "bits_discrete": 198,
+                               "bits_continuous": 0, "comparisons": 32}
+    poset = antichain_poset(8)
+    assert count_exact(poset) > cftp.SUPPORT_LIMIT  # so the bounding chain runs
+    sigma, stats = perfect_sample(BetaParam(1.5, 8), BitStream(43), poset)
+    assert sigma == (3, 4, 5, 1, 6, 2, 8, 7)
+    assert stats.as_dict() == {"total_steps": 2816, "levels": 4, "bits_discrete": 10500,
+                               "bits_continuous": 0, "comparisons": 937}
 
 
 def test_generate_uniform_small_chi_square():
@@ -399,22 +407,6 @@ def test_generate_level_cap():
     poset = antichain_poset(4)
     with pytest.raises(CoalescenceError):
         generate(BetaParam(4.0, 4), 1, BitStream(1), poset, max_levels=1)
-
-
-def test_coalescence_monotone_in_beta():
-    # contracting the support can only speed collapse up, within noise
-    poset = antichain_poset(5)
-    low = []
-    high = []
-    for k in range(150):
-        _, st = perfect_sample(BetaParam(1.3, 5), BitStream(7000 + k), poset)
-        low.append(st.total_steps)
-        _, st = perfect_sample(BetaParam(5.0, 5), BitStream(7000 + k, "hi"), poset)
-        high.append(st.total_steps)
-    low = np.array(low, dtype=float)
-    high = np.array(high, dtype=float)
-    spread = 3.0 * math.sqrt(low.var(ddof=1) / len(low) + high.var(ddof=1) / len(high))
-    assert low.mean() <= high.mean() + spread
 
 
 def test_step_budget_small():

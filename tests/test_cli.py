@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 
@@ -213,6 +214,35 @@ def test_exit_code_2_on_bench_samples_below_one(samples, message, capsys):
         cli.main(["bench", "--sizes", "4", "--samples", samples, "--seed", "1"])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--sizes", "abc", "--samples", "1", "--seed", "1"],
+    ["bench", "--sizes", "8,,16", "--samples", "1", "--seed", "1"],
+    ["bench", "--sizes", "0", "--samples", "1", "--seed", "1"],
+    ["chain-diag", "--betas", "x"],
+    ["chain-diag", "--betas", "0.5,"],
+    ["selftest", "--criteria", "one"],
+])
+def test_exit_code_2_on_bad_comma_list(pairs_file, argv, capsys):
+    if argv[0] == "chain-diag":
+        argv = argv + ["--input", pairs_file]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "expected" in err or "must be at least 1" in err
+
+
+def test_exit_code_3_on_huge_n_before_closure(tmp_path):
+    huge = tmp_path / "huge.posets"
+    huge.write_text("n=200000000")
+    start = time.perf_counter()
+    code, _, err = run_cli(["sample", "--input", str(huge), "--beta", "1", "--seed", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "too large" in err
 
 
 def test_exit_code_3_on_guard(tmp_path):

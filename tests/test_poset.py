@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from linext import (
     CycleError,
+    GuardError,
     ParseError,
     canonicalize,
     close_transitively,
@@ -16,6 +17,7 @@ from linext import (
     parse_poset,
 )
 from linext.catalog import antichain_poset, chain_poset
+from linext.poset import MAX_ELEMENTS
 
 
 # -- parsing -----------------------------------------------------------------
@@ -86,6 +88,14 @@ def test_closure_empty_relation_is_antichain():
 def test_closure_detects_longer_cycle():
     with pytest.raises(CycleError):
         close_transitively([(1, 2), (2, 3), (3, 1)], 3)
+
+
+def test_closure_size_guard_runs_first():
+    # n is checked before anything of size n is allocated or any pair is read
+    with pytest.raises(GuardError):
+        close_transitively(iter([(0, 0)]), MAX_ELEMENTS + 1)
+    with pytest.raises(GuardError, match="too large"):
+        load_poset("n=200000000")
 
 
 @settings(max_examples=200, deadline=None)
