@@ -18,6 +18,18 @@ from typing import NamedTuple
 from .errors import LinextError
 
 _WORDBITS = 256
+_REVBITS = 12  # widest chunk uniform_int reverses by table lookup
+
+
+def _reversal_table(bits: int) -> tuple[int, ...]:
+    """Entry x is x with its low `bits` bits in reverse order."""
+    table = [0]
+    for _ in range(bits):
+        table = [2 * r for r in table] + [2 * r + 1 for r in table]
+    return tuple(table)
+
+
+_REVERSED = _reversal_table(_REVBITS)
 
 
 class StepDraw(NamedTuple):
@@ -72,13 +84,32 @@ class BitStream:
 
         Consumes no bits for m = 1, exactly log2(m) bits when m is a power of
         two, and at most ceil(log2(m)) + 2 expected bits otherwise.
+
+        The first ceil(log2(m)) bits, which every draw consumes before its
+        first test, are taken from the buffered word as one chunk and
+        bit-reversed, so the first bit drawn stays the most significant. The
+        bit sequence and the count are those of drawing the bits one at a
+        time, which is what happens when the word holds fewer bits or the
+        chunk is wider than the reversal table.
         """
         if m < 1:
             raise LinextError(f"uniform_int needs m >= 1, got {m}")
         if m == 1:
             return 1
-        v = 1
-        c = 0
+        k = (m - 1).bit_length()
+        if k <= self._avail and k <= _REVBITS:
+            w = self._word
+            c = _REVERSED[w & ((1 << k) - 1)] >> (_REVBITS - k)
+            self._word = w >> k
+            self._avail -= k
+            self.bits_consumed += k
+            if c < m:
+                return c + 1
+            v = (1 << k) - m
+            c -= m
+        else:
+            v = 1
+            c = 0
         next_bit = self.next_bit
         while True:
             v += v

@@ -38,6 +38,14 @@ picks the certificate from the input:
   mover through, and a block that leaves one state is constant. On small
   supports this collapses far sooner than the bound does.
 
+  The support is enumerated once per (poset, cap) together with the keyed
+  step as tables over support indices: per slot, the states whose pair
+  descends, and per (slot, c) the states whose move goes through, mapped to
+  the index they land on, with those that land on the cap marked for the
+  gate. A step on the set is then a few set operations on ints, and the
+  replay walks one index. The probes counted are exactly the chain's: one per
+  state whose coin is up, whether or not its move goes through.
+
 Either way the returned permutation is an exact draw from the weighted
 distribution.
 """
@@ -46,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bitrng import BitStream, StepDraw
 from .chain import BetaParam, _sigma_step_inplace, max_displacement, weight
@@ -183,15 +191,56 @@ def bounding_chain_step(sigma: Sequence[int], b: Sequence[int], bp: BetaParam,
 # ---------------------------------------------------------------------------
 
 
+class _Support(NamedTuple):
+    """The support of one (poset, cap), indexed in enumeration order, with the
+    keyed step as per-slot tables over those indices. Only descents and moves
+    that go through are stored, so the tables hold O(n |support|) entries.
+
+    The keyed coin is up for c = 1 on an ascending pair and for c = 0 on a
+    descending one, so it is fair given the state and the keyed step's law is
+    the chain's. A state whose coin is up swaps the pair unless the pair is
+    ordered or the left mover would pass the cap; at the cap the swap also
+    needs the gate c2."""
+
+    states: tuple  # the extensions with displacement at most cap
+    desc: tuple  # desc[i]: the states whose pair at slots (i, i+1) descends
+    moves: tuple  # moves[2i + c]: {state: landing} for the keyed swaps that go through
+    capped: tuple  # capped[i]: the keys of moves[2i + 1] whose mover lands on the cap
+
+
 @lru_cache(maxsize=128)
-def _support_states(poset: Poset, cap: int) -> tuple | None:
-    """The extensions with displacement at most cap, or None when the order
-    has more than SUPPORT_LIMIT extensions. Cached either way."""
+def _support_tables(poset: Poset, cap: int) -> _Support | None:
+    """The support with displacement at most cap and its step tables, or None
+    when the order has more than SUPPORT_LIMIT extensions. Cached either way.
+
+    Each swap of an ascending pair is stored with the swap back from its image.
+    The swap back moves the smaller value left, so it stays below the cap and
+    never needs the gate. Work is O(1) per (state, slot) plus O(n) per stored
+    move."""
     try:
         extensions = enumerate_extensions(poset, guard=SUPPORT_LIMIT)
     except GuardError:
         return None
-    return tuple(s for s in extensions if max_displacement(s) <= cap)
+    states = tuple(s for s in extensions if max_displacement(s) <= cap)
+    index = {s: k for k, s in enumerate(states)}
+    n = poset.n
+    above = poset.raw_masks
+    desc = [set() for _ in range(n)]
+    moves = [{} for _ in range(2 * n)]
+    capped = [set() for _ in range(n)]
+    slots = range(1, n)
+    for k, s in enumerate(states):
+        for i, a, b in zip(slots, s, s[1:]):
+            if a > b:  # never ordered in a canonical extension
+                desc[i].add(k)
+            elif b - i <= cap and not (above[a] >> b) & 1:
+                j = index[s[:i - 1] + (b, a) + s[i + 1:]]
+                moves[2 * i + 1][k] = j
+                moves[2 * i][j] = k
+                if b - i == cap:
+                    capped[i].add(k)
+    return _Support(states, tuple(map(frozenset, desc)), tuple(moves),
+                    tuple(map(frozenset, capped)))
 
 
 class _Acc:
@@ -213,61 +262,78 @@ class _Acc:
         self.levels += 1
 
 
-def _keyed_coin(sig: Sequence[int], i: int, c: int) -> int:
-    """The move coin c1 of the Metropolis step keyed to the pair at slots
-    (i, i+1): c when the pair is ascending, 1 - c when it is descending. c1 is
-    fair given the state, so the keyed step's law is the chain's; twin states
-    that differ only in that pair propose opposite moves, and they merge
-    whenever the gate lets the mover through."""
-    return c if sig[i - 1] < sig[i] else 1 - c
-
-
-def _set_rec(t: int, stream: BitStream, poset: Poset, bp: BetaParam,
-             support: tuple, acc: _Acc) -> list:
-    """One block on the explicit support; it is constant when one state is left."""
-    acc.enter_level()
-    n = poset.n
-    cap = bp.cap
-    pen = bp.pen
-    above = poset.raw_masks
+def _draw_block(t: int, stream: BitStream, n: int, pen: float) -> tuple[list, list, list]:
+    """A block's randomness, step by step: the slot i = uniform_int(n - 1), one
+    bit, and the gate bernoulli(pen), which is 1 without drawing when pen = 1."""
     uniform_int = stream.uniform_int
     next_bit = stream.next_bit
     bernoulli = stream.bernoulli
+    m = n - 1
     pos = [0] * t
     up = [0] * t
     gate = [1] * t
-    states = set(support)
-    comps = 0
     for k in range(t):
-        i = uniform_int(n - 1)
-        c = next_bit()
-        pos[k] = i
-        up[k] = c
+        pos[k] = uniform_int(m)
+        up[k] = next_bit()
         if pen != 1.0:
             gate[k] = bernoulli(pen)
-        c2 = gate[k]
-        moved = set()
-        for s in states:
-            if _keyed_coin(s, i, c):
-                sig = list(s)
-                comps += _sigma_step_inplace(sig, i, 1, c2, cap, above)
-                s = tuple(sig)
-            moved.add(s)
-        states = moved
-    acc.steps += t
-    acc.comps += comps
-    if len(states) == 1:
-        return list(states.pop())
-    sig = _set_rec(2 * t, stream, poset, bp, support, acc)
-    comps = 0
-    for k in range(t):
+    return pos, up, gate
+
+
+def _set_step(states: set, tab: _Support, i: int, c: int, g: int) -> int:
+    """Apply one keyed step to a set of support indices in place; returns the
+    probes made, one per state whose keyed coin is up."""
+    down = len(states & tab.desc[i])
+    probes = len(states) - down if c else down
+    key = 2 * i + c
+    moves = tab.moves[key]
+    hit = moves.keys() & states
+    if hit:
+        if not g:
+            hit = hit - tab.capped[i]
+        states -= hit
+        states.update(map(moves.__getitem__, hit))
+    return probes
+
+
+def _walk(tab: _Support, s: int, pos: list, up: list, gate: list, start: int = 0) -> tuple[int, int]:
+    """Run one support index through steps start.. of a recorded block, as
+    _set_step does; returns the final index and the probes made."""
+    desc = tab.desc
+    moves = tab.moves
+    capped = tab.capped
+    probes = 0
+    for k in range(start, len(pos)):
         i = pos[k]
-        c1 = _keyed_coin(sig, i, up[k])
-        if c1:
-            comps += _sigma_step_inplace(sig, i, c1, gate[k], cap, above)
+        c = up[k]
+        if (s in desc[i]) != c:  # the keyed coin is up
+            probes += 1
+            key = 2 * i + c
+            landing = moves[key].get(s)
+            if landing is not None and (gate[k] or s not in capped[i]):
+                s = landing
+    return s, probes
+
+
+def _set_rec(t: int, stream: BitStream, poset: Poset, bp: BetaParam,
+             tab: _Support, acc: _Acc) -> int:
+    """One block on the explicit support; it is constant when one state is
+    left. Returns a support index."""
+    acc.enter_level()
+    pos, up, gate = _draw_block(t, stream, poset.n, bp.pen)
     acc.steps += t
-    acc.comps += comps
-    return sig
+    states = set(range(len(tab.states)))
+    for k in range(t):
+        acc.comps += _set_step(states, tab, pos[k], up[k], gate[k])
+        if len(states) == 1:
+            s, probes = _walk(tab, states.pop(), pos, up, gate, k + 1)
+            acc.comps += probes
+            return s
+    s = _set_rec(2 * t, stream, poset, bp, tab, acc)
+    s, probes = _walk(tab, s, pos, up, gate)
+    acc.steps += t
+    acc.comps += probes
+    return s
 
 
 def _bound_rec(t: int, stream: BitStream, poset: Poset, bp: BetaParam,
@@ -276,28 +342,17 @@ def _bound_rec(t: int, stream: BitStream, poset: Poset, bp: BetaParam,
     acc.enter_level()
     n = poset.n
     cap = bp.cap
-    pen = bp.pen
     above = poset.raw_masks
-    uniform_int = stream.uniform_int
-    next_bit = stream.next_bit
-    bernoulli = stream.bernoulli
-    pos = [0] * t
-    up = [0] * t
-    gate = [1] * t
+    pos, up, gate = _draw_block(t, stream, n, bp.pen)
     right = [0] * t
     bnd = list(initial_bound(n))
     placed = 1
     comps = 0
     for k in range(t):
-        i = uniform_int(n - 1)
-        c3 = next_bit()
-        pos[k] = i
-        up[k] = c3
+        i = pos[k]
         right[k] = bnd[i]
-        if pen != 1.0:
-            gate[k] = bernoulli(pen)
-        if c3:
-            comps += _bound_step_inplace(bnd, i, c3, gate[k], cap, above)
+        if up[k]:
+            comps += _bound_step_inplace(bnd, i, 1, gate[k], cap, above)
             if not bnd[-1]:
                 placed += 1
                 bnd[-1] = placed
@@ -334,16 +389,16 @@ def generate(bp: BetaParam, t: int, stream: BitStream, poset: Poset,
         raise LinextError("poset must be canonicalized before sampling")
     if poset.n == 1:
         return (1,), CftpStats()
-    support = _support_states(poset, bp.cap)
-    if support is not None and len(support) == 1:
-        return support[0], CftpStats()
+    tab = _support_tables(poset, bp.cap)
+    if tab is not None and len(tab.states) == 1:
+        return tab.states[0], CftpStats()
     bits0 = stream.bits_consumed
     cont0 = stream.bits_continuous
     acc = _Acc(max_levels)
-    if support is None:
+    if tab is None:
         sig = _bound_rec(t, stream, poset, bp, acc)
     else:
-        sig = _set_rec(t, stream, poset, bp, support, acc)
+        sig = tab.states[_set_rec(t, stream, poset, bp, tab, acc)]
     poset.add_queries(acc.comps)
     stats = CftpStats(
         total_steps=acc.steps,

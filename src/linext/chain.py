@@ -20,6 +20,7 @@ explicit-kernel stationarity check in the exact oracle pins it down.
 from __future__ import annotations
 
 import math
+from operator import sub
 from typing import Sequence
 
 from .bitrng import StepDraw
@@ -57,7 +58,7 @@ class BetaParam:
 
 def max_displacement(sigma: Sequence[int]) -> int:
     """Largest value-minus-position over all positions (0 for the identity)."""
-    return max(v - p for p, v in enumerate(sigma, start=1))
+    return max(map(sub, sigma, range(1, len(sigma) + 1)))
 
 
 def weight(sigma: Sequence[int], bp: BetaParam) -> float:

@@ -10,10 +10,13 @@ budget the samplers report.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import CycleError, GuardError, ParseError
 
@@ -37,15 +40,7 @@ class Poset:
             raise ParseError("poset needs at least one element")
         self.n = n
         self._above = tuple(above)
-        below = [0] * (n + 1)
-        for a in range(1, n + 1):
-            mask = self._above[a]
-            b = 1
-            while mask >> b:
-                if (mask >> b) & 1:
-                    below[b] |= 1 << a
-                b += 1
-        self._below = tuple(below)
+        self._below = _masks(_bit_matrix(self._above, n).T)
         self._qcount = 0
         self._qlock = threading.Lock()
         self._identity_ext = all(
@@ -273,25 +268,41 @@ def canonicalize(poset: Poset) -> tuple[Poset, Relabeling]:
     form (the home extension is then the identity).
     """
     n = poset.n
-    remaining = ((1 << (n + 1)) - 1) & ~1
+    bits = _bit_matrix(poset.raw_masks, n)
+    rows, cols = np.nonzero(bits)  # the closure's pairs, grouped by their first element
+    first = np.searchsorted(rows, np.arange(n + 2)).tolist()
+    cols = cols.tolist()
+    indegree = bits.sum(axis=0).tolist()
+    minimal = [e for e in range(1, n + 1) if indegree[e] == 0]  # sorted, so a heap
+    canon_to_orig = [0]
+    while minimal:
+        e = heapq.heappop(minimal)
+        canon_to_orig.append(e)
+        for f in cols[first[e]:first[e + 1]]:
+            indegree[f] -= 1
+            if not indegree[f]:
+                heapq.heappush(minimal, f)
+    if len(canon_to_orig) <= n:  # unreachable on a valid poset
+        raise CycleError("topological sort failed; relation is cyclic")
     orig_to_canon = [0] * (n + 1)
-    canon_to_orig = [0] * (n + 1)
-    for label in range(1, n + 1):
-        e = 0
-        for cand in range(1, n + 1):
-            if (remaining >> cand) & 1 and poset.below_mask(cand) & remaining == 0:
-                e = cand
-                break
-        if e == 0:  # unreachable on a valid poset
-            raise CycleError("topological sort failed; relation is cyclic")
+    for label, e in enumerate(canon_to_orig):
         orig_to_canon[e] = label
-        canon_to_orig[label] = e
-        remaining &= ~(1 << e)
-    above = [0] * (n + 1)
-    for a, b in poset.relation_pairs():
-        above[orig_to_canon[a]] |= 1 << orig_to_canon[b]
-    canon = Poset(n, above)
+    canon = Poset(n, _masks(bits[np.ix_(canon_to_orig, canon_to_orig)]))
     return canon, Relabeling(tuple(orig_to_canon), tuple(canon_to_orig))
+
+
+def _bit_matrix(masks: Sequence[int], n: int) -> np.ndarray:
+    """The masks as 0/1 rows: entry (a, b) is bit b of masks[a], b in 0..n."""
+    width = n // 8 + 1
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(rows, axis=1, count=n + 1, bitorder="little")
+
+
+def _masks(bits: np.ndarray) -> tuple[int, ...]:
+    """Inverse of _bit_matrix: one int mask per 0/1 row."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 def load_poset(text: str, fmt: str = "auto") -> tuple[Poset, Relabeling]:

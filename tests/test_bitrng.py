@@ -79,6 +79,39 @@ def test_uniform_int_chi_square():
     assert p >= 0.01
 
 
+def _uniform_int_bitwise(s, m):
+    """Reference: the entropy-recycling rejection draw, one next_bit at a time."""
+    if m == 1:
+        return 1
+    v, c = 1, 0
+    while True:
+        v += v
+        c += c + s.next_bit()
+        if v >= m:
+            if c < m:
+                return c + 1
+            v -= m
+            c -= m
+
+
+def test_uniform_int_chunks_match_bitwise_draws():
+    # every m in 1..4100 once, then powers of two, 2^k +- 1 and m past the
+    # 12-bit reversal table again; the interleaved single bits shift the
+    # chunks across word boundaries
+    edges = sorted({*range(4090, 4101), *(2 ** k + d for k in range(13) for d in (-1, 0, 1))} - {0})
+    for offset in range(5):
+        a = BitStream(20, label=f"chunk/{offset}")
+        b = BitStream(20, label=f"chunk/{offset}")
+        for _ in range(offset):
+            assert a.next_bit() == b.next_bit()
+        for rep in range(40):
+            for m in edges if rep else range(1, 4101):
+                assert a.uniform_int(m) == _uniform_int_bitwise(b, m)
+                assert a.bits_consumed == b.bits_consumed
+                if (rep + m) % 3 == 0:
+                    assert a.next_bit() == b.next_bit()
+
+
 def test_uniform_int_rejects_bad_m():
     with pytest.raises(LinextError):
         BitStream(8).uniform_int(0)

@@ -19,8 +19,10 @@ from linext import (
     StepDraw,
     bounding_chain_step,
     bounds,
+    canonicalize,
     chain_kernel,
     chain_step,
+    close_transitively,
     count_exact,
     enumerate_extensions,
     generate,
@@ -30,7 +32,7 @@ from linext import (
     validate_bounding_state,
     weight,
 )
-from linext.catalog import antichain_poset, chain_poset, random_poset
+from linext.catalog import antichain_poset, chain_poset, grid_poset, random_poset
 from linext.chain import _sigma_step_inplace
 
 from conftest import SMALL_POSET_BUILDERS
@@ -158,30 +160,45 @@ def test_trajectory_invariants_random(pairs4):
 
 # -- explicit-support path: the pair-keyed Metropolis step ----------------------------
 
+def _keyed_coin(sig, i, c):
+    """Reference for the set path's move coin: c when the pair at slots
+    (i, i+1) ascends, 1 - c when it descends."""
+    return c if sig[i - 1] < sig[i] else 1 - c
+
+
 def _keyed_step(sigma, i, c, c2, bp, poset):
-    """The set path's step: the Metropolis step with its move coin keyed to
-    the pair at slots (i, i+1)."""
+    """Reference for the set path's step: the Metropolis step with its move
+    coin keyed to the pair at slots (i, i+1). Returns the state and the probes
+    made."""
     sig = list(sigma)
-    _sigma_step_inplace(sig, i, cftp._keyed_coin(sig, i, c), c2, bp.cap, poset.raw_masks)
-    return tuple(sig)
+    probes = _sigma_step_inplace(sig, i, _keyed_coin(sig, i, c), c2, bp.cap, poset.raw_masks)
+    return tuple(sig), probes
+
+
+def _table_step(tab, k, i, c, c2):
+    """The set path's step on one support index, through the cached tables:
+    the set step on {k} and the one-step replay walk must agree."""
+    states = {k}
+    probes = cftp._set_step(states, tab, i, c, c2)
+    assert cftp._walk(tab, k, [i], [c], [c2]) == (*states, probes)
+    return states.pop(), probes
 
 
 def _keyed_kernel(poset, bp):
-    """Exact one-step kernel of the set path's step, marginalized over its
-    randomness: position i, the bit c the move coin is keyed from, and the
+    """Exact one-step kernel of the set path's table step, marginalized over
+    its randomness: position i, the bit c the move coin is keyed from, and the
     gate c2."""
-    support = [s for s in enumerate_extensions(poset) if weight(s, bp) > 0.0]
-    idx = {s: k for k, s in enumerate(support)}
+    tab = cftp._support_tables(poset, bp.cap)
     n = poset.n
     gates = [(1, 1.0)] if bp.pen == 1.0 else [(0, 1.0 - bp.pen), (1, bp.pen)]
-    probs = np.zeros((len(support), len(support)))
-    for s in support:
+    probs = np.zeros((len(tab.states), len(tab.states)))
+    for k in range(len(tab.states)):
         for i in range(1, n):
             for c in (0, 1):
                 for c2, p2 in gates:
-                    nxt = _keyed_step(s, i, c, c2, bp, poset)
-                    probs[idx[s], idx[nxt]] += 0.5 * p2 / (n - 1)
-    return support, probs
+                    nxt, _ = _table_step(tab, k, i, c, c2)
+                    probs[k, nxt] += 0.5 * p2 / (n - 1)
+    return list(tab.states), probs
 
 
 @pytest.mark.parametrize("builder", SMALL_POSET_BUILDERS)
@@ -198,6 +215,42 @@ def test_keyed_step_marginal_is_the_chain_kernel(builder):
         assert np.array_equal(probs, kernel.probs)
 
 
+@pytest.mark.parametrize("builder", SMALL_POSET_BUILDERS)
+def test_table_step_is_the_keyed_step(builder):
+    # every support state x slot x bit x gate: the cached tables give the
+    # reference step's state and its probe count
+    poset = builder()
+    n = poset.n
+    for beta in (0.25, 0.5, 1.3, 2.0, float(n)):
+        if beta > n:
+            continue
+        bp = BetaParam(beta, n)
+        tab = cftp._support_tables(poset, bp.cap)
+        assert list(tab.states) == [s for s in enumerate_extensions(poset) if weight(s, bp) > 0.0]
+        for k, s in enumerate(tab.states):
+            for i in range(1, n):
+                for c in (0, 1):
+                    for c2 in (0, 1):
+                        nxt, probes = _table_step(tab, k, i, c, c2)
+                        assert (tab.states[nxt], probes) == _keyed_step(s, i, c, c2, bp, poset)
+
+
+def test_tables_store_only_descents_and_moves():
+    # a 300-chain plus one free element: 301 extensions, each with at most two
+    # incomparable adjacent pairs, so the tables stay near 2 |support| entries
+    # rather than (n - 1) |support|
+    n = 301
+    poset = canonicalize(close_transitively([(k, k + 1) for k in range(1, n - 1)], n))[0]
+    tab = cftp._support_tables(poset, n)
+    assert len(tab.states) == n
+    free = sum(1 for s in tab.states for i in range(1, n)
+               if not poset.less(s[i - 1], s[i]) and not poset.less(s[i], s[i - 1]))
+    assert free == 2 * (n - 1)
+    assert sum(map(len, tab.moves)) <= free
+    assert sum(map(len, tab.desc)) <= free
+    assert all(tab.capped[i] <= tab.moves[2 * i + 1].keys() for i in range(1, n))
+
+
 def test_keyed_step_merges_twin_states(antichain4):
     # states differing only in the pair at slots (2, 3) propose opposite
     # moves, so with the gate open they land on the same state
@@ -205,7 +258,7 @@ def test_keyed_step_merges_twin_states(antichain4):
     for c in (0, 1):
         a = _keyed_step((1, 3, 2, 4), 2, c, 1, bp, antichain4)
         b = _keyed_step((1, 2, 3, 4), 2, c, 1, bp, antichain4)
-        assert a == b
+        assert a[0] == b[0]
 
 
 # -- generate / perfect_sample --------------------------------------------------------
@@ -245,6 +298,11 @@ def test_perfect_sample_pinned_outputs(pairs4):
     assert sigma == (3, 4, 5, 1, 6, 2, 8, 7)
     assert stats.as_dict() == {"total_steps": 2816, "levels": 4, "bits_discrete": 10500,
                                "bits_continuous": 0, "comparisons": 937}
+    grid = grid_poset(3, 4)  # 462 extensions, all in the support at beta = n
+    sigma, stats = perfect_sample(BetaParam(12.0, 12), BitStream(7), grid)
+    assert sigma == (1, 5, 2, 9, 6, 3, 10, 7, 4, 11, 8, 12)
+    assert stats.as_dict() == {"total_steps": 1152, "levels": 2, "bits_discrete": 4975,
+                               "bits_continuous": 0, "comparisons": 3209}
 
 
 def test_generate_uniform_small_chi_square():
@@ -397,7 +455,6 @@ def test_generate_stats_accounting(antichain4):
 
 
 def test_generate_rejects_uncanonical_poset():
-    from linext import close_transitively
     poset = close_transitively([(2, 1)], 2)  # not canonicalized
     with pytest.raises(LinextError):
         generate(BetaParam(1.0, 2), 4, BitStream(1), poset)

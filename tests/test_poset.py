@@ -162,6 +162,43 @@ def test_canonical_poset_orients_forward(n, data):
     assert canon.is_linear_extension(tuple(range(1, n + 1)))
 
 
+def _canonicalize_reference(poset):
+    """The original relabeling: scan for the smallest-id minimal element until
+    none is left, then move every pair of the closure to the new labels.
+    Returns the canonical successor masks and original_to_canonical."""
+    n = poset.n
+    remaining = ((1 << (n + 1)) - 1) & ~1
+    orig_to_canon = [0] * (n + 1)
+    for label in range(1, n + 1):
+        e = next(c for c in range(1, n + 1)
+                 if (remaining >> c) & 1 and poset.below_mask(c) & remaining == 0)
+        orig_to_canon[e] = label
+        remaining &= ~(1 << e)
+    above = [0] * (n + 1)
+    for a, b in poset.relation_pairs():
+        above[orig_to_canon[a]] |= 1 << orig_to_canon[b]
+    return tuple(above), tuple(orig_to_canon)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_canonicalize_matches_reference(n, data):
+    # pairs oriented along a random permutation, so the order is acyclic and
+    # its labels are shuffled
+    perm = data.draw(st.permutations(range(1, n + 1)))
+    slots = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=2 * n))
+    poset = close_transitively([(perm[min(i, j)], perm[max(i, j)]) for i, j in slots if i != j], n)
+    for b in range(1, n + 1):
+        assert poset.below_mask(b) == sum(1 << a for a in range(1, n + 1) if poset.less(a, b))
+    canon, relab = canonicalize(poset)
+    above, orig_to_canon = _canonicalize_reference(poset)
+    assert relab.original_to_canonical == orig_to_canon
+    assert canon.raw_masks == above
+    for v in range(n + 1):
+        assert relab.canonical_to_original[orig_to_canon[v]] == v
+
+
 # -- counted queries ---------------------------------------------------------
 
 def test_precedes_on_chain_and_antichain():
