@@ -14,14 +14,17 @@ provably keeps the state compatible with the bound, and when no wildcards
 remain the bound pins the driven trajectory exactly. It is exposed (and
 property-tested) as ``bounding_chain_step``.
 
-The second layer is the sampler, coupling from the past (Propp-Wilson): run a
-block of steps, and if its update map is not certified constant, recurse with
-a doubled horizon and fresh randomness for the deeper past, then replay this
-block's recorded randomness on the returned state. Every state on both paths
-takes the same Metropolis step as ``chain_step``, with a move coin c1 that is
-fair given the state; only the way c1 is derived from the block's recorded
-bit, and the certificate that the block map is constant, differ. ``generate``
-picks the certificate from the input:
+The second layer is the sampler, coupling from the past (Propp-Wilson), one
+loop in ``generate``: draw and record a block of steps; until a block's
+update map is certified constant, draw one twice as long further in the past,
+up to MAX_LEVELS blocks; then replay the constant value through the recorded
+blocks, deepest first. A certificate is a forward function, which runs one
+block and returns its constant value or None, and a replay function, which
+runs one state through a block. Every state on both paths takes the same
+Metropolis step as ``chain_step``, with a move coin c1 that is fair given the
+state; only the way c1 is derived from the block's recorded bit, and the
+certificate that the block map is constant, differ. ``generate`` picks the
+certificate from the input:
 
 - Bounding chain (any order). The block draws the bound's own coins
   (i, c3, c2), which do not depend on any state, and records the bound's
@@ -38,7 +41,7 @@ picks the certificate from the input:
   mover through, and a block that leaves one state is constant. On small
   supports this collapses far sooner than the bound does.
 
-  The support is enumerated once per (poset, cap) together with the keyed
+  The order is enumerated once; per cap its support is kept with the keyed
   step as tables over support indices: per slot, the states whose pair
   descends, and per (slot, c) the states whose move goes through, mapped to
   the index they land on, with those that land on the cap marked for the
@@ -53,7 +56,7 @@ distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple, Sequence
 
 from .bitrng import BitStream, StepDraw
@@ -64,7 +67,7 @@ from .poset import Poset
 
 THETA = 0  # wildcard bound entry: no restriction at all
 
-DEFAULT_MAX_LEVELS = 40
+MAX_LEVELS = 40  # most blocks drawn before a draw gives up
 SUPPORT_LIMIT = 10_000  # most extensions tracked as an explicit set
 
 
@@ -208,6 +211,16 @@ class _Support(NamedTuple):
     capped: tuple  # capped[i]: the keys of moves[2i + 1] whose mover lands on the cap
 
 
+@lru_cache(maxsize=16)
+def _extensions(poset: Poset) -> tuple | None:
+    """The order's extensions, or None when it has more than SUPPORT_LIMIT.
+    Cached either way, so every cap filters one enumeration."""
+    try:
+        return tuple(enumerate_extensions(poset, guard=SUPPORT_LIMIT))
+    except GuardError:
+        return None
+
+
 @lru_cache(maxsize=128)
 def _support_tables(poset: Poset, cap: int) -> _Support | None:
     """The support with displacement at most cap and its step tables, or None
@@ -217,9 +230,8 @@ def _support_tables(poset: Poset, cap: int) -> _Support | None:
     The swap back moves the smaller value left, so it stays below the cap and
     never needs the gate. Work is O(1) per (state, slot) plus O(n) per stored
     move."""
-    try:
-        extensions = enumerate_extensions(poset, guard=SUPPORT_LIMIT)
-    except GuardError:
+    extensions = _extensions(poset)
+    if extensions is None:
         return None
     states = tuple(s for s in extensions if max_displacement(s) <= cap)
     index = {s: k for k, s in enumerate(states)}
@@ -243,28 +255,9 @@ def _support_tables(poset: Poset, cap: int) -> _Support | None:
                     tuple(map(frozenset, capped)))
 
 
-class _Acc:
-    __slots__ = ("steps", "levels", "comps", "levels_left")
-
-    def __init__(self, levels_left: int):
-        self.steps = 0
-        self.levels = 0
-        self.comps = 0
-        self.levels_left = levels_left
-
-    def enter_level(self) -> None:
-        if self.levels_left <= 0:
-            raise CoalescenceError(
-                f"no collapse after {self.levels} doublings ({self.steps} steps); "
-                f"raise max_levels or check the instance"
-            )
-        self.levels_left -= 1
-        self.levels += 1
-
-
-def _draw_block(t: int, stream: BitStream, n: int, pen: float) -> tuple[list, list, list]:
-    """A block's randomness, step by step: the slot i = uniform_int(n - 1), one
-    bit, and the gate bernoulli(pen), which is 1 without drawing when pen = 1."""
+def _draw_block(t: int, stream: BitStream, n: int, pen: float) -> list:
+    """A block's randomness as the lists [pos, up, gate]: per step the slot
+    i = uniform_int(n - 1), one bit, and the gate bernoulli(pen), 1 if pen = 1."""
     uniform_int = stream.uniform_int
     next_bit = stream.next_bit
     bernoulli = stream.bernoulli
@@ -277,7 +270,7 @@ def _draw_block(t: int, stream: BitStream, n: int, pen: float) -> tuple[list, li
         up[k] = next_bit()
         if pen != 1.0:
             gate[k] = bernoulli(pen)
-    return pos, up, gate
+    return [pos, up, gate]
 
 
 def _set_step(states: set, tab: _Support, i: int, c: int, g: int) -> int:
@@ -315,105 +308,110 @@ def _walk(tab: _Support, s: int, pos: list, up: list, gate: list, start: int = 0
     return s, probes
 
 
-def _set_rec(t: int, stream: BitStream, poset: Poset, bp: BetaParam,
-             tab: _Support, acc: _Acc) -> int:
-    """One block on the explicit support; it is constant when one state is
-    left. Returns a support index."""
-    acc.enter_level()
-    pos, up, gate = _draw_block(t, stream, poset.n, bp.pen)
-    acc.steps += t
+def _set_forward(tab: _Support, block: list) -> tuple[int | None, int]:
+    """Run the whole support through a recorded block. Returns the index every
+    state ends on if one state is left (the block is then constant), else None,
+    and the probes made."""
+    pos, up, gate = block
     states = set(range(len(tab.states)))
-    for k in range(t):
-        acc.comps += _set_step(states, tab, pos[k], up[k], gate[k])
+    probes = 0
+    for k in range(len(pos)):
+        probes += _set_step(states, tab, pos[k], up[k], gate[k])
         if len(states) == 1:
-            s, probes = _walk(tab, states.pop(), pos, up, gate, k + 1)
-            acc.comps += probes
-            return s
-    s = _set_rec(2 * t, stream, poset, bp, tab, acc)
-    s, probes = _walk(tab, s, pos, up, gate)
-    acc.steps += t
-    acc.comps += probes
-    return s
+            s, rest = _walk(tab, states.pop(), pos, up, gate, k + 1)
+            return s, probes + rest
+    return None, probes
 
 
-def _bound_rec(t: int, stream: BitStream, poset: Poset, bp: BetaParam,
-               acc: _Acc) -> list:
-    """One block of the bounding chain; it is constant when no wildcard is left."""
-    acc.enter_level()
-    n = poset.n
+def _bound_forward(poset: Poset, bp: BetaParam, block: list) -> tuple[list | None, int]:
+    """Run the bound from initial_bound through a recorded block on its own
+    coins, and append to the block the bound's right entry B(i + 1) before each
+    step. Returns the bound if no wildcard is left (the block is then
+    constant), else None, and the probes made."""
+    pos, up, gate = block
     cap = bp.cap
     above = poset.raw_masks
-    pos, up, gate = _draw_block(t, stream, n, bp.pen)
-    right = [0] * t
-    bnd = list(initial_bound(n))
+    right = [0] * len(pos)
+    bnd = list(initial_bound(poset.n))
     placed = 1
-    comps = 0
-    for k in range(t):
+    probes = 0
+    for k in range(len(pos)):
         i = pos[k]
         right[k] = bnd[i]
         if up[k]:
-            comps += _bound_step_inplace(bnd, i, 1, gate[k], cap, above)
+            probes += _bound_step_inplace(bnd, i, 1, gate[k], cap, above)
             if not bnd[-1]:
                 placed += 1
                 bnd[-1] = placed
-    acc.steps += t
-    acc.comps += comps
-    if placed == n:
-        return bnd
-    sig = _bound_rec(2 * t, stream, poset, bp, acc)
-    comps = 0
-    for k in range(t):
+    block.append(right)
+    return (bnd if placed == poset.n else None), probes
+
+
+def _bound_replay(poset: Poset, bp: BetaParam, sig: list, pos: list, up: list,
+                  gate: list, right: list) -> tuple[list, int]:
+    """Run one state through a recorded bounding block in place, its coin c1
+    flipped from the bound's c3 where its left element is the recorded entry.
+    Returns the state and the probes made."""
+    cap = bp.cap
+    above = poset.raw_masks
+    probes = 0
+    for k in range(len(pos)):
         i = pos[k]
-        c3 = up[k]
-        c1 = 1 - c3 if sig[i - 1] == right[k] else c3
+        c1 = up[k] ^ (sig[i - 1] == right[k])
         if c1:
-            comps += _sigma_step_inplace(sig, i, c1, gate[k], cap, above)
-    acc.steps += t
-    acc.comps += comps
-    return sig
+            probes += _sigma_step_inplace(sig, i, c1, gate[k], cap, above)
+    return sig, probes
 
 
-def generate(bp: BetaParam, t: int, stream: BitStream, poset: Poset,
-             max_levels: int = DEFAULT_MAX_LEVELS) -> tuple[tuple[int, ...], CftpStats]:
+def generate(bp: BetaParam, t: int, stream: BitStream,
+             poset: Poset) -> tuple[tuple[int, ...], CftpStats]:
     """Draw one exact sample of the weighted extension distribution, starting
-    the block-doubling recursion at horizon t.
+    from a block of t steps.
 
     Orders with at most SUPPORT_LIMIT extensions track the explicit support;
     all others run the bounding chain. Returns the sample together with its
-    work accounting. Termination is probabilistic; after max_levels doublings
-    the call aborts with a diagnostic rather than looping forever.
+    work accounting. Termination is probabilistic; after MAX_LEVELS blocks the
+    call aborts with a diagnostic rather than looping forever.
     """
     if t < 1:
         raise LinextError("horizon t must be at least 1")
     if not poset.identity_is_extension:
         raise LinextError("poset must be canonicalized before sampling")
-    if poset.n == 1:
-        return (1,), CftpStats()
     tab = _support_tables(poset, bp.cap)
-    if tab is not None and len(tab.states) == 1:
-        return tab.states[0], CftpStats()
-    bits0 = stream.bits_consumed
-    cont0 = stream.bits_continuous
-    acc = _Acc(max_levels)
     if tab is None:
-        sig = _bound_rec(t, stream, poset, bp, acc)
+        forward = partial(_bound_forward, poset, bp)
+        replay = partial(_bound_replay, poset, bp)
+    elif len(tab.states) == 1:
+        return tab.states[0], CftpStats()
     else:
-        sig = tab.states[_set_rec(t, stream, poset, bp, tab, acc)]
-    poset.add_queries(acc.comps)
-    stats = CftpStats(
-        total_steps=acc.steps,
-        levels=acc.levels,
-        bits_discrete=stream.bits_consumed - bits0,
-        bits_continuous=stream.bits_continuous - cont0,
-        comparisons=acc.comps,
-    )
-    return tuple(sig), stats
+        forward = partial(_set_forward, tab)
+        replay = partial(_walk, tab)
+    bits0 = stream.bits_consumed
+    steps = comps = 0
+    blocks = []
+    for _ in range(MAX_LEVELS):
+        block = _draw_block(t, stream, poset.n, bp.pen)
+        value, probes = forward(block)
+        steps += t
+        comps += probes
+        if value is not None:
+            break
+        blocks.append(block)
+        t *= 2
+    else:
+        raise CoalescenceError(
+            f"no collapse in {MAX_LEVELS} levels ({steps} steps); check the instance")
+    for block in reversed(blocks):
+        value, probes = replay(value, *block)
+        steps += len(block[0])
+        comps += probes
+    poset.add_queries(comps)
+    stats = CftpStats(total_steps=steps, levels=len(blocks) + 1,
+                      bits_discrete=stream.bits_consumed - bits0, comparisons=comps)
+    return (tuple(value) if tab is None else tab.states[value]), stats
 
 
-def perfect_sample(bp: BetaParam, stream: BitStream, poset: Poset,
-                   t0: int | None = None,
-                   max_levels: int = DEFAULT_MAX_LEVELS) -> tuple[tuple[int, ...], CftpStats]:
-    """Draw one exact sample, starting the recursion at t0 (default 2 n^2)."""
-    if t0 is None:
-        t0 = 2 * poset.n * poset.n
-    return generate(bp, t0, stream, poset, max_levels=max_levels)
+def perfect_sample(bp: BetaParam, stream: BitStream,
+                   poset: Poset) -> tuple[tuple[int, ...], CftpStats]:
+    """Draw one exact sample, starting from a block of 2 n^2 steps."""
+    return generate(bp, 2 * poset.n * poset.n, stream, poset)

@@ -171,13 +171,11 @@ def _cmd_sample(args) -> int:
     for k in range(args.count):
         child = stream.fork(f"draw/{k}")
         sigma, stats = perfect_sample(bp, child, poset)
-        entry = {
-            "extension": list(relab.to_original(sigma)),
-            "stats": stats.as_dict(),
-        }
+        entry = {"extension": list(relab.to_original(sigma))}
         if args.lift:
             entry["point"] = list(lift(sigma, bp, child))
             stats.bits_continuous = child.bits_continuous
+        entry["stats"] = stats.as_dict()
         totals.merge(stats)
         draws.append(entry)
     report.update({
@@ -231,7 +229,8 @@ def _cmd_interval_demo(args) -> int:
     res = interval_tpa(args.n, args.runs, stream.fork("interval"))
     diag = poisson_diagnostics(res.per_run_ks, reference=math.log(args.n)) \
         if args.runs >= 2 else None
-    inv = product_estimator(args.n, args.product_samples, stream.fork("product"))
+    product_stream = stream.fork("product")
+    inv = product_estimator(args.n, args.product_samples, product_stream)
     report.update({
         "results": {
             "n": args.n,
@@ -247,7 +246,7 @@ def _cmd_interval_demo(args) -> int:
             },
         },
         "accounting": {
-            "bits_discrete": stream.bits_consumed,
+            "bits_discrete": product_stream.bits_consumed,
             "bits_continuous": res.stats.bits_continuous,
             "comparisons": 0,
             "total_steps": 0,

@@ -18,4 +18,4 @@ class GuardError(LinextError):
 
 
 class CoalescenceError(LinextError):
-    """Coupling from the past hit its recursion-depth cap without coalescing."""
+    """Coupling from the past drew MAX_LEVELS blocks without one coalescing."""

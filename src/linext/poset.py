@@ -72,10 +72,6 @@ class Poset:
         """Uncounted order probe for oracles and validation."""
         return bool((self._above[a] >> b) & 1)
 
-    def above_mask(self, a: int) -> int:
-        """Bitmask of successors of a (bit b set iff a precedes b). Uncounted."""
-        return self._above[a]
-
     def below_mask(self, b: int) -> int:
         """Bitmask of predecessors of b. Uncounted."""
         return self._below[b]
@@ -207,24 +203,31 @@ def _parse_edge_list(text: str) -> tuple[int, list[Pair]]:
 def _parse_structured(text: str) -> tuple[int, list[Pair]]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over Python's digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict) or "n" not in doc:
         raise ParseError("structured input must be an object with field 'n'")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ParseError("field 'n' must be a positive integer")
     rels = doc.get("relations", [])
     if not isinstance(rels, list):
         raise ParseError("field 'relations' must be an array of [a, b] pairs")
     pairs: list[Pair] = []
     for item in rels:
-        if not (isinstance(item, list) and len(item) == 2 and all(isinstance(x, int) for x in item)):
+        if not (isinstance(item, list) and len(item) == 2 and all(map(_is_int, item))):
             raise ParseError(f"relation entry is not a 2-element integer array: {item!r}")
         a, b = item
         _check_range(a, b, n)
         pairs.append((a, b))
     return n, pairs
+
+
+def _is_int(x) -> bool:
+    """True for a JSON integer; JSON true and false load as bool, an int subclass."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_range(a: int, b: int, n: int) -> None:

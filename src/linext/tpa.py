@@ -50,10 +50,6 @@ class TpaRunResult:
         return [len(t) - 2 for t in self.beta_traces]
 
     @property
-    def log_estimate(self) -> float:
-        return self.k / self.r
-
-    @property
     def estimate(self) -> float:
         return math.exp(self.k / self.r)
 

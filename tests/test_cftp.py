@@ -379,36 +379,18 @@ def test_bounding_path_stats_accounting():
     assert stats.total_steps > 0 and stats.levels >= 1
 
 
-class _Script:
-    """Stands in for a BitStream and serves a bounding block its draws
-    (i, c3[, c2]) from a fixed list; running out means the block recursed."""
-
-    def __init__(self, steps):
-        self.draws = iter([x for step in steps for x in step])
-
-    def uniform_int(self, m):
-        return next(self.draws)
-
-    def next_bit(self):
-        return next(self.draws)
-
-    def bernoulli(self, p):
-        return next(self.draws)
-
-
 def _bound_block(script, poset, bp):
-    """The value of one bounding block driven by script, or None if it left a
-    wildcard (the block then asks for the deeper past, which the script lacks)."""
-    try:
-        return tuple(cftp._bound_rec(len(script), _Script(script), poset, bp, cftp._Acc(40)))
-    except StopIteration:
-        return None
+    """Run one bounding block whose steps (i, c3, c2) are script. Returns its
+    value, or None if it left a wildcard, and the recorded block."""
+    block = list(map(list, zip(*script)))
+    value, _ = cftp._bound_forward(poset, bp, block)
+    return (None if value is None else tuple(value)), block
 
 
 def test_bounding_block_two_elements_horizon_one(antichain2):
     bp = BetaParam(2.0, 2)
-    assert _bound_block([(1, 1)], antichain2, bp) == (1, 2)
-    assert _bound_block([(1, 0)], antichain2, bp) is None
+    assert _bound_block([(1, 1, 1)], antichain2, bp)[0] == (1, 2)
+    assert _bound_block([(1, 0, 1)], antichain2, bp)[0] is None
 
 
 @pytest.mark.parametrize("builder", SMALL_POSET_BUILDERS)
@@ -416,7 +398,8 @@ def test_coalesced_bounding_block_is_constant(builder):
     # Over every draw script of a short block: when the bound ends with no
     # wildcard, every support state driven by the coupled step with the derived
     # coin c1 (flipped from c3 where its left element is the bound's right
-    # entry) ends at the block's value.
+    # entry) ends at the block's value, and so does its replay through the
+    # recorded block.
     poset = builder()
     n = poset.n
     if not 2 <= n <= 4:
@@ -429,8 +412,7 @@ def test_coalesced_bounding_block_is_constant(builder):
         support = [s for s in enumerate_extensions(poset) if weight(s, bp) > 0.0]
         coalesced = 0
         for steps in itertools.product(draws, repeat=t):
-            script = [d if bp.pen < 1.0 else d[:2] for d in steps]
-            value = _bound_block(script, poset, bp)
+            value, block = _bound_block(steps, poset, bp)
             if value is None:
                 continue
             coalesced += 1
@@ -440,7 +422,53 @@ def test_coalesced_bounding_block_is_constant(builder):
                     c1 = 1 - c3 if sigma[i - 1] == b[i] else c3
                     sigma, b = bounding_chain_step(sigma, b, bp, StepDraw(i, c1, c2), poset)
                 assert sigma == b == value
+                assert tuple(cftp._bound_replay(poset, bp, list(start), *block)[0]) == value
         assert coalesced > 0
+
+
+@pytest.mark.parametrize("builder", SMALL_POSET_BUILDERS)
+def test_coalesced_set_block_is_constant(builder):
+    # Over seeded recorded blocks: when the set path reports one state left,
+    # every support index walked through the same block ends there, and the
+    # probes it counts are one per distinct live state whose coin is up.
+    poset = builder()
+    n = poset.n
+    for beta in (0.5, 1.3, float(n)):
+        bp = BetaParam(beta, n)
+        tab = cftp._support_tables(poset, bp.cap)
+        size = len(tab.states)
+        coalesced = 0
+        for seed in range(20):
+            block = cftp._draw_block(n * n, BitStream(seed, f"set/{beta}"), n, bp.pen)
+            value, probes = cftp._set_forward(tab, block)
+            if value is None:
+                continue
+            coalesced += 1
+            assert {cftp._walk(tab, k, *block)[0] for k in range(size)} == {value}
+            live, total = set(range(size)), 0
+            for i, c, g in zip(*block):
+                moved = [cftp._walk(tab, k, [i], [c], [g]) for k in live]
+                live = {k for k, _ in moved}
+                total += sum(p for _, p in moved)
+            assert live == {value} and total == probes
+        assert coalesced > 0
+
+
+def test_support_tables_enumerate_each_order_once(monkeypatch):
+    calls = []
+
+    def counting(poset, guard):
+        calls.append(poset)
+        return enumerate_extensions(poset, guard=guard)
+
+    monkeypatch.setattr(cftp, "enumerate_extensions", counting)
+    for poset in (grid_poset(3, 4), antichain_poset(8)):  # 462 and 40320 extensions
+        cftp._extensions.cache_clear()
+        cftp._support_tables.cache_clear()
+        calls.clear()
+        tables = [cftp._support_tables(poset, cap) for cap in range(1, poset.n + 1)]
+        assert calls == [poset]
+        assert (tables[-1] is None) == (poset.n == 8)
 
 
 def test_generate_stats_accounting(antichain4):
@@ -460,10 +488,11 @@ def test_generate_rejects_uncanonical_poset():
         generate(BetaParam(1.0, 2), 4, BitStream(1), poset)
 
 
-def test_generate_level_cap():
+def test_generate_level_cap(monkeypatch):
     poset = antichain_poset(4)
+    monkeypatch.setattr(cftp, "MAX_LEVELS", 1)
     with pytest.raises(CoalescenceError):
-        generate(BetaParam(4.0, 4), 1, BitStream(1), poset, max_levels=1)
+        generate(BetaParam(4.0, 4), 1, BitStream(1), poset)
 
 
 def test_step_budget_small():

@@ -119,6 +119,19 @@ def test_sample_lift_points(pairs_file):
         assert all(0.0 < v <= 4.0 for v in entry["point"])
 
 
+def test_sample_lift_stats_sum_to_accounting(pairs_file):
+    # each draw's stats are taken after its lift, so they include its
+    # continuous bits, and the per-draw stats add up to the report's totals
+    code, out, _ = run_cli(["sample", "--input", pairs_file, "--beta", "1.3",
+                            "--count", "2", "--seed", "4", "--lift"])
+    assert code == 0
+    report = json.loads(out)
+    draws = report["results"]["draws"]
+    for field, total in report["accounting"].items():
+        assert sum(entry["stats"][field] for entry in draws) == total
+    assert all(entry["stats"]["bits_continuous"] > 0 for entry in draws)
+
+
 def test_chain_diag(pairs_file):
     code, out, _ = run_cli(["chain-diag", "--input", pairs_file])
     assert code == 0
@@ -138,6 +151,14 @@ def test_interval_demo_report():
     assert res["n"] == 50
     assert res["diagnostics"]["count"] == 500
     assert res["product_estimator"]["estimate_n"] > 0
+
+
+def test_interval_demo_counts_product_bits():
+    # the product estimator draws its integers on its own fork of the stream
+    code, out, _ = run_cli(["interval-demo", "--n", "50", "--runs", "2",
+                            "--product-samples", "10", "--seed", "6"])
+    assert code == 0
+    assert json.loads(out)["accounting"]["bits_discrete"] > 0
 
 
 def test_bench_csv_columns():
@@ -182,6 +203,14 @@ def test_exit_code_2_on_bad_input(tmp_path):
 
     code, _, _ = run_cli(["count-exact", "--input", str(tmp_path / "missing")])
     assert code == 2
+
+
+def test_exit_code_2_on_deeply_nested_json(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"n": ' + "[" * 100000 + "]" * 100000 + "}")
+    code, _, err = run_cli(["count-exact", "--input", str(deep)])
+    assert code == 2
+    assert "nested too deeply" in err
 
 
 @pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from linext import (
     CycleError,
     GuardError,
+    LinextError,
     ParseError,
+    Poset,
     canonicalize,
     close_transitively,
     load_poset,
@@ -61,10 +63,42 @@ def test_parse_rejects_malformed_edge_list(bad):
     '{"n": 2, "relations": [[1, 3]]}',
     '[1, 2]',
     'not json',
+    '{"n": true}',                              # JSON booleans are not integers
+    '{"n": 3, "relations": [[true, 2]]}',
 ])
 def test_parse_rejects_malformed_structured(bad):
     with pytest.raises(ParseError):
         parse_poset(bad, "structured")
+
+
+_SMALL = st.booleans() | st.integers(-3, 6)
+_JSON = st.recursive(
+    st.none() | _SMALL | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "relations", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+_DOC = st.fixed_dictionaries({
+    "n": _SMALL | _JSON,
+    "relations": st.lists(st.lists(_SMALL | _JSON, max_size=3), max_size=4),
+})
+_EDGE_TOKENS = ["n=", "n=3", "n=5", "n=0", "1<2", "2<1", "3<1", "1<1", "4<5", "<",
+                ";", "\n", "#", " ", "1", "-1", "x", "\u0663", "1<2<3"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(max_size=30),
+    st.lists(st.sampled_from(_EDGE_TOKENS), max_size=12).map("".join),
+    _JSON.map(json.dumps),
+    _DOC.map(json.dumps),
+), st.sampled_from(["auto", "edge-list", "structured"]))
+def test_load_poset_returns_a_poset_or_raises_linext_error(text, fmt):
+    try:
+        poset, _ = load_poset(text, fmt)
+    except LinextError:
+        return
+    assert isinstance(poset, Poset) and type(poset.n) is int
 
 
 def test_parse_auto_detects_format():
