@@ -59,10 +59,10 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple, Sequence
 
+from . import exact
 from .bitrng import BitStream, StepDraw
 from .chain import BetaParam, _sigma_step_inplace, max_displacement, weight
 from .errors import CoalescenceError, GuardError, LinextError
-from .exact import enumerate_extensions
 from .poset import Poset
 
 THETA = 0  # wildcard bound entry: no restriction at all
@@ -216,7 +216,7 @@ def _extensions(poset: Poset) -> tuple | None:
     """The order's extensions, or None when it has more than SUPPORT_LIMIT.
     Cached either way, so every cap filters one enumeration."""
     try:
-        return tuple(enumerate_extensions(poset, guard=SUPPORT_LIMIT))
+        return tuple(exact.enumerate_extensions(poset, guard=SUPPORT_LIMIT))
     except GuardError:
         return None
 

@@ -68,6 +68,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _worker_count(text: str) -> int:
+    """argparse type of --parallel: a positive integer, clamped to the CPU
+    count, since each worker is a forked process."""
+    value = _positive_int(text)
+    cpus = os.cpu_count() or 1
+    if value > cpus:
+        sys.stderr.write(f"note: --parallel {value} clamped to the CPU count {cpus}\n")
+        return cpus
+    return value
+
+
 def _comma_list(item):
     """argparse type of a comma-separated list whose entries parse with item."""
     def parse(text: str) -> list:
@@ -110,7 +121,7 @@ def _per_sample_bounds(n: int) -> dict:
 def _cmd_count_exact(args) -> int:
     t0 = time.perf_counter()
     poset, _, meta = _load_input(args.input, args.format)
-    value = count_exact(poset, max_n=args.max_n)
+    value = count_exact(poset)
     report = {
         "command": "count-exact",
         "input": meta,
@@ -323,7 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count-exact", help="exact extension count by downset dynamic programming")
     add_input(p)
-    p.add_argument("--max-n", type=int, default=24, help="size cap for the exact count")
     p.set_defaults(func=_cmd_count_exact)
 
     p = sub.add_parser("estimate", help="two-phase approximate count with (epsilon, delta) guarantee")
@@ -333,8 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="64-bit seed")
     p.add_argument("--runs-override", type=int, default=None,
                    help="replace both phases' run counts (voids the guarantee)")
-    p.add_argument("--parallel", type=_positive_int, default=1,
-                   help="worker processes; results are identical to serial")
+    p.add_argument("--parallel", type=_worker_count, default=1,
+                   help="worker processes, at most the CPU count; results are identical to serial")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("sample", help="perfect samples from the weighted extension distribution")

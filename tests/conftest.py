@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -53,6 +54,15 @@ def brute_force_extensions(poset):
         if ok:
             out.append(perm)
     return out
+
+
+def grid_hook_count(rows, cols):
+    """Hook-length formula: extensions of the rows x cols grid order."""
+    hooks = 1
+    for r in range(rows):
+        for c in range(cols):
+            hooks *= (rows - r) + (cols - c) - 1
+    return math.factorial(rows * cols) // hooks
 
 
 SMALL_POSET_BUILDERS = [

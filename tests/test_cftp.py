@@ -461,7 +461,7 @@ def test_support_tables_enumerate_each_order_once(monkeypatch):
         calls.append(poset)
         return enumerate_extensions(poset, guard=guard)
 
-    monkeypatch.setattr(cftp, "enumerate_extensions", counting)
+    monkeypatch.setattr("linext.exact.enumerate_extensions", counting)
     for poset in (grid_poset(3, 4), antichain_poset(8)):  # 462 and 40320 extensions
         cftp._extensions.cache_clear()
         cftp._support_tables.cache_clear()

@@ -15,6 +15,8 @@ from linext.budgets import (
     total_bits_bound_as_printed,
 )
 
+from conftest import grid_hook_count
+
 GRID23 = "n=6; 1<2; 2<3; 4<5; 5<6; 1<4; 2<5; 3<6"
 CHAIN5 = "n=5; 1<2; 2<3; 3<4; 4<5"
 PAIRS = '{"n": 4, "relations": [[1, 3], [2, 4]]}'
@@ -49,14 +51,42 @@ def pairs_file(tmp_path):
     return str(path)
 
 
-def test_count_exact_grid(grid_file):
-    code, out, err = run_cli(["count-exact", "--input", grid_file])
+def _grid_text(rows, cols):
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            e = r * cols + c + 1
+            if c + 1 < cols:
+                edges.append(f"{e}<{e + 1}")
+            if r + 1 < rows:
+                edges.append(f"{e}<{e + cols}")
+    return "; ".join([f"n={rows * cols}"] + edges)
+
+
+@pytest.mark.parametrize("text,count", [
+    (GRID23, 5),
+    (_grid_text(3, 20), grid_hook_count(3, 20)),  # n = 60, a narrow order
+    ("; ".join(["n=1200"] + [f"{i}<{i + 1}" for i in range(1, 1200)]), 1),
+], ids=["grid-2x3", "grid-3x20", "chain-1200"])
+def test_count_exact_grid(tmp_path, text, count):
+    path = tmp_path / "order.posets"
+    path.write_text(text)
+    code, out, err = run_cli(["count-exact", "--input", str(path)])
     assert code == 0
     report = json.loads(out)
-    assert report["results"]["L"] == 5
+    assert report["results"]["L"] == count
     assert report["command"] == "count-exact"
     assert "wall" in err  # timing lives on stderr, not in the report
     assert "wall" not in out
+
+
+def test_count_exact_has_no_max_n(grid_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count-exact", "--input", grid_file, "--max-n", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    assert "Traceback" not in err
 
 
 def test_estimate_chain_is_one(chain_file):
@@ -90,6 +120,17 @@ def test_estimate_parallel_matches_serial(pairs_file):
     _, serial, _ = run_cli(argv)
     _, parallel, _ = run_cli(argv + ["--parallel", "2"])
     assert serial == parallel
+
+
+def test_estimate_parallel_clamped_to_cpu_count(pairs_file):
+    # one run takes the serial path, so no worker process is started
+    argv = ["estimate", "--input", pairs_file, "--epsilon", "0.9", "--delta", "0.4",
+            "--seed", "5", "--runs-override", "1"]
+    _, serial, _ = run_cli(argv)
+    code, clamped, err = run_cli(argv + ["--parallel", "1000000000000"])
+    assert code == 0
+    assert clamped == serial
+    assert "clamped to the CPU count" in err
 
 
 def test_sample_emits_original_labels(tmp_path):
@@ -277,7 +318,24 @@ def test_exit_code_3_on_huge_n_before_closure(tmp_path):
 def test_exit_code_3_on_guard(tmp_path):
     big = tmp_path / "big.posets"
     big.write_text("n=30")
+    start = time.perf_counter()
     code, _, err = run_cli(["count-exact", "--input", str(big)])
+    # the state limit trips while layer 7 of 2.0M ideals is being built:
+    # 3 to 6.5 s on a shared 2-core x86 host
+    assert time.perf_counter() - start < 15.0
+    assert code == 3
+    assert "too large" in err
+
+
+def test_exit_code_3_on_guard_past_61_elements(tmp_path):
+    # ideal bitmasks of 2000 elements share int hashes in bulk unless tagged;
+    # tagged, the guard trips in 2 to 3 s on a shared 2-core x86 host, and
+    # untagged in about 100 s
+    big = tmp_path / "big.posets"
+    big.write_text("n=2000")
+    start = time.perf_counter()
+    code, _, err = run_cli(["count-exact", "--input", str(big)])
+    assert time.perf_counter() - start < 15.0
     assert code == 3
     assert "too large" in err
 

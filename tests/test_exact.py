@@ -1,7 +1,9 @@
 """Exact oracles: counting, enumeration, the normalizer, and the kernel."""
 
 import gc
+import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -10,15 +12,18 @@ from linext import (
     BetaParam,
     GuardError,
     chain_kernel,
+    close_transitively,
     count_exact,
     enumerate_extensions,
+    max_displacement,
     partition_z,
     stationarity_gap,
     weight,
 )
-from linext.catalog import antichain_poset, chain_poset, random_poset
+from linext import exact
+from linext.catalog import antichain_poset, chain_poset, grid_poset, random_poset
 
-from conftest import SMALL_POSET_BUILDERS, brute_force_extensions
+from conftest import SMALL_POSET_BUILDERS, brute_force_extensions, grid_hook_count
 
 
 # -- count_exact --------------------------------------------------------------
@@ -43,9 +48,23 @@ def test_count_grid(grid23):
     assert count_exact(grid23) == len(brute_force_extensions(grid23))
 
 
-def test_count_respects_cap():
-    with pytest.raises(GuardError):
-        count_exact(antichain_poset(5), max_n=4)
+def test_count_state_limit(monkeypatch):
+    # antichain(6) has at most C(6, 3) = 20 ideals in one layer
+    monkeypatch.setattr(exact, "STATE_LIMIT", 20)
+    assert count_exact(antichain_poset(6)) == 720
+    monkeypatch.setattr(exact, "STATE_LIMIT", 19)
+    with pytest.raises(GuardError, match="too large"):
+        count_exact(antichain_poset(6))
+
+
+def test_count_state_limit_trips_inside_a_layer(monkeypatch):
+    # antichain(12) has 66 then 220 ideals in layers 2 and 3; the check after
+    # each source ideal stops layer 3 within one ideal's 12 pushes of the limit
+    monkeypatch.setattr(exact, "STATE_LIMIT", 100)
+    with pytest.raises(GuardError) as exc:
+        count_exact(antichain_poset(12))
+    held = int(re.search(r"(\d+) ideals in layer 3", str(exc.value)).group(1))
+    assert 100 < held <= 112
 
 
 def test_count_leaves_no_reference_cycle():
@@ -65,6 +84,54 @@ def test_count_matches_enumeration_on_random_posets():
     for _ in range(30):
         poset = random_poset(rng, rng.randint(1, 8), rng.uniform(0.2, 0.8))
         assert count_exact(poset) == len(enumerate_extensions(poset))
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 4), (4, 6), (3, 20)])
+def test_count_grid_hook_length(rows, cols):
+    # 3x20 is n = 60: the DP's cost follows width, not n
+    assert count_exact(grid_poset(rows, cols)) == grid_hook_count(rows, cols)
+
+
+@pytest.mark.parametrize("n", [1, 7, 12])
+def test_count_antichain_factorial(n):
+    assert count_exact(antichain_poset(n)) == math.factorial(n)
+
+
+@pytest.mark.parametrize("lengths", [[1], [3, 2], [2] * 6, [4, 4, 3], [5, 5, 4, 4, 3, 3]])
+def test_count_chain_union_multinomial(lengths):
+    pairs = []
+    start = 1
+    for m in lengths:
+        pairs += [(start + j, start + j + 1) for j in range(m - 1)]
+        start += m
+    poset = close_transitively(pairs, sum(lengths))
+    multinomial = math.factorial(sum(lengths))
+    for m in lengths:
+        multinomial //= math.factorial(m)
+    assert count_exact(poset) == multinomial
+
+
+def _forest(rng, n):
+    """Random rooted forest on 1..n with each root below its subtree, and its
+    count by Knuth's hook formula n! / prod |subtree|."""
+    parent = [0] * (n + 1)
+    pairs = []
+    for v in range(2, n + 1):
+        if rng.random() < 0.8:
+            parent[v] = rng.randint(1, v - 1)
+            pairs.append((parent[v], v))
+    size = [1] * (n + 1)
+    for v in range(n, 1, -1):
+        if parent[v]:
+            size[parent[v]] += size[v]
+    return close_transitively(pairs, n), math.factorial(n) // math.prod(size[1:])
+
+
+def test_count_forest_hook_formula():
+    rng = random.Random(31)
+    for n in (1, 5, 9, 14, 18):
+        poset, hook = _forest(rng, n)
+        assert count_exact(poset) == hook
 
 
 # -- enumerate_extensions -----------------------------------------------------
@@ -97,8 +164,7 @@ def test_enumeration_guard_stops_the_search_early():
 
 
 def test_enumerate_beyond_exact_count_cap():
-    # n above count_exact's cap, and deeper than Python's recursion limit, is
-    # fine when the extensions are few
+    # n deeper than Python's recursion limit is fine when the extensions are few
     assert enumerate_extensions(chain_poset(1200)) == [tuple(range(1, 1201))]
 
 
@@ -130,6 +196,38 @@ def test_z_monotone_and_continuous_at_integers(builder):
             if 0.0 <= k + eps <= n:
                 z_near = partition_z(poset, BetaParam(k + eps, n))
                 assert abs(z_near - zk) <= 1e-6 * zk
+
+
+def _z_by_enumeration(poset, bp):
+    return sum(weight(s, bp) for s in enumerate_extensions(poset))
+
+
+def _z_orders():
+    rng = random.Random(77)
+    return ([builder() for builder in SMALL_POSET_BUILDERS]
+            + [random_poset(rng, rng.randint(1, 9), rng.uniform(0.1, 0.7)) for _ in range(25)])
+
+
+def test_z_matches_enumeration():
+    for poset in _z_orders():
+        n = poset.n
+        for beta in (0.0, 0.25, 0.5, 1.0, 1.3, 2.0, 2.7, 3.0, 4.5, float(n)):
+            if beta <= n:
+                bp = BetaParam(beta, n)
+                ref = _z_by_enumeration(poset, bp)
+                assert abs(partition_z(poset, bp) - ref) <= 1e-12 * ref
+
+
+def test_integer_cap_counts_displacement_band():
+    # at an integer cap the DP counts, in ints, the extensions whose largest
+    # displacement is at most the cap
+    for poset in _z_orders():
+        extensions = enumerate_extensions(poset)
+        for c in range(poset.n + 1):
+            banded = exact._layered_sum(poset, c, 1)
+            assert type(banded) is int
+            assert banded == sum(1 for s in extensions if max_displacement(s) <= c)
+            assert partition_z(poset, BetaParam(float(c), poset.n)) == banded
 
 
 # -- chain kernel and stationarity ---------------------------------------------
