@@ -48,7 +48,8 @@ def test_count_grid(grid23):
     assert count_exact(grid23) == len(brute_force_extensions(grid23))
 
 
-def test_count_state_limit(monkeypatch):
+def test_count_respects_cap(monkeypatch):
+    # the cap is now on the ideals in one layer, not on n;
     # antichain(6) has at most C(6, 3) = 20 ideals in one layer
     monkeypatch.setattr(exact, "STATE_LIMIT", 20)
     assert count_exact(antichain_poset(6)) == 720
