@@ -91,13 +91,14 @@ def _comma_list(item):
 
 
 def _resolve_seed(args, report: dict, warnings: list) -> int:
-    if args.seed is not None:
-        report["seed"] = args.seed
-        return args.seed
-    seed = int.from_bytes(os.urandom(8), "big")
+    """The --seed value, or a fresh seed noted on stderr and in warnings;
+    either way it is recorded in report["seed"]."""
+    seed = args.seed
+    if seed is None:
+        seed = int.from_bytes(os.urandom(8), "big")
+        warnings.append(f"no --seed given; generated seed {seed}")
+        sys.stderr.write(f"note: generated seed {seed}\n")
     report["seed"] = seed
-    warnings.append(f"no --seed given; generated seed {seed}")
-    sys.stderr.write(f"note: generated seed {seed}\n")
     return seed
 
 
@@ -271,12 +272,7 @@ def _cmd_interval_demo(args) -> int:
 
 def _cmd_bench(args) -> int:
     t0 = time.perf_counter()
-    warnings: list[str] = []
-    if args.seed is None:
-        seed = int.from_bytes(os.urandom(8), "big")
-        sys.stderr.write(f"note: generated seed {seed}\n")
-    else:
-        seed = args.seed
+    seed = _resolve_seed(args, {}, [])  # CSV output: no report to carry the seed
     lines = ["n,beta,mean_steps,mean_bits,bound_bits,mean_comparisons,bound_comparisons"]
     for n in args.sizes:
         steps, bits, comps = antichain_draw_work(n, args.samples,

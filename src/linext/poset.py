@@ -150,11 +150,6 @@ class Relabeling:
     def to_canonical(self, sigma: Sequence[int]) -> tuple[int, ...]:
         return tuple(self.original_to_canonical[v] for v in sigma)
 
-    @classmethod
-    def identity(cls, n: int) -> "Relabeling":
-        ident = tuple(range(n + 1))
-        return cls(ident, ident)
-
 
 def parse_poset(text: str, fmt: str = "auto") -> tuple[int, list[Pair]]:
     """Parse a poset document into (n, relation pairs), without closing it.

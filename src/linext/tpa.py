@@ -13,14 +13,22 @@ The two-phase schedule first spends a few runs on a rough estimate of
 A = ln L(P), then sizes the second phase so the final estimate lands within a
 factor 1+epsilon of the truth with probability at least 1-delta.
 
-Runs are independent given forked bit streams labeled by run index, so a run
-partition executed serially or in parallel merges to identical results.
+Both estimators go through one run loop, ``_contraction_runs``: run i draws
+from the bit stream forked with label run/i, and the per-run tallies, traces
+and work counts are summed into one TpaRunResult. The run-index-to-stream map
+is fixed ahead of execution, so runs executed serially or over forked workers
+merge to identical results. A parallel batch forks at most
+min(parallel, r, CPU count) workers, and the comparisons its workers made are
+added to the parent poset's query counter once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
+import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,10 +52,7 @@ class TpaRunResult:
     beta_traces: list[list[float]]
     samples_used: int
     stats: CftpStats
-
-    @property
-    def per_run_ks(self) -> list[int]:
-        return [len(t) - 2 for t in self.beta_traces]
+    per_run_ks: list[int]
 
     @property
     def estimate(self) -> float:
@@ -71,20 +76,24 @@ class TwoPhaseEstimate:
     wall_s: float = 0.0
 
 
-def phase1_runs(delta: float) -> int:
-    """Pilot run count: ceil(2 ln(2/delta))."""
+def _check_accuracy(delta: float, epsilon: float | None = None) -> None:
+    """Reject delta outside (0, 1) and epsilon outside (0, 1]; NaN fails both."""
     if not 0.0 < delta < 1.0:
         raise LinextError(f"delta must be in (0, 1), got {delta}")
+    if epsilon is not None and not 0.0 < epsilon <= 1.0:
+        raise LinextError(f"epsilon must be in (0, 1], got {epsilon}")
+
+
+def phase1_runs(delta: float) -> int:
+    """Pilot run count: ceil(2 ln(2/delta))."""
+    _check_accuracy(delta)
     return max(1, math.ceil(2.0 * math.log(2.0 / delta)))
 
 
 def phase2_runs(a_hat: float, epsilon: float, delta: float) -> int:
     """Main run count: ceil(2 (A + sqrt(A) + 2) ln(4/delta) / (e'^2 - e'^3))
     with e' = ln(1 + epsilon)."""
-    if not 0.0 < epsilon <= 1.0:
-        raise LinextError(f"epsilon must be in (0, 1], got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise LinextError(f"delta must be in (0, 1), got {delta}")
+    _check_accuracy(delta, epsilon)
     if a_hat < 0.0:
         raise LinextError(f"a_hat must be nonnegative, got {a_hat}")
     ep = math.log1p(epsilon)
@@ -111,45 +120,63 @@ def _single_run(poset: Poset, run_stream: BitStream) -> tuple[int, list[float], 
     return draws - 1, trace, stats
 
 
-def _run_for_index(poset: Poset, seed: int, parent_label: str, idx: int):
-    run_stream = BitStream(seed, f"{parent_label}/run/{idx}")
-    return _single_run(poset, run_stream)
+def _interval_run(n: int, run_stream: BitStream) -> tuple[int, list[float], CftpStats]:
+    """One contraction on the interval family [0, beta] inside [0, n] with
+    center [0, 1].
+
+    Each draw uses the two-step scheme: a discrete index (the last cell is
+    shortened to the fractional part of beta), then a fractional offset.
+    """
+    beta = float(n)
+    trace = [beta]
+    while beta > 1.0:
+        cap = math.ceil(beta)
+        pen = 1.0 + beta - cap
+        x = math.ceil(run_stream.uniform_real() * beta)
+        if x > cap:
+            x = cap
+        y = run_stream.uniform_real()
+        if x == cap:
+            y *= pen
+        beta = x - 1.0 + y
+        trace.append(beta)
+    # draws before the last one; at n = 1 the shell is the center and none is made
+    return max(len(trace) - 2, 0), trace, CftpStats(bits_continuous=run_stream.bits_continuous)
 
 
-def _worker(args) -> list:
-    poset, seed, parent_label, indices = args
-    return [(i, *_run_for_index(poset, seed, parent_label, i)) for i in indices]
+def _indexed_run(run, arg, seed: int, label: str, idx: int):
+    return run(arg, BitStream(seed, f"{label}/run/{idx}"))
+
+
+def _contraction_runs(run, arg, r: int, stream: BitStream, parallel: int) -> TpaRunResult:
+    """Execute run(arg, run_stream) for run indices i = 1..r, each on the
+    stream labeled run/i under ``stream``, and sum the per-run rows
+    (k, trace, stats)."""
+    if r < 1:
+        raise LinextError("need at least one run")
+    job = functools.partial(_indexed_run, run, arg, stream.seed, stream.label)
+    workers = min(parallel, r, os.cpu_count() or 1)
+    if workers > 1:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            rows = pool.map(job, range(1, r + 1))
+    else:
+        rows = [job(i) for i in range(1, r + 1)]
+    ks, traces, run_stats = map(list, zip(*rows))
+    stats = CftpStats()
+    for s in run_stats:
+        stats.merge(s)
+    if workers > 1 and isinstance(arg, Poset):
+        arg.add_queries(stats.comparisons)  # the workers' counters died with them
+    return TpaRunResult(r=r, k=sum(ks), beta_traces=traces,
+                        samples_used=sum(len(t) - 1 for t in traces),
+                        stats=stats, per_run_ks=ks)
 
 
 def tpa_runs(poset: Poset, r: int, stream: BitStream, parallel: int = 1) -> TpaRunResult:
-    """Execute r contraction runs on forked streams labeled run/1..run/r.
-
-    The run-index-to-stream map is fixed ahead of execution, so any partition
-    of the indices over workers merges to the same totals and traces.
-    """
-    if r < 1:
-        raise LinextError("need at least one run")
+    """Execute r contraction runs on forked streams labeled run/1..run/r."""
     if not poset.identity_is_extension:
         raise LinextError("poset must be canonicalized before estimating")
-    indices = list(range(1, r + 1))
-    if parallel > 1 and r > 1:
-        chunks = [indices[w::parallel] for w in range(parallel)]
-        chunks = [c for c in chunks if c]
-        with multiprocessing.get_context("fork").Pool(len(chunks)) as pool:
-            parts = pool.map(_worker, [(poset, stream.seed, stream.label, c) for c in chunks])
-        rows = sorted((row for part in parts for row in part), key=lambda row: row[0])
-    else:
-        rows = [(i, *_run_for_index(poset, stream.seed, stream.label, i)) for i in indices]
-    k = 0
-    traces = []
-    stats = CftpStats()
-    samples = 0
-    for _, k_run, trace, s in rows:
-        k += k_run
-        traces.append(trace)
-        stats.merge(s)
-        samples += k_run + 1
-    return TpaRunResult(r=r, k=k, beta_traces=traces, samples_used=samples, stats=stats)
+    return _contraction_runs(_single_run, poset, r, stream, parallel)
 
 
 def two_phase(poset: Poset, epsilon: float, delta: float, stream: BitStream,
@@ -158,13 +185,11 @@ def two_phase(poset: Poset, epsilon: float, delta: float, stream: BitStream,
 
     runs_override, when given, replaces both phases' run counts (useful for
     experiments; the coverage guarantee only applies to the derived counts).
+    epsilon and delta are checked either way.
     """
-    import time
-
     t_start = time.perf_counter()
+    _check_accuracy(delta, epsilon)
     r1 = runs_override if runs_override is not None else phase1_runs(delta)
-    if runs_override is None:
-        phase2_runs(0.0, epsilon, delta)  # validate epsilon/delta up front
     phase1 = tpa_runs(poset, r1, stream.fork("phase/1"), parallel)
     a_hat1 = phase1.k / phase1.r
     r2 = runs_override if runs_override is not None else phase2_runs(a_hat1, epsilon, delta)
@@ -189,41 +214,10 @@ def two_phase(poset: Poset, epsilon: float, delta: float, stream: BitStream,
 
 def interval_tpa(n: int, r: int, stream: BitStream) -> TpaRunResult:
     """Contraction runs on the interval family [0, beta] inside [0, n] with
-    center [0, 1]: per-run tallies are Poisson with mean ln n.
-
-    Each draw uses the two-step scheme: a discrete index (the last cell is
-    shortened to the fractional part of beta), then a fractional offset.
-    """
+    center [0, 1]: per-run tallies are Poisson with mean ln n."""
     if n < 1:
         raise LinextError("n must be at least 1")
-    if r < 1:
-        raise LinextError("need at least one run")
-    k = 0
-    traces = []
-    samples = 0
-    stats = CftpStats()
-    for idx in range(1, r + 1):
-        s = BitStream(stream.seed, f"{stream.label}/run/{idx}")
-        beta = float(n)
-        trace = [beta]
-        draws = 0
-        while beta > 1.0:
-            cap = math.ceil(beta)
-            pen = 1.0 + beta - cap
-            x = math.ceil(s.uniform_real() * beta)
-            if x > cap:
-                x = cap
-            y = s.uniform_real()
-            if x == cap:
-                y *= pen
-            beta = x - 1.0 + y
-            trace.append(beta)
-            draws += 1
-        k += draws - 1 if draws else 0
-        samples += draws
-        traces.append(trace)
-        stats.bits_continuous += s.bits_continuous
-    return TpaRunResult(r=r, k=k, beta_traces=traces, samples_used=samples, stats=stats)
+    return _contraction_runs(_interval_run, n, r, stream, 1)
 
 
 def product_estimator(n: int, samples_per_level: int, stream: BitStream) -> float:

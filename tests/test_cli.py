@@ -6,6 +6,8 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linext import cli
 from linext.budgets import (
@@ -28,6 +30,13 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture
@@ -139,6 +148,18 @@ def test_estimate_parallel_clamped_to_cpu_count(pairs_file):
     assert "clamped to the CPU count" in err
 
 
+@pytest.mark.parametrize("epsilon,delta", [
+    ("0.5", "-1"), ("0", "0.25"), ("nan", "0.25"), ("5", "2"),
+])
+def test_exit_code_2_on_bad_accuracy_with_runs_override(pairs_file, epsilon, delta):
+    code, out, err = run_cli(["estimate", "--input", pairs_file, f"--epsilon={epsilon}",
+                              f"--delta={delta}", "--seed", "1", "--runs-override", "3"])
+    assert code == 2
+    assert out == ""
+    assert "must be in" in err
+    assert "Traceback" not in err
+
+
 def test_sample_emits_original_labels(tmp_path):
     # elements labeled backwards: 3 precedes 1; reports must use input labels
     path = tmp_path / "rev.posets"
@@ -198,6 +219,14 @@ def test_interval_demo_report():
     assert res["n"] == 50
     assert res["diagnostics"]["count"] == 500
     assert res["product_estimator"]["estimate_n"] > 0
+
+
+def test_interval_demo_n1_diagnostics():
+    # at n = 1 the shell is the center: every run tallies 0, matching ln 1
+    code, out, _ = run_cli(["interval-demo", "--n", "1", "--runs", "3", "--seed", "6"])
+    assert code == 0
+    diag = strict_json(out)["results"]["diagnostics"]
+    assert (diag["mean"], diag["z"], diag["flagged"]) == (0.0, 0.0, False)
 
 
 def test_interval_demo_counts_product_bits():
@@ -354,3 +383,84 @@ def test_selftest_subset():
     ids = [c["id"] for c in report["results"]["criteria"]]
     assert ids == [1, 2]
     assert "criterion 1" in err and "PASS" in err
+
+
+# -- argument fuzz ---------------------------------------------------------------
+
+def _mix(valid, invalid):
+    """Two draws in three from valid values, one from invalid ones."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(valid), st.sampled_from(invalid))
+
+
+_ORDERS = {
+    "one.posets": "n=1",
+    "antichain3.posets": "n=3",
+    "pairs.json": PAIRS,
+    "chain4.posets": "n=4; 1<2; 2<3; 3<4",
+    "reversed.posets": "n=3; 3<1; 2<1",
+    "cycle.posets": "n=2; 1<2; 2<1",
+    "out-of-range.posets": "n=2; 1<5",
+    "empty.posets": "",
+}
+_ORDER_FILES = _mix(list(_ORDERS)[:5], list(_ORDERS)[5:])
+_FORMATS = _mix(["auto"], ["edge-list", "structured"])
+_EPSILONS = _mix(["0.5", "1", "0.1"], ["0", "-1", "nan", "inf", "1.5"])
+_DELTAS = _mix(["0.25", "0.9"], ["0", "-1", "nan", "inf", "1", "2"])
+_BETAS = _mix(["0", "0.5", "1.3", "3"], ["-1", "nan", "inf", "5"])
+_COUNTS = _mix(["1", "2", "3"], ["-1", "0"])
+_SEEDS = st.integers(-2, 2**64).map(str)
+
+
+@pytest.fixture(scope="module")
+def order_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("orders")
+    for name, text in _ORDERS.items():
+        (path / name).write_text(text)
+    return path
+
+
+def _cli_argv(data, orders):
+    command = data.draw(st.sampled_from(
+        ["count-exact", "estimate", "sample", "chain-diag", "interval-demo", "bench"]))
+    argv = [command]
+    if command not in ("interval-demo", "bench"):
+        argv += ["--input", str(orders / data.draw(_ORDER_FILES)),
+                 "--format", data.draw(_FORMATS)]
+    if command == "estimate":
+        argv += [f"--epsilon={data.draw(_EPSILONS)}", f"--delta={data.draw(_DELTAS)}",
+                 "--runs-override", str(data.draw(st.integers(1, 5))), "--parallel", "1"]
+    elif command == "sample":
+        argv += [f"--beta={data.draw(_BETAS)}", f"--count={data.draw(_COUNTS)}"]
+        if data.draw(st.booleans()):
+            argv.append("--lift")
+    elif command == "chain-diag" and data.draw(st.booleans()):
+        argv.append("--betas=" + ",".join(data.draw(st.lists(_BETAS, min_size=1, max_size=3))))
+    elif command == "interval-demo":
+        argv += [f"--n={data.draw(_mix(['1', '2', '4'], ['-1', '0']))}",
+                 f"--runs={data.draw(_COUNTS)}", f"--product-samples={data.draw(_COUNTS)}"]
+    elif command == "bench":
+        sizes = data.draw(st.lists(_mix(["1", "2", "5", "8"], ["0"]), min_size=1, max_size=2))
+        argv += ["--sizes=" + ",".join(sizes), f"--samples={data.draw(_COUNTS)}"]
+    if command not in ("count-exact", "chain-diag"):
+        argv.append(f"--seed={data.draw(_SEEDS)}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cli_argument_fuzz(order_dir, data):
+    # every argument combination ends in a report, an input error or a guard,
+    # never in a traceback, a hang or a non-JSON report
+    argv = _cli_argv(data, order_dir)
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(argv)
+    except SystemExit as exc:  # argparse rejected an argument
+        assert exc.code == 2, argv
+        return
+    assert time.perf_counter() - start < 5.0, argv
+    assert code in (0, 2, 3), argv
+    if code != 0:
+        assert out == "" and "error:" in err, argv
+    elif argv[0] != "bench":
+        strict_json(out)

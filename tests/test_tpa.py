@@ -46,11 +46,41 @@ def test_run_law_mean(pairs4):
 
 
 def test_parallel_equals_serial(pairs4):
+    q0 = pairs4.query_count
     serial = tpa_runs(pairs4, 40, BitStream(4))
+    q1 = pairs4.query_count
     parallel = tpa_runs(pairs4, 40, BitStream(4), parallel=3)
     assert serial.k == parallel.k
     assert serial.beta_traces == parallel.beta_traces
     assert serial.stats.as_dict() == parallel.stats.as_dict()
+    # comparisons made in the workers reach the parent's counter once
+    assert pairs4.query_count - q1 == q1 - q0 == serial.stats.comparisons > 0
+
+
+def test_parallel_workers_bounded_by_runs_and_cpus(pairs4, monkeypatch):
+    import multiprocessing
+    import os
+    ctx = multiprocessing.get_context("fork")
+    sizes = []
+    real_pool = ctx.Pool
+
+    def counting_pool(processes=None, *args, **kwargs):
+        sizes.append(processes)
+        return real_pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(ctx, "Pool", counting_pool)
+    serial = tpa_runs(pairs4, 2, BitStream(4))
+    huge = tpa_runs(pairs4, 2, BitStream(4), parallel=10**12)
+    assert all(size <= 2 for size in sizes)
+    assert (huge.k, huge.beta_traces, huge.samples_used, huge.per_run_ks) == \
+        (serial.k, serial.beta_traces, serial.samples_used, serial.per_run_ks)
+    assert huge.stats.as_dict() == serial.stats.as_dict()
+    # one CPU: four runs asked for four workers run serially, with no pool
+    sizes.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    one_cpu = tpa_runs(pairs4, 4, BitStream(4), parallel=4)
+    assert sizes == []
+    assert one_cpu.beta_traces == tpa_runs(pairs4, 4, BitStream(4)).beta_traces
 
 
 def test_tpa_requires_canonical_poset():
@@ -110,6 +140,7 @@ def test_interval_n1_always_zero():
     res = interval_tpa(1, 100, BitStream(9))
     assert res.k == 0
     assert res.samples_used == 0
+    assert res.per_run_ks == [0] * 100
 
 
 def test_interval_poisson_mean_and_variance():
