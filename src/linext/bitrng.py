@@ -154,6 +154,35 @@ class BitStream:
         c2 = self.bernoulli(pen)
         return StepDraw(i, c1, c2)
 
+    def draw_steps(self, fill, t: int, m: int, pen: float) -> None:
+        """Draw t steps, each uniform_int(m), next_bit() and, unless pen = 1,
+        bernoulli(pen), through a native filler, leaving the bits, counters and
+        generator state those calls would.
+
+        fill(buf, nbits, k) draws steps k.. from the first nbits bits of the
+        little-endian bytes buf, least significant bit first, and stops at the
+        start of a step that would read past them; it returns the next step
+        and the bits it read. buf holds the buffered bits plus only words the
+        steps are certain to consume: each step reads at least
+        (m - 1).bit_length() + 1 + [pen < 1] bits.
+        """
+        per_step = (m - 1).bit_length() + 1 + (pen != 1.0)
+        buf, have, k = self._word, self._avail, 0
+        words = -(-(t * per_step - have) // _WORDBITS)
+        while True:
+            if words > 0:
+                buf |= self._rng.getrandbits(_WORDBITS * words) << have
+                have += _WORDBITS * words
+            k, used = fill(buf.to_bytes(-(-have // 8), "little"), have, k)
+            buf >>= used
+            have -= used
+            self.bits_consumed += used
+            if k == t:
+                break
+            words = max(1, -(-((t - k) * per_step - have) // _WORDBITS))
+        self._word = buf
+        self._avail = have
+
     def uniform_real(self) -> float:
         """Uniform on the left-open interval (0, 1] with 53-bit resolution.
 

@@ -51,6 +51,11 @@ certificate from the input:
 
 Either way the returned permutation is an exact draw from the weighted
 distribution.
+
+Drawing a block and the bounding chain's forward and replay also run in C
+(``native``) when the kernel was built at import; ``_draw_block``,
+``_bound_forward`` and ``_bound_replay`` are then its reference and, when
+``_kernel`` is None, the loops that run. Both read the same bits.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple, Sequence
 
-from . import exact
+from . import exact, native
 from .bitrng import BitStream, StepDraw
 from .chain import BetaParam, _sigma_step_inplace, max_displacement, weight
 from .errors import CoalescenceError, GuardError, LinextError
@@ -69,6 +74,8 @@ THETA = 0  # wildcard bound entry: no restriction at all
 
 MAX_LEVELS = 40  # most blocks drawn before a draw gives up
 SUPPORT_LIMIT = 10_000  # most extensions tracked as an explicit set
+
+_kernel = native.build()  # the C block loops, or None to run the Python ones
 
 
 @dataclass
@@ -378,9 +385,11 @@ def generate(bp: BetaParam, t: int, stream: BitStream,
     if not poset.identity_is_extension:
         raise LinextError("poset must be canonicalized before sampling")
     tab = _support_tables(poset, bp.cap)
+    kernel = _kernel
+    draw = _draw_block if kernel is None else kernel.draw_block
     if tab is None:
-        forward = partial(_bound_forward, poset, bp)
-        replay = partial(_bound_replay, poset, bp)
+        forward = partial(_bound_forward if kernel is None else kernel.bound_forward, poset, bp)
+        replay = partial(_bound_replay if kernel is None else kernel.bound_replay, poset, bp)
     elif len(tab.states) == 1:
         return tab.states[0], CftpStats()
     else:
@@ -390,7 +399,7 @@ def generate(bp: BetaParam, t: int, stream: BitStream,
     steps = comps = 0
     blocks = []
     for _ in range(MAX_LEVELS):
-        block = _draw_block(t, stream, poset.n, bp.pen)
+        block = draw(t, stream, poset.n, bp.pen)
         value, probes = forward(block)
         steps += t
         comps += probes

@@ -1,0 +1,125 @@
+"""The C kernel for bounding-chain CFTP blocks: built once, opened on first use.
+
+``build`` compiles ``_kernel.c`` with the system C compiler into the package's
+``__pycache__``, under a name keyed by the sha256 of the source, and returns a
+``Kernel``; it returns None when there is no compiler, the compile fails or
+the directory cannot be written, and callers then run the Python loops. A
+cached kernel costs a hash and a stat; the shared object is opened by the
+first block that needs it.
+
+A Kernel's methods take and return what ``cftp._draw_block``,
+``cftp._bound_forward`` and ``cftp._bound_replay`` do, with the block kept in
+ctypes arrays. The bits still come only from the stream's own words, through
+``BitStream.draw_steps``, so draws, counters and the generator state match the
+Python loops exactly.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+from ctypes import POINTER, byref, c_char_p, c_double, c_int32, c_int64, c_uint8, c_uint64
+from functools import cached_property, lru_cache
+from pathlib import Path
+
+from .bitrng import BitStream
+from .chain import BetaParam
+from .errors import LinextError
+from .poset import Poset
+
+SOURCE = Path(__file__).with_name("_kernel.c")
+CACHE = Path(__file__).with_name("__pycache__")
+
+
+def build(source: Path = SOURCE, cache: Path = CACHE, cc: str = "cc") -> "Kernel | None":
+    """The kernel compiled from source into cache, or None if it cannot be built."""
+    try:
+        code = source.read_bytes()
+        path = cache / f"_kernel-{hashlib.sha256(code).hexdigest()[:16]}.so"
+        if not path.exists():
+            _compile(cc, source, path)
+    except OSError:
+        return None
+    return Kernel(str(path))
+
+
+def _compile(cc: str, source: Path, path: Path) -> None:
+    """Compile source to path through a temporary name, so path is whole or
+    absent; a failed compile raises OSError."""
+    import subprocess  # only a cold cache pays for the import
+
+    path.parent.mkdir(exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        subprocess.run([cc, "-O2", "-shared", "-fPIC", "-o", str(tmp), str(source)],
+                       check=True, capture_output=True, timeout=120)
+        os.replace(tmp, path)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"{cc} could not build {source}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+@lru_cache(maxsize=16)
+def _rows(poset: Poset) -> tuple:
+    """The order as rows of w 64-bit words, row a holding raw_masks[a], and w."""
+    w = poset.n // 64 + 1
+    words = [(mask >> (64 * j)) & 0xFFFF_FFFF_FFFF_FFFF
+             for mask in poset.raw_masks for j in range(w)]
+    return (c_uint64 * len(words))(*words), w
+
+
+class Kernel:
+    """The block functions of the shared object at path."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    @cached_property
+    def _lib(self) -> ctypes.CDLL:
+        lib = ctypes.CDLL(self.path)
+        i32, u8, i64 = POINTER(c_int32), POINTER(c_uint8), POINTER(c_int64)
+        lib.draw_block.argtypes = (c_char_p, c_int64, i64, c_int64, c_double, c_int64,
+                                   c_int64, i32, u8, u8)
+        lib.bound_forward.argtypes = (c_int64, c_int64, POINTER(c_uint64), c_int64, c_int64,
+                                      i32, u8, u8, i32, i32, i64)
+        lib.bound_replay.argtypes = (c_int64, POINTER(c_uint64), c_int64, c_int64,
+                                     i32, u8, u8, i32, i32)
+        for f in (lib.draw_block, lib.bound_forward, lib.bound_replay):
+            f.restype = c_int64
+        return lib
+
+    def draw_block(self, t: int, stream: BitStream, n: int, pen: float) -> list:
+        """As cftp._draw_block, into arrays [pos, up, gate]."""
+        draw = self._lib.draw_block
+        pos, up, gate = (c_int32 * t)(), (c_uint8 * t)(), (c_uint8 * t)()
+        used = c_int64()
+
+        def fill(buf: bytes, nbits: int, k: int) -> tuple[int, int]:
+            k = draw(buf, nbits, byref(used), n - 1, pen, k, t, pos, up, gate)
+            return k, used.value
+
+        stream.draw_steps(fill, t, n - 1, pen)
+        return [pos, up, gate]
+
+    def bound_forward(self, poset: Poset, bp: BetaParam, block: list) -> tuple:
+        """As cftp._bound_forward; the bound it returns is an array."""
+        pos, up, gate = block
+        t, n = len(pos), poset.n
+        if not len(up) == len(gate) == t:
+            raise LinextError("block arrays differ in length")
+        right, bnd, probes = (c_int32 * t)(), (c_int32 * n)(), c_int64()
+        rows, w = _rows(poset)
+        placed = self._lib.bound_forward(n, bp.cap, rows, w, t, pos, up, gate, right, bnd,
+                                         byref(probes))
+        block.append(right)
+        return (bnd if placed == n else None), probes.value
+
+    def bound_replay(self, poset: Poset, bp: BetaParam, sig, pos, up, gate,
+                     right) -> tuple:
+        """As cftp._bound_replay, on a state held in an int32 array."""
+        if len(sig) != poset.n or not len(up) == len(gate) == len(right) == len(pos):
+            raise LinextError("state or block arrays do not fit the order and the block")
+        rows, w = _rows(poset)
+        return sig, self._lib.bound_replay(bp.cap, rows, w, len(pos), pos, up, gate, right, sig)

@@ -1,8 +1,11 @@
 """Bounding-chain update invariants and exactness of the perfect sampler."""
 
+import ctypes
 import itertools
 import math
+import os
 import random
+import shutil
 from collections import Counter
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from scipy.stats import chisquare
 
 import linext.cftp as cftp
+import linext.native as native
 from linext import (
     THETA,
     BetaParam,
@@ -32,7 +36,14 @@ from linext import (
     validate_bounding_state,
     weight,
 )
-from linext.catalog import antichain_poset, chain_poset, grid_poset, random_poset
+from linext.catalog import (
+    antichain_poset,
+    chain_poset,
+    grid_poset,
+    random_poset,
+    two_pairs_poset,
+    zigzag_poset,
+)
 from linext.chain import _sigma_step_inplace
 
 from conftest import SMALL_POSET_BUILDERS
@@ -284,10 +295,22 @@ def test_perfect_sample_reproducible(pairs4):
     assert a[1].as_dict() == b[1].as_dict()
 
 
-def test_perfect_sample_pinned_outputs(pairs4):
-    # Pins the draw and its accounting on each path. A change to the kernel,
-    # the coupling or the order in which bits are drawn fails here and must
-    # say in its change log why the new figures are right.
+def _block_paths():
+    """The C kernel, when it was built, and the Python loops (None)."""
+    return [k for k in (cftp._kernel,) if k is not None] + [None]
+
+
+def test_perfect_sample_pinned_outputs(pairs4, monkeypatch):
+    # Pins the draw and its accounting on each certificate, with the block
+    # loops in C and in Python. A change to the kernel, the coupling or the
+    # order in which bits are drawn fails here and must say in its change log
+    # why the new figures are right.
+    for kernel in _block_paths():
+        monkeypatch.setattr(cftp, "_kernel", kernel)
+        _check_pinned_outputs(pairs4)
+
+
+def _check_pinned_outputs(pairs4):
     sigma, stats = perfect_sample(BetaParam(1.3, 4), BitStream(123), pairs4)
     assert sigma == (2, 1, 3, 4)
     assert stats.as_dict() == {"total_steps": 32, "levels": 1, "bits_discrete": 198,
@@ -368,15 +391,17 @@ def test_bounding_path_weighted_random_poset_chi_square():
     assert _pooled_chi_square_p(poset, BetaParam(0.5, 10), 432, 1) >= 0.01
 
 
-def test_bounding_path_stats_accounting():
+def test_bounding_path_stats_accounting(monkeypatch):
     poset = antichain_poset(8)
-    stream = BitStream(43)
-    q0 = poset.query_count
-    sigma, stats = perfect_sample(BetaParam(1.5, 8), stream, poset)
-    assert poset.is_linear_extension(sigma)
-    assert stats.bits_discrete == stream.bits_consumed
-    assert stats.comparisons == poset.query_count - q0
-    assert stats.total_steps > 0 and stats.levels >= 1
+    for kernel in _block_paths():
+        monkeypatch.setattr(cftp, "_kernel", kernel)
+        stream = BitStream(43)
+        q0 = poset.query_count
+        sigma, stats = perfect_sample(BetaParam(1.5, 8), stream, poset)
+        assert poset.is_linear_extension(sigma)
+        assert stats.bits_discrete == stream.bits_consumed
+        assert stats.comparisons == poset.query_count - q0
+        assert stats.total_steps > 0 and stats.levels >= 1
 
 
 def _bound_block(script, poset, bp):
@@ -491,8 +516,10 @@ def test_generate_rejects_uncanonical_poset():
 def test_generate_level_cap(monkeypatch):
     poset = antichain_poset(4)
     monkeypatch.setattr(cftp, "MAX_LEVELS", 1)
-    with pytest.raises(CoalescenceError):
-        generate(BetaParam(4.0, 4), 1, BitStream(1), poset)
+    for kernel in _block_paths():
+        monkeypatch.setattr(cftp, "_kernel", kernel)
+        with pytest.raises(CoalescenceError):
+            generate(BetaParam(4.0, 4), 1, BitStream(1), poset)
 
 
 def test_step_budget_small():
@@ -505,3 +532,93 @@ def test_step_budget_small():
         _, st = perfect_sample(bp, stream.fork(f"d/{k}"), poset)
         steps.append(st.total_steps)
     assert np.mean(steps) <= 4.3 * n ** 3 * math.log(n)
+
+
+# -- the C kernel against the Python loops ---------------------------------------------
+
+def _kernel_orders():
+    return [antichain_poset(2), antichain_poset(3), two_pairs_poset(), grid_poset(2, 3),
+            zigzag_poset(), random_poset(random.Random(4), 10, density=0.2), antichain_poset(32)]
+
+
+def _stream_state(stream):
+    return (stream.bits_consumed, stream._word, stream._avail, stream._rng.getstate())
+
+
+@pytest.mark.skipif(cftp._kernel is None, reason="no C kernel was built")
+def test_kernel_blocks_match_the_python_loops():
+    # Every order x beta x horizon, from a stream advanced 0..300 bits so the
+    # block starts mid-word: the kernel draws the same block from the same
+    # bits, leaves the stream where the Python draw does, and its forward and
+    # replay give the same values and probes.
+    kernel = cftp._kernel
+    case = 0
+    for poset in _kernel_orders():
+        n = poset.n
+        # beta = n, an integer cap, dyadic pens 0.5 and 0.75, a non-dyadic pen 0.3
+        for beta in sorted({float(n), float(max(1, n // 2)), 1.5, 0.75, 1.3}):
+            if beta > n:
+                continue
+            bp = BetaParam(beta, n)
+            for t in (1, 255, 256, 257, 2 * n * n):
+                case += 1
+                ref, nat = BitStream(case, "kernel"), BitStream(case, "kernel")
+                for stream in (ref, nat):
+                    for _ in range(case * 37 % 301):
+                        stream.next_bit()
+                block = cftp._draw_block(t, ref, n, bp.pen)
+                arrays = kernel.draw_block(t, nat, n, bp.pen)
+                assert [list(a) for a in arrays] == block
+                assert _stream_state(nat) == _stream_state(ref)
+                value, probes = cftp._bound_forward(poset, bp, block)
+                nvalue, nprobes = kernel.bound_forward(poset, bp, arrays)
+                assert list(arrays[3]) == block[3]
+                assert (None if nvalue is None else list(nvalue), nprobes) == (value, probes)
+                for start in [list(range(1, n + 1))] + ([value] if value else []):
+                    sig = (ctypes.c_int32 * n)(*start)
+                    got, got_probes = kernel.bound_replay(poset, bp, sig, *arrays)
+                    want = cftp._bound_replay(poset, bp, list(start), *block)
+                    assert (list(got), got_probes) == want
+    with pytest.raises(LinextError):  # a state that does not fit the order
+        kernel.bound_replay(poset, bp, (ctypes.c_int32 * (n + 1))(), *arrays)
+
+
+def test_kernel_loads_when_a_compiler_is_present(tmp_path):
+    # The fallback must not hide a broken build: with a compiler on the path
+    # the package's kernel exists, a build is cached per source and opens.
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on the path")
+    assert cftp._kernel is not None
+    kernel = native.build(cache=tmp_path)
+    assert kernel is not None
+    assert native.build(cache=tmp_path, cc=str(tmp_path / "no-cc")).path == kernel.path
+    assert kernel._lib.draw_block is not None
+
+
+def test_kernel_build_failures_fall_back(tmp_path, capfd, monkeypatch):
+    # No compiler, a compile error and an unwritable cache each give None,
+    # quietly; the Python loops then draw the pinned figures. A read-only
+    # directory stops only users without the right to override it, so a
+    # cache under a regular file stands in for it where it does not.
+    broken = tmp_path / "broken.c"
+    broken.write_text("int draw_block( {\n")
+    (tmp_path / "file").write_text("")
+    readonly = tmp_path / "readonly"
+    readonly.mkdir()
+    readonly.chmod(0o555)
+    unwritable = [tmp_path / "file" / "cache"]
+    if not os.access(readonly, os.W_OK):
+        unwritable.append(readonly)
+    builds = [native.build(cache=tmp_path / "a", cc=str(tmp_path / "no-cc")),
+              native.build(broken, tmp_path / "b")]
+    builds += [native.build(cache=d) for d in unwritable]
+    readonly.chmod(0o755)
+    assert builds == [None] * len(builds)
+    assert capfd.readouterr().out == ""
+    monkeypatch.setattr(cftp, "_kernel", builds[0])
+    poset = antichain_poset(8)
+    sigma, stats = perfect_sample(BetaParam(1.5, 8), BitStream(43), poset)
+    assert sigma == (3, 4, 5, 1, 6, 2, 8, 7) and stats.bits_discrete == 10500
+    stream = BitStream(5)
+    assert perfect_sample(BetaParam(1.0, 1), stream, chain_poset(1))[0] == (1,)
+    assert stream.bits_consumed == 0
