@@ -73,7 +73,7 @@ from .poset import Poset
 THETA = 0  # wildcard bound entry: no restriction at all
 
 MAX_LEVELS = 40  # most blocks drawn before a draw gives up
-SUPPORT_LIMIT = 10_000  # most extensions tracked as an explicit set
+SUPPORT_LIMIT = 500  # most extensions tracked as an explicit set; past it the bound is faster
 
 _kernel = native.build()  # the C block loops, or None to run the Python ones
 

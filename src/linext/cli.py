@@ -40,21 +40,16 @@ from .tpa import interval_tpa, poisson_diagnostics, product_estimator, two_phase
 _DIAG_BETAS = (0.25, 0.5, 1.0, 1.3, 2.0)
 
 
-def _emit(report: dict, summary: str, t_start: float) -> None:
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    wall = time.perf_counter() - t_start
-    sys.stderr.write(f"{summary} [wall {wall:.2f}s]\n")
-
-
-def _load_input(path: str, fmt: str) -> tuple[Poset, Relabeling, dict]:
+def _load_input(args, report: dict) -> tuple[Poset, Relabeling]:
+    """Load the --input order, recording its path, size and digest in the report."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ParseError(f"cannot read input file {path!r}: {exc}") from exc
-    poset, relab = load_poset(text, fmt)
-    meta = {"path": path, "n": poset.n, "digest": poset.digest()}
-    return poset, relab, meta
+        raise ParseError(f"cannot read input file {args.input!r}: {exc}") from exc
+    poset, relab = load_poset(text, args.format)
+    report["input"] = {"path": args.input, "n": poset.n, "digest": poset.digest()}
+    return poset, relab
 
 
 def _positive_int(text: str) -> int:
@@ -90,13 +85,13 @@ def _comma_list(item):
     return parse
 
 
-def _resolve_seed(args, report: dict, warnings: list) -> int:
-    """The --seed value, or a fresh seed noted on stderr and in warnings;
-    either way it is recorded in report["seed"]."""
+def _resolve_seed(args, report: dict) -> int:
+    """The --seed value, or a fresh seed noted on stderr and in the report's
+    warnings; either way it is recorded in report["seed"]."""
     seed = args.seed
     if seed is None:
         seed = int.from_bytes(os.urandom(8), "big")
-        warnings.append(f"no --seed given; generated seed {seed}")
+        report["warnings"].append(f"no --seed given; generated seed {seed}")
         sys.stderr.write(f"note: generated seed {seed}\n")
     report["seed"] = seed
     return seed
@@ -119,63 +114,46 @@ def _per_sample_bounds(n: int) -> dict:
     }
 
 
-def _cmd_count_exact(args) -> int:
-    t0 = time.perf_counter()
-    poset, _, meta = _load_input(args.input, args.format)
+# Each _cmd_* fills its own fields of the report that main writes, and returns
+# the one-line stderr summary.
+
+def _cmd_count_exact(args, report: dict) -> str:
+    poset, _ = _load_input(args, report)
     value = count_exact(poset)
-    report = {
-        "command": "count-exact",
-        "input": meta,
-        "results": {"L": value},
-        "seed": None,
-        "version": __version__,
-        "warnings": [],
-    }
-    _emit(report, f"count-exact: L = {value} (n={poset.n})", t0)
-    return 0
+    report["results"] = {"L": value}
+    return f"count-exact: L = {value} (n={poset.n})"
 
 
-def _cmd_estimate(args) -> int:
-    t0 = time.perf_counter()
-    poset, _, meta = _load_input(args.input, args.format)
-    warnings: list[str] = []
-    report: dict = {"command": "estimate", "input": meta, "version": __version__}
-    seed = _resolve_seed(args, report, warnings)
+def _cmd_estimate(args, report: dict) -> str:
+    poset, _ = _load_input(args, report)
+    seed = _resolve_seed(args, report)
     est = two_phase(poset, args.epsilon, args.delta, BitStream(seed),
                     parallel=args.parallel, runs_override=args.runs_override)
     a_hat2 = math.log(est.l_hat2) if est.l_hat2 > 0 else 0.0
-    report.update({
-        "results": {
-            "estimate": est.l_hat2,
-            "log_estimate": a_hat2,
-            "epsilon": est.epsilon,
-            "delta": est.delta,
-            "phases": {
-                "phase1": {"r": est.r1, "k": est.phase1.k, "a_hat": est.a_hat1},
-                "phase2": {"r": est.r2, "k": est.phase2.k},
-            },
-            "samples_used": est.phase1.samples_used + est.phase2.samples_used,
+    report["results"] = {
+        "estimate": est.l_hat2,
+        "log_estimate": a_hat2,
+        "epsilon": est.epsilon,
+        "delta": est.delta,
+        "phases": {
+            "phase1": {"r": est.r1, "k": est.phase1.k, "a_hat": est.a_hat1},
+            "phase2": {"r": est.r2, "k": est.phase2.k},
         },
-        "accounting": _accounting(est.stats),
-        "bounds": {
-            **_per_sample_bounds(poset.n),
-            "total_bits": total_bits_bound(poset.n, a_hat2, args.epsilon, args.delta),
-            "total_bits_as_printed": total_bits_bound_as_printed(
-                poset.n, a_hat2, args.epsilon, args.delta),
-        },
-        "warnings": warnings,
-    })
-    _emit(report, f"estimate: L ~ {est.l_hat2:.6g} "
-                  f"(r1={est.r1}, r2={est.r2}, seed={seed})", t0)
-    return 0
+        "samples_used": est.phase1.samples_used + est.phase2.samples_used,
+    }
+    report["accounting"] = _accounting(est.stats)
+    report["bounds"] = {
+        **_per_sample_bounds(poset.n),
+        "total_bits": total_bits_bound(poset.n, a_hat2, args.epsilon, args.delta),
+        "total_bits_as_printed": total_bits_bound_as_printed(
+            poset.n, a_hat2, args.epsilon, args.delta),
+    }
+    return f"estimate: L ~ {est.l_hat2:.6g} (r1={est.r1}, r2={est.r2}, seed={seed})"
 
 
-def _cmd_sample(args) -> int:
-    t0 = time.perf_counter()
-    poset, relab, meta = _load_input(args.input, args.format)
-    warnings: list[str] = []
-    report: dict = {"command": "sample", "input": meta, "version": __version__}
-    seed = _resolve_seed(args, report, warnings)
+def _cmd_sample(args, report: dict) -> str:
+    poset, relab = _load_input(args, report)
+    seed = _resolve_seed(args, report)
     bp = BetaParam(args.beta, poset.n)
     stream = BitStream(seed)
     draws = []
@@ -190,19 +168,14 @@ def _cmd_sample(args) -> int:
         entry["stats"] = stats.as_dict()
         totals.merge(stats)
         draws.append(entry)
-    report.update({
-        "results": {"beta": bp.beta, "count": args.count, "draws": draws},
-        "accounting": _accounting(totals),
-        "bounds": _per_sample_bounds(poset.n),
-        "warnings": warnings,
-    })
-    _emit(report, f"sample: {args.count} draw(s) at beta={bp.beta} (seed={seed})", t0)
-    return 0
+    report["results"] = {"beta": bp.beta, "count": args.count, "draws": draws}
+    report["accounting"] = _accounting(totals)
+    report["bounds"] = _per_sample_bounds(poset.n)
+    return f"sample: {args.count} draw(s) at beta={bp.beta} (seed={seed})"
 
 
-def _cmd_chain_diag(args) -> int:
-    t0 = time.perf_counter()
-    poset, _, meta = _load_input(args.input, args.format)
+def _cmd_chain_diag(args, report: dict) -> str:
+    poset, _ = _load_input(args, report)
     if args.betas:
         betas = args.betas
     else:
@@ -220,59 +193,44 @@ def _cmd_chain_diag(args) -> int:
             "z": partition_z(poset, bp),
             "stationarity_gap": gap,
         })
-    report = {
-        "command": "chain-diag",
-        "input": meta,
-        "results": {"kernels": rows, "max_gap": worst, "pass": worst <= 1e-10},
-        "seed": None,
-        "version": __version__,
-        "warnings": [],
-    }
-    _emit(report, f"chain-diag: max stationarity gap {worst:.3e} over {len(rows)} betas", t0)
-    return 0
+    report["results"] = {"kernels": rows, "max_gap": worst, "pass": worst <= 1e-10}
+    return f"chain-diag: max stationarity gap {worst:.3e} over {len(rows)} betas"
 
 
-def _cmd_interval_demo(args) -> int:
-    t0 = time.perf_counter()
-    warnings: list[str] = []
-    report: dict = {"command": "interval-demo", "version": __version__}
-    seed = _resolve_seed(args, report, warnings)
+def _cmd_interval_demo(args, report: dict) -> str:
+    seed = _resolve_seed(args, report)
     stream = BitStream(seed)
     res = interval_tpa(args.n, args.runs, stream.fork("interval"))
     diag = poisson_diagnostics(res.per_run_ks, reference=math.log(args.n)) \
         if args.runs >= 2 else None
     product_stream = stream.fork("product")
     inv = product_estimator(args.n, args.product_samples, product_stream)
-    report.update({
-        "results": {
-            "n": args.n,
-            "runs": args.runs,
-            "k": res.k,
-            "k_over_r": res.k / res.r,
-            "ln_n": math.log(args.n),
-            "diagnostics": diag.as_dict() if diag else None,
-            "product_estimator": {
-                "samples_per_level": args.product_samples,
-                "estimate_inverse_n": inv,
-                "estimate_n": (1.0 / inv) if inv > 0 else None,
-            },
+    report["results"] = {
+        "n": args.n,
+        "runs": args.runs,
+        "k": res.k,
+        "k_over_r": res.k / res.r,
+        "ln_n": math.log(args.n),
+        "diagnostics": diag.as_dict() if diag else None,
+        "product_estimator": {
+            "samples_per_level": args.product_samples,
+            "estimate_inverse_n": inv,
+            "estimate_n": (1.0 / inv) if inv > 0 else None,
         },
-        "accounting": {
-            "bits_discrete": product_stream.bits_consumed,
-            "bits_continuous": res.stats.bits_continuous,
-            "comparisons": 0,
-            "total_steps": 0,
-        },
-        "warnings": warnings,
-    })
-    _emit(report, f"interval-demo: k/r = {res.k / res.r:.4f} vs ln {args.n} = "
-                  f"{math.log(args.n):.4f} (seed={seed})", t0)
-    return 0
+    }
+    report["accounting"] = {
+        "bits_discrete": product_stream.bits_consumed,
+        "bits_continuous": res.stats.bits_continuous,
+        "comparisons": 0,
+        "total_steps": 0,
+    }
+    return (f"interval-demo: k/r = {res.k / res.r:.4f} vs ln {args.n} = "
+            f"{math.log(args.n):.4f} (seed={seed})")
 
 
-def _cmd_bench(args) -> int:
-    t0 = time.perf_counter()
-    seed = _resolve_seed(args, {}, [])  # CSV output: no report to carry the seed
+def _cmd_bench(args, report: dict) -> str:
+    """Writes CSV rows to stdout itself; the report only carries the seed."""
+    seed = _resolve_seed(args, report)
     lines = ["n,beta,mean_steps,mean_bits,bound_bits,mean_comparisons,bound_comparisons"]
     for n in args.sizes:
         steps, bits, comps = antichain_draw_work(n, args.samples,
@@ -282,35 +240,22 @@ def _cmd_bench(args) -> int:
             f"{comps},{sample_comparisons_bound(n)}"
         )
     sys.stdout.write("\n".join(lines) + "\n")
-    wall = time.perf_counter() - t0
-    sys.stderr.write(
-        f"bench: relation-free order, {args.samples} samples per size, "
-        f"seed={seed} [wall {wall:.2f}s]\n"
-    )
-    return 0
+    return f"bench: relation-free order, {args.samples} samples per size, seed={seed}"
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args, report: dict) -> str:
     from . import selftest
 
-    t0 = time.perf_counter()
     results = selftest.run_criteria(args.criteria, log=lambda msg: sys.stderr.write(msg + "\n"))
-    report = {
-        "command": "selftest",
-        "version": __version__,
-        "results": {
-            "criteria": [
-                {"id": r.cid, "name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
-            "all_passed": all(r.passed for r in results),
-        },
-        "seed": None,
-        "warnings": [],
+    report["results"] = {
+        "criteria": [
+            {"id": r.cid, "name": r.name, "passed": r.passed, "detail": r.detail}
+            for r in results
+        ],
+        "all_passed": all(r.passed for r in results),
     }
     passed = sum(1 for r in results if r.passed)
-    _emit(report, f"selftest: {passed}/{len(results)} criteria passed", t0)
-    return 0 if all(r.passed for r in results) else 1
+    return f"selftest: {passed}/{len(results)} criteria passed"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -382,16 +327,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: write its JSON report to stdout and its summary
+    with the wall time to stderr, and map errors to exit codes."""
+    args = _build_parser().parse_args(argv)
+    t0 = time.perf_counter()
+    report = {"command": args.command, "seed": None, "version": __version__, "warnings": []}
     try:
-        return args.func(args)
+        summary = args.func(args, report)
     except (GuardError, CoalescenceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except LinextError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    if args.command != "bench":
+        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    sys.stderr.write(f"{summary} [wall {time.perf_counter() - t0:.2f}s]\n")
+    return 1 if args.command == "selftest" and not report["results"]["all_passed"] else 0
 
 
 if __name__ == "__main__":

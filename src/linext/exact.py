@@ -107,12 +107,8 @@ class KernelMatrix:
     support: list[tuple[int, ...]]
     probs: np.ndarray
 
-    def index(self, sigma: tuple[int, ...]) -> int:
-        return self.support.index(sigma)
 
-
-def chain_kernel(poset: Poset, bp: BetaParam,
-                 max_support: int = KERNEL_SUPPORT_GUARD) -> KernelMatrix:
+def chain_kernel(poset: Poset, bp: BetaParam) -> KernelMatrix:
     """Marginalize one chain step over its randomness (position and coins) to
     get exact transition probabilities between support states.
 
@@ -120,8 +116,8 @@ def chain_kernel(poset: Poset, bp: BetaParam,
     so the kernel is the step's true marginal rather than a re-derivation.
     """
     support = [s for s in enumerate_extensions(poset) if weight(s, bp) > 0.0]
-    if len(support) > max_support:
-        raise GuardError(f"support size {len(support)} exceeds {max_support}")
+    if len(support) > KERNEL_SUPPORT_GUARD:
+        raise GuardError(f"support size {len(support)} exceeds {KERNEL_SUPPORT_GUARD}")
     idx = {s: j for j, s in enumerate(support)}
     m = len(support)
     probs = np.zeros((m, m))

@@ -1,5 +1,5 @@
 """Finite strict partial orders on {1..n}: parsing, closure, canonical relabeling,
-counted order queries, and linear-extension recognition.
+a comparison counter, and linear-extension recognition.
 
 Elements are the integers 1..n throughout. The order is stored as its transitive
 closure so that a single comparison is an O(1) bit probe. Every comparison made
@@ -26,7 +26,7 @@ MAX_ELEMENTS = 2000  # largest n closed; the closure is O(n^2) big-int operation
 
 
 class Poset:
-    """Immutable strict partial order on {1..n} with a counted comparison query.
+    """Immutable strict partial order on {1..n} with a comparison counter.
 
     The relation is kept as per-element successor bitmasks (``above(a)`` has bit
     b set iff a precedes b). The only mutable piece of state is the query
@@ -47,7 +47,7 @@ class Poset:
             self._above[a] & ((1 << (a + 1)) - 1) == 0 for a in range(1, n + 1)
         )
 
-    # -- counted queries ----------------------------------------------------
+    # -- comparison counter -------------------------------------------------
 
     @property
     def query_count(self) -> int:
@@ -57,14 +57,6 @@ class Poset:
         """Bulk-tally k order queries made through the raw masks (chain steps)."""
         with self._qlock:
             self._qcount += k
-
-    def precedes(self, a: int, b: int) -> bool:
-        """Counted order query: does a strictly precede b?"""
-        if not (1 <= a <= self.n and 1 <= b <= self.n):
-            raise ParseError(f"element out of range: precedes({a}, {b}) with n={self.n}")
-        with self._qlock:
-            self._qcount += 1
-        return bool((self._above[a] >> b) & 1)
 
     # -- uncounted access (oracles, validation, bookkeeping) -----------------
 
@@ -88,13 +80,8 @@ class Poset:
 
     def relation_pairs(self) -> list[Pair]:
         """All pairs (a, b) of the transitive closure, sorted."""
-        out = []
-        for a in range(1, self.n + 1):
-            mask = self._above[a]
-            for b in range(1, self.n + 1):
-                if (mask >> b) & 1:
-                    out.append((a, b))
-        return out
+        rows, cols = np.nonzero(_bit_matrix(self._above, self.n))
+        return list(zip(rows.tolist(), cols.tolist()))
 
     def is_linear_extension(self, sigma: Sequence[int]) -> bool:
         """True iff sigma is a permutation of 1..n with no pair inverted against
@@ -146,9 +133,6 @@ class Relabeling:
     def to_original(self, sigma: Sequence[int]) -> tuple[int, ...]:
         """Rewrite a permutation of canonical labels in the original labels."""
         return tuple(self.canonical_to_original[v] for v in sigma)
-
-    def to_canonical(self, sigma: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.original_to_canonical[v] for v in sigma)
 
 
 def parse_poset(text: str, fmt: str = "auto") -> tuple[int, list[Pair]]:

@@ -54,10 +54,6 @@ class TpaRunResult:
     stats: CftpStats
     per_run_ks: list[int]
 
-    @property
-    def estimate(self) -> float:
-        return math.exp(self.k / self.r)
-
 
 @dataclass
 class TwoPhaseEstimate:
@@ -98,7 +94,11 @@ def phase2_runs(a_hat: float, epsilon: float, delta: float) -> int:
         raise LinextError(f"a_hat must be nonnegative, got {a_hat}")
     ep = math.log1p(epsilon)
     denom = ep * ep - ep * ep * ep
+    if not denom > 0.0:
+        raise LinextError(f"epsilon {epsilon} is too small: e'^2 - e'^3 underflows to 0")
     r2 = 2.0 * (a_hat + math.sqrt(a_hat) + 2.0) / denom * math.log(4.0 / delta)
+    if not math.isfinite(r2):
+        raise LinextError(f"epsilon {epsilon} is too small: the run count overflows")
     return max(1, math.ceil(r2))
 
 
@@ -214,9 +214,12 @@ def two_phase(poset: Poset, epsilon: float, delta: float, stream: BitStream,
 
 def interval_tpa(n: int, r: int, stream: BitStream) -> TpaRunResult:
     """Contraction runs on the interval family [0, beta] inside [0, n] with
-    center [0, 1]: per-run tallies are Poisson with mean ln n."""
+    center [0, 1]: per-run tallies are Poisson with mean ln n. n is at most
+    2^53, so that the shell parameter float(n) is exact."""
     if n < 1:
         raise LinextError("n must be at least 1")
+    if n > 2 ** 53:
+        raise LinextError(f"n must be at most 2^53, got {n}")
     return _contraction_runs(_interval_run, n, r, stream, 1)
 
 

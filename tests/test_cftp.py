@@ -496,6 +496,13 @@ def test_support_tables_enumerate_each_order_once(monkeypatch):
         assert (tables[-1] is None) == (poset.n == 8)
 
 
+def test_support_limit_keeps_the_set_path_up_to_the_3x4_grid():
+    # Per TPA run the set path beats the bound on the 3x4 grid (462 extensions)
+    # and loses to it on antichain(6) (720) and every larger order measured
+    assert cftp._support_tables(grid_poset(3, 4), 12) is not None
+    assert cftp._support_tables(antichain_poset(6), 6) is None
+
+
 def test_generate_stats_accounting(antichain4):
     bp = BetaParam(4.0, 4)
     stream = BitStream(42)
@@ -596,10 +603,12 @@ def test_kernel_loads_when_a_compiler_is_present(tmp_path):
 
 
 def test_kernel_build_failures_fall_back(tmp_path, capfd, monkeypatch):
-    # No compiler, a compile error and an unwritable cache each give None,
-    # quietly; the Python loops then draw the pinned figures. A read-only
-    # directory stops only users without the right to override it, so a
-    # cache under a regular file stands in for it where it does not.
+    # No compiler, a compile error, an unwritable cache and an object that
+    # cannot be opened each give None, quietly; the Python loops then draw the
+    # pinned figures. A read-only directory stops only users without the
+    # right to override it, so a cache under a regular file stands in for it
+    # where it does not. The stand-in compiler leaves a truncated object, as
+    # a cut-off copy of the cache would.
     broken = tmp_path / "broken.c"
     broken.write_text("int draw_block( {\n")
     (tmp_path / "file").write_text("")
@@ -612,6 +621,10 @@ def test_kernel_build_failures_fall_back(tmp_path, capfd, monkeypatch):
     builds = [native.build(cache=tmp_path / "a", cc=str(tmp_path / "no-cc")),
               native.build(broken, tmp_path / "b")]
     builds += [native.build(cache=d) for d in unwritable]
+    truncating_cc = tmp_path / "truncating-cc"
+    truncating_cc.write_text('#!/bin/sh\nprintf "\\177ELF" > "$5"\n')
+    truncating_cc.chmod(0o755)
+    builds.append(native.build(cache=tmp_path / "c", cc=str(truncating_cc)))
     readonly.chmod(0o755)
     assert builds == [None] * len(builds)
     assert capfd.readouterr().out == ""

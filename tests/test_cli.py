@@ -160,6 +160,17 @@ def test_exit_code_2_on_bad_accuracy_with_runs_override(pairs_file, epsilon, del
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("epsilon", ["1e-200", "1e-160"])
+def test_exit_code_2_on_epsilon_too_small_for_the_run_count(pairs_file, epsilon):
+    # e'^2 - e'^3 underflows to 0 at 1e-200; at 1e-160 the run count overflows
+    code, out, err = run_cli(["estimate", "--input", pairs_file, "--epsilon", epsilon,
+                              "--delta", "0.25", "--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert "too small" in err
+    assert "Traceback" not in err
+
+
 def test_sample_emits_original_labels(tmp_path):
     # elements labeled backwards: 3 precedes 1; reports must use input labels
     path = tmp_path / "rev.posets"
@@ -227,6 +238,15 @@ def test_interval_demo_n1_diagnostics():
     assert code == 0
     diag = strict_json(out)["results"]["diagnostics"]
     assert (diag["mean"], diag["z"], diag["flagged"]) == (0.0, 0.0, False)
+
+
+@pytest.mark.parametrize("n", [str(2 ** 53 + 1), "1" + "0" * 400], ids=["2^53+1", "10^400"])
+def test_exit_code_2_on_interval_n_past_float_precision(n):
+    # float(n) is inexact past 2^53 and overflows at 10^400
+    code, out, err = run_cli(["interval-demo", "--n", n, "--runs", "2", "--seed", "6"])
+    assert code == 2
+    assert out == ""
+    assert "at most 2^53" in err
 
 
 def test_interval_demo_counts_product_bits():

@@ -236,8 +236,8 @@ def test_integer_cap_counts_displacement_band():
 def test_kernel_antichain2_transition(antichain2):
     bp = BetaParam(0.5, 2)
     kernel = chain_kernel(antichain2, bp)
-    i12 = kernel.index((1, 2))
-    i21 = kernel.index((2, 1))
+    i12 = kernel.support.index((1, 2))
+    i21 = kernel.support.index((2, 1))
     assert kernel.probs[i12, i21] == pytest.approx(0.25)
     assert kernel.probs[i21, i12] == pytest.approx(0.5)
 
@@ -279,6 +279,7 @@ def test_stationarity_chain_is_exact():
     assert stationarity_gap(chain_kernel(poset, bp), poset, bp) == 0.0
 
 
-def test_kernel_guard():
+def test_kernel_guard(monkeypatch):
+    monkeypatch.setattr(exact, "KERNEL_SUPPORT_GUARD", 100)
     with pytest.raises(GuardError):
-        chain_kernel(antichain_poset(7), BetaParam(7.0, 7), max_support=100)
+        chain_kernel(antichain_poset(7), BetaParam(7.0, 7))

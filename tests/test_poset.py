@@ -1,5 +1,6 @@
 """Poset ingestion, closure, canonical relabeling, and counted queries."""
 
+import hashlib
 import json
 import threading
 
@@ -178,7 +179,7 @@ def test_canonicalize_chain_is_identity():
 def test_relabeling_round_trip():
     _, relab = load_poset("n=4; 4<2; 3<1")
     sigma = (1, 2, 3, 4)
-    assert relab.to_canonical(relab.to_original(sigma)) == sigma
+    assert tuple(relab.original_to_canonical[v] for v in relab.to_original(sigma)) == sigma
 
 
 @settings(max_examples=150, deadline=None)
@@ -235,36 +236,13 @@ def test_canonicalize_matches_reference(n, data):
 
 # -- counted queries ---------------------------------------------------------
 
-def test_precedes_on_chain_and_antichain():
-    chain = chain_poset(3)
-    assert chain.precedes(1, 3)
-    assert not chain.precedes(3, 1)
-    anti = antichain_poset(3)
-    assert not anti.precedes(2, 1)
-
-
-def test_precedes_counts_exactly():
-    poset = chain_poset(4)
-    before = poset.query_count
-    poset.precedes(1, 2)
-    poset.precedes(2, 1)
-    assert poset.query_count == before + 2
-
-
-def test_precedes_rejects_out_of_range():
-    with pytest.raises(ParseError):
-        chain_poset(3).precedes(0, 1)
-    with pytest.raises(ParseError):
-        chain_poset(3).precedes(1, 4)
-
-
 def test_query_counter_is_thread_safe():
     poset = antichain_poset(4)
     per_thread = 5000
 
     def worker():
         for _ in range(per_thread):
-            poset.precedes(1, 2)
+            poset.add_queries(1)
 
     threads = [threading.Thread(target=worker) for _ in range(4)]
     for t in threads:
@@ -292,6 +270,33 @@ def test_is_linear_extension_two_pairs(pairs4):
 def test_is_linear_extension_rejects_non_permutation():
     with pytest.raises(ParseError):
         chain_poset(3).is_linear_extension((1, 1, 2))
+
+
+def _relation_pairs_reference(poset):
+    """The original pair scan: every (a, b) with bit b of a's successor mask set."""
+    out = []
+    for a in range(1, poset.n + 1):
+        mask = poset.raw_masks[a]
+        for b in range(1, poset.n + 1):
+            if (mask >> b) & 1:
+                out.append((a, b))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 70), st.data())
+def test_relation_pairs_match_reference(n, data):
+    # pairs oriented along a random permutation, so the order is acyclic; n
+    # past 64 spans more than one 64-bit word of the masks
+    perm = data.draw(st.permutations(range(1, n + 1)))
+    slots = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=2 * n))
+    poset = close_transitively([(perm[min(i, j)], perm[max(i, j)]) for i, j in slots if i != j], n)
+    pairs = poset.relation_pairs()
+    assert pairs == _relation_pairs_reference(poset)
+    assert all(type(a) is int and type(b) is int for a, b in pairs)
+    payload = f"{n};" + ";".join(f"{a}<{b}" for a, b in _relation_pairs_reference(poset))
+    assert poset.digest() == hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def test_digest_is_stable_and_label_sensitive():
