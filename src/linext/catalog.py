@@ -74,19 +74,8 @@ def random_poset(rng: random.Random, n: int, density: float = 0.3) -> Poset:
     return canon
 
 
-def small_test_posets(max_n: int = 5) -> list[Poset]:
+def small_test_posets() -> list[Poset]:
     """The fixed battery of small instances used by chain diagnostics."""
-    out: list[Poset] = []
-    for n in range(2, max_n + 1):
-        out.append(chain_poset(n))
-        out.append(antichain_poset(min(n, 4)))
-    out += [vee_poset(), wedge_poset(), two_pairs_poset(), zigzag_poset()]
-    # dedupe while keeping order
-    seen: set = set()
-    uniq = []
-    for p in out:
-        key = (p.n, p.raw_masks)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(p)
-    return [p for p in uniq if p.n <= max_n]
+    return [chain_poset(2), antichain_poset(2), chain_poset(3), antichain_poset(3),
+            chain_poset(4), antichain_poset(4), chain_poset(5),
+            vee_poset(), wedge_poset(), two_pairs_poset(), zigzag_poset()]

@@ -36,11 +36,11 @@ class BetaParam:
 
     __slots__ = ("beta", "cap", "pen")
 
-    def __init__(self, beta: float, n: int | None = None):
+    def __init__(self, beta: float, n: int):
         beta = float(beta)
         if not math.isfinite(beta) or beta < 0.0:
             raise LinextError(f"beta must be finite and nonnegative, got {beta}")
-        if n is not None and beta > n:
+        if beta > n:
             raise LinextError(f"beta must be at most n={n}, got {beta}")
         self.beta = beta
         self.cap = math.ceil(beta)
@@ -48,12 +48,6 @@ class BetaParam:
 
     def __repr__(self) -> str:
         return f"BetaParam(beta={self.beta}, cap={self.cap}, pen={self.pen})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BetaParam) and self.beta == other.beta
-
-    def __hash__(self) -> int:
-        return hash(self.beta)
 
 
 def max_displacement(sigma: Sequence[int]) -> int:

@@ -8,6 +8,7 @@ follows the width of the order, not n: it is guarded by the ideals per layer.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -29,8 +30,18 @@ def _layered_sum(poset: Poset, cap: int, pen):
     place it. Element v may go at position p + 1 when its predecessors are in
     I, with factor 1 when v < p + 1 + cap, pen when equal, none beyond. The
     weights take pen's type, so an int pen gives exact ints. GuardError fires
-    once the layer being built holds more than STATE_LIMIT ideals."""
+    once the layer being built holds more than STATE_LIMIT ideals, and, with
+    no band (cap >= n), before any layer when w minimal or w maximal elements
+    put C(w, w // 2) ideals into one layer: those subsets of the minimal
+    elements, or the other elements plus those subsets of the maximal ones."""
     n = poset.n
+    if cap >= n:
+        w = max(sum(not poset.below_mask(v) for v in range(1, n + 1)),
+                sum(not mask for mask in poset.raw_masks[1:]))
+        if math.comb(w, w // 2) > STATE_LIMIT:
+            raise GuardError(f"n={n} too large: {w} minimal or maximal elements put "
+                             f"C({w}, {w // 2}) ideals in one layer, over the limit "
+                             f"{STATE_LIMIT}")
     # ints hash modulo 2^61 - 1: past n = 60 a random tag above bit n parts the keys
     tag = random.Random(n).getrandbits if n > 60 else lambda bits: 0
     moves = [(1 << v, (1 << v) | poset.below_mask(v), (1 << v) + (tag(61) << n + 1))
@@ -114,10 +125,13 @@ def chain_kernel(poset: Poset, bp: BetaParam) -> KernelMatrix:
 
     Built by literally calling the step function on every (i, c1, c2) combo,
     so the kernel is the step's true marginal rather than a re-derivation.
+    A support of more than KERNEL_SUPPORT_GUARD states, counted by the ideal
+    DP at bp.cap, is refused before any extension is enumerated.
     """
+    size = _layered_sum(poset, bp.cap, 1)
+    if size > KERNEL_SUPPORT_GUARD:
+        raise GuardError(f"support size {size} exceeds {KERNEL_SUPPORT_GUARD}")
     support = [s for s in enumerate_extensions(poset) if weight(s, bp) > 0.0]
-    if len(support) > KERNEL_SUPPORT_GUARD:
-        raise GuardError(f"support size {len(support)} exceeds {KERNEL_SUPPORT_GUARD}")
     idx = {s: j for j, s in enumerate(support)}
     m = len(support)
     probs = np.zeros((m, m))

@@ -82,7 +82,7 @@ def criterion_2_chain_stationarity() -> CriterionResult:
     """Explicit kernel is stationary for the displacement weights."""
     worst = 0.0
     cases = 0
-    for poset in small_test_posets(5):
+    for poset in small_test_posets():
         for beta in (0.25, 0.5, 1.0, 1.3, 2.0, float(poset.n)):
             if beta > poset.n:
                 continue
@@ -304,7 +304,11 @@ CRITERIA: list[tuple[int, str, Callable[[], CriterionResult]]] = [
 
 
 def run_criteria(ids=None, log=None) -> list[CriterionResult]:
-    """Run the selected criteria (all by default), logging one line each."""
+    """Run the selected criteria (all by default), logging one line each.
+    Unknown ids are refused before any criterion runs."""
+    unknown = sorted(set(ids or ()) - {cid for cid, _, _ in CRITERIA})
+    if unknown:
+        raise LinextError(f"unknown criterion ids: {unknown}")
     results = []
     for cid, name, fn in CRITERIA:
         if ids is not None and cid not in ids:

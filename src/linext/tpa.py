@@ -2,24 +2,27 @@
 plus the one-dimensional interval demo and the classical product estimator.
 
 One run starts at the shell parameter beta = n, draws a uniform point of the
-current family member (a weighted perfect sample lifted to the continuum), and
-contracts beta to the smallest parameter still containing the point, i.e. the
-point's distance. The run ends once beta reaches the center at 0. The number
-of draws before the final one is Poisson with mean ln of the shell/center
-measure ratio, which here is ln L(P); summing over r runs and exponentiating
-k/r estimates L(P).
+current family member, and contracts beta to the smallest parameter still
+containing the point, i.e. the point's distance. The run ends once beta is at
+or below the family's center. The number of draws before the final one is
+Poisson with mean ln of the shell/center measure ratio; summing over r runs
+and exponentiating k/r estimates that ratio. For linear extensions a draw is a
+weighted perfect sample lifted to the continuum and the center is beta = 0, of
+measure 1, so the ratio is L(P); the interval demo draws from [0, beta] with
+center [0, 1], so the ratio is n.
 
 The two-phase schedule first spends a few runs on a rough estimate of
 A = ln L(P), then sizes the second phase so the final estimate lands within a
 factor 1+epsilon of the truth with probability at least 1-delta.
 
-Both estimators go through one run loop, ``_contraction_runs``: run i draws
-from the bit stream forked with label run/i, and the per-run tallies, traces
-and work counts are summed into one TpaRunResult. The run-index-to-stream map
-is fixed ahead of execution, so runs executed serially or over forked workers
-merge to identical results. A parallel batch forks at most
-min(parallel, r, CPU count) workers, and the comparisons its workers made are
-added to the parent poset's query counter once.
+Both families go through one contraction loop, ``_contract``, and one batch
+runner, ``_contraction_runs``: run i draws from the bit stream forked with
+label run/i, and the per-run tallies, traces and work counts are summed into
+one TpaRunResult. The run-index-to-stream map is fixed ahead of execution, so
+runs executed serially or over forked workers merge to identical results. A
+parallel batch forks at most min(parallel, r, CPU count) workers, and the
+comparisons its workers made are added to the parent poset's query counter
+once. A batch of more than MAX_RUNS runs is refused before any run starts.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import functools
 import math
 import multiprocessing
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,10 +39,11 @@ from .bitrng import BitStream
 from .chain import BetaParam
 from .cftp import CftpStats, perfect_sample
 from .embed import distance, lift
-from .errors import LinextError
+from .errors import GuardError, LinextError
 from .poset import Poset
 
 DIAGNOSTIC_FLAG_Z = 4.0
+MAX_RUNS = 10 ** 6  # most contraction runs in one batch
 
 
 @dataclass
@@ -69,7 +72,6 @@ class TwoPhaseEstimate:
     phase1: TpaRunResult
     phase2: TpaRunResult
     stats: CftpStats = field(default_factory=CftpStats)
-    wall_s: float = 0.0
 
 
 def _check_accuracy(delta: float, epsilon: float | None = None) -> None:
@@ -102,59 +104,57 @@ def phase2_runs(a_hat: float, epsilon: float, delta: float) -> int:
     return max(1, math.ceil(r2))
 
 
-def _single_run(poset: Poset, run_stream: BitStream) -> tuple[int, list[float], CftpStats]:
-    n = poset.n
-    beta = float(n)
+def _extension_step(poset: Poset, beta: float, stream: BitStream, stats: CftpStats) -> float:
+    """One draw of the weighted-extension family: a perfect sample at beta,
+    lifted to the continuum; returns the point's distance."""
+    bp = BetaParam(beta, poset.n)
+    sigma, s = perfect_sample(bp, stream, poset)
+    stats.merge(s)
+    return distance(lift(sigma, bp, stream))
+
+
+def _interval_step(n: int, beta: float, stream: BitStream, stats: CftpStats) -> float:
+    """One draw of the interval family [0, beta] by the two-step scheme: a
+    discrete index (the last cell is shortened to the fractional part of
+    beta), then a fractional offset."""
+    cap = math.ceil(beta)
+    pen = 1.0 + beta - cap
+    x = math.ceil(stream.uniform_real() * beta)
+    if x > cap:
+        x = cap
+    y = stream.uniform_real()
+    if x == cap:
+        y *= pen
+    return x - 1.0 + y
+
+
+def _contract(step, arg, shell: int, center: float, seed: int, label: str,
+              idx: int) -> tuple[int, list[float], CftpStats]:
+    """Run idx of a batch, on the stream labeled run/idx: contract beta from
+    the shell by step(arg, beta, stream, stats) until it is at or below the
+    center. The tally is the number of draws before the last one; when the
+    shell is the center none is made."""
+    stream = BitStream(seed, f"{label}/run/{idx}")
+    beta = float(shell)
     trace = [beta]
     stats = CftpStats()
-    draws = 0
-    while beta > 0.0:
-        bp = BetaParam(beta, n)
-        sigma, s = perfect_sample(bp, run_stream, poset)
-        stats.merge(s)
-        x = lift(sigma, bp, run_stream)
-        beta = distance(x)
+    while beta > center:
+        beta = step(arg, beta, stream, stats)
         trace.append(beta)
-        draws += 1
-    stats.bits_continuous = run_stream.bits_continuous
-    return draws - 1, trace, stats
+    stats.bits_continuous = stream.bits_continuous
+    return max(len(trace) - 2, 0), trace, stats
 
 
-def _interval_run(n: int, run_stream: BitStream) -> tuple[int, list[float], CftpStats]:
-    """One contraction on the interval family [0, beta] inside [0, n] with
-    center [0, 1].
-
-    Each draw uses the two-step scheme: a discrete index (the last cell is
-    shortened to the fractional part of beta), then a fractional offset.
-    """
-    beta = float(n)
-    trace = [beta]
-    while beta > 1.0:
-        cap = math.ceil(beta)
-        pen = 1.0 + beta - cap
-        x = math.ceil(run_stream.uniform_real() * beta)
-        if x > cap:
-            x = cap
-        y = run_stream.uniform_real()
-        if x == cap:
-            y *= pen
-        beta = x - 1.0 + y
-        trace.append(beta)
-    # draws before the last one; at n = 1 the shell is the center and none is made
-    return max(len(trace) - 2, 0), trace, CftpStats(bits_continuous=run_stream.bits_continuous)
-
-
-def _indexed_run(run, arg, seed: int, label: str, idx: int):
-    return run(arg, BitStream(seed, f"{label}/run/{idx}"))
-
-
-def _contraction_runs(run, arg, r: int, stream: BitStream, parallel: int) -> TpaRunResult:
-    """Execute run(arg, run_stream) for run indices i = 1..r, each on the
-    stream labeled run/i under ``stream``, and sum the per-run rows
-    (k, trace, stats)."""
+def _contraction_runs(step, arg, shell: int, center: float, r: int, stream: BitStream,
+                      parallel: int) -> TpaRunResult:
+    """Contract runs i = 1..r of one family, each on the stream labeled run/i
+    under ``stream``, and sum the per-run rows (k, trace, stats). More than
+    MAX_RUNS runs are refused before any starts."""
     if r < 1:
         raise LinextError("need at least one run")
-    job = functools.partial(_indexed_run, run, arg, stream.seed, stream.label)
+    if r > MAX_RUNS:
+        raise GuardError(f"{r} runs requested, over the limit {MAX_RUNS}")
+    job = functools.partial(_contract, step, arg, shell, center, stream.seed, stream.label)
     workers = min(parallel, r, os.cpu_count() or 1)
     if workers > 1:
         with multiprocessing.get_context("fork").Pool(workers) as pool:
@@ -176,7 +176,7 @@ def tpa_runs(poset: Poset, r: int, stream: BitStream, parallel: int = 1) -> TpaR
     """Execute r contraction runs on forked streams labeled run/1..run/r."""
     if not poset.identity_is_extension:
         raise LinextError("poset must be canonicalized before estimating")
-    return _contraction_runs(_single_run, poset, r, stream, parallel)
+    return _contraction_runs(_extension_step, poset, poset.n, 0.0, r, stream, parallel)
 
 
 def two_phase(poset: Poset, epsilon: float, delta: float, stream: BitStream,
@@ -187,7 +187,6 @@ def two_phase(poset: Poset, epsilon: float, delta: float, stream: BitStream,
     experiments; the coverage guarantee only applies to the derived counts).
     epsilon and delta are checked either way.
     """
-    t_start = time.perf_counter()
     _check_accuracy(delta, epsilon)
     r1 = runs_override if runs_override is not None else phase1_runs(delta)
     phase1 = tpa_runs(poset, r1, stream.fork("phase/1"), parallel)
@@ -208,7 +207,6 @@ def two_phase(poset: Poset, epsilon: float, delta: float, stream: BitStream,
         phase1=phase1,
         phase2=phase2,
         stats=stats,
-        wall_s=time.perf_counter() - t_start,
     )
 
 
@@ -220,7 +218,7 @@ def interval_tpa(n: int, r: int, stream: BitStream) -> TpaRunResult:
         raise LinextError("n must be at least 1")
     if n > 2 ** 53:
         raise LinextError(f"n must be at most 2^53, got {n}")
-    return _contraction_runs(_interval_run, n, r, stream, 1)
+    return _contraction_runs(_interval_step, n, n, 1.0, r, stream, 1)
 
 
 def product_estimator(n: int, samples_per_level: int, stream: BitStream) -> float:

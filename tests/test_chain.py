@@ -32,15 +32,13 @@ def test_beta_param_fields():
 
 def test_beta_param_range_checks():
     with pytest.raises(LinextError):
-        BetaParam(-0.1)
+        BetaParam(-0.1, 4)
     with pytest.raises(LinextError):
         BetaParam(4.5, 4)
 
 
 @pytest.mark.parametrize("beta", [float("nan"), float("inf"), float("-inf")])
 def test_beta_param_rejects_non_finite(beta):
-    with pytest.raises(LinextError):
-        BetaParam(beta)
     with pytest.raises(LinextError):
         BetaParam(beta, 4)
 

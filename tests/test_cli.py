@@ -171,6 +171,24 @@ def test_exit_code_2_on_epsilon_too_small_for_the_run_count(pairs_file, epsilon)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--input", "PAIRS", "--epsilon", "1e-10", "--delta", "0.25", "--seed", "1"],
+    ["estimate", "--input", "PAIRS", "--epsilon", "0.5", "--delta", "0.25", "--seed", "1",
+     "--runs-override", "1000000000000"],
+    ["interval-demo", "--n", "10", "--runs", "1000000000000", "--seed", "1"],
+], ids=["epsilon-1e-10", "runs-override-10^12", "interval-10^12"])
+def test_exit_code_3_on_too_many_runs(pairs_file, argv):
+    # epsilon 1e-10 plans about 2e21 phase-2 runs; each batch is refused
+    # before any of its runs starts
+    argv = [pairs_file if a == "PAIRS" else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "over the limit" in err
+
+
 def test_sample_emits_original_labels(tmp_path):
     # elements labeled backwards: 3 precedes 1; reports must use input labels
     path = tmp_path / "rev.posets"
@@ -371,28 +389,46 @@ def test_exit_code_3_on_huge_n_before_closure(tmp_path):
 
 
 def test_exit_code_3_on_guard(tmp_path):
-    big = tmp_path / "big.posets"
-    big.write_text("n=30")
-    start = time.perf_counter()
-    code, _, err = run_cli(["count-exact", "--input", str(big)])
-    # the state limit trips while layer 7 of 2.0M ideals is being built:
-    # 3 to 6.5 s on a shared 2-core x86 host
-    assert time.perf_counter() - start < 15.0
-    assert code == 3
-    assert "too large" in err
+    # antichain(30) and antichain(2000) have C(n, n // 2) ideals of one size,
+    # so they are refused before any layer of the DP is built; loading the
+    # 2000 elements takes about 0.45 s of the second bound
+    for text, seconds in (("n=30", 1.0), ("n=2000", 1.5)):
+        big = tmp_path / "big.posets"
+        big.write_text(text)
+        start = time.perf_counter()
+        code, out, err = run_cli(["count-exact", "--input", str(big)])
+        assert time.perf_counter() - start < seconds
+        assert code == 3
+        assert out == ""
+        assert "too large" in err
 
 
 def test_exit_code_3_on_guard_past_61_elements(tmp_path):
-    # ideal bitmasks of 2000 elements share int hashes in bulk unless tagged;
-    # tagged, the guard trips in 2 to 3 s on a shared 2-core x86 host, and
-    # untagged in about 100 s
+    # one bottom below 1998 elements below one top passes the width check and
+    # trips the state limit inside layer 3; ideal bitmasks of 2000 elements
+    # share int hashes in bulk unless tagged: tagged the guard trips in 2 to
+    # 3 s on a shared 2-core x86 host, untagged in about 50 s
+    middle = range(2, 2000)
     big = tmp_path / "big.posets"
-    big.write_text("n=2000")
+    big.write_text("; ".join(["n=2000"] + [f"1<{v}; {v}<2000" for v in middle]))
     start = time.perf_counter()
     code, _, err = run_cli(["count-exact", "--input", str(big)])
     assert time.perf_counter() - start < 15.0
     assert code == 3
-    assert "too large" in err
+    assert "ideals in layer 3" in err
+
+
+def test_exit_code_3_on_kernel_support_before_enumerating(tmp_path):
+    # antichain(10) has 10! = 3628800 extensions at beta = 10; the DP counts
+    # them and the kernel is refused before the enumeration guard trips
+    wide = tmp_path / "wide.posets"
+    wide.write_text("n=10")
+    start = time.perf_counter()
+    code, out, err = run_cli(["chain-diag", "--input", str(wide), "--betas", "10"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    assert out == ""
+    assert "support size 3628800" in err
 
 
 def test_selftest_subset():
@@ -403,6 +439,13 @@ def test_selftest_subset():
     ids = [c["id"] for c in report["results"]["criteria"]]
     assert ids == [1, 2]
     assert "criterion 1" in err and "PASS" in err
+
+
+def test_exit_code_2_on_unknown_criteria():
+    code, out, err = run_cli(["selftest", "--criteria", "1,42,0"])
+    assert code == 2
+    assert out == ""
+    assert "unknown criterion ids: [0, 42]" in err
 
 
 # -- argument fuzz ---------------------------------------------------------------

@@ -58,14 +58,41 @@ def test_count_respects_cap(monkeypatch):
         count_exact(antichain_poset(6))
 
 
+def _bottom_middle_top(m):
+    """One bottom below an antichain of m below one top: n = m + 2, and the
+    only minimal and the only maximal elements are the bottom and the top."""
+    top = m + 2
+    return close_transitively([(1, v) for v in range(2, top)] + [(v, top) for v in range(2, top)],
+                              top)
+
+
 def test_count_state_limit_trips_inside_a_layer(monkeypatch):
-    # antichain(12) has 66 then 220 ideals in layers 2 and 3; the check after
-    # each source ideal stops layer 3 within one ideal's 12 pushes of the limit
+    # one minimal and one maximal element pass the width check; the middle
+    # antichain(12) puts 66 then 220 ideals in layers 3 and 4, and the check
+    # after each source ideal stops layer 4 within one ideal's 10 pushes
     monkeypatch.setattr(exact, "STATE_LIMIT", 100)
     with pytest.raises(GuardError) as exc:
-        count_exact(antichain_poset(12))
-    held = int(re.search(r"(\d+) ideals in layer 3", str(exc.value)).group(1))
-    assert 100 < held <= 112
+        count_exact(_bottom_middle_top(12))
+    held = int(re.search(r"(\d+) ideals in layer 4", str(exc.value)).group(1))
+    assert 100 < held <= 110
+
+
+@pytest.mark.parametrize("pairs,n", [
+    ([], 23),  # 23 minimal elements
+    ([(1, v) for v in range(2, 25)], 24),  # one bottom below 23 maximal elements
+    ([(v, 24) for v in range(1, 24)], 24),  # 23 minimal elements below one top
+])
+def test_count_refuses_wide_orders_before_any_layer(pairs, n):
+    # C(23, 11) = 1352078 ideals of one size exceed STATE_LIMIT = 10^6, while
+    # C(22, 11) = 705432 would not; the refusal comes before any layer is built
+    with pytest.raises(GuardError, match=r"23 minimal or maximal elements put C\(23, 11\)"):
+        count_exact(close_transitively(pairs, n))
+
+
+def test_count_width_check_spares_banded_sums():
+    # below the full band the width check does not apply: Z(1) of antichain(23)
+    # sums the extensions with every displacement at most 1, 2^22 of them
+    assert partition_z(antichain_poset(23), BetaParam(1.0, 23)) == 2.0 ** 22
 
 
 def test_count_leaves_no_reference_cycle():
