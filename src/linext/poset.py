@@ -98,7 +98,10 @@ class Poset:
 
     def digest(self) -> str:
         """Stable hash of (n, closure); identifies the instance in reports."""
-        payload = f"{self.n};" + ";".join(f"{a}<{b}" for a, b in self.relation_pairs())
+        bits = _bit_matrix(self._above, self.n)
+        payload = f"{self.n};" + ";".join(
+            f"{a}<" + f";{a}<".join(map(str, np.flatnonzero(bits[a]).tolist()))
+            for a in range(1, self.n + 1) if self._above[a])
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def __repr__(self) -> str:

@@ -44,6 +44,7 @@ from .poset import Poset
 
 DIAGNOSTIC_FLAG_Z = 4.0
 MAX_RUNS = 10 ** 6  # most contraction runs in one batch
+MAX_PRODUCT_SAMPLES = 10 ** 6  # most product-estimator samples per halving level
 
 
 @dataclass
@@ -224,11 +225,15 @@ def interval_tpa(n: int, r: int, stream: BitStream) -> TpaRunResult:
 def product_estimator(n: int, samples_per_level: int, stream: BitStream) -> float:
     """Classical ratio-product counter over the halving schedule n,
     ceil(n/2), ceil(n/4), ..., 1; returns an unbiased estimate of 1/n
-    (callers report its inverse)."""
+    (callers report its inverse). More than MAX_PRODUCT_SAMPLES samples per
+    level are refused before any draw."""
     if n < 1:
         raise LinextError("n must be at least 1")
     if samples_per_level < 1:
         raise LinextError("need at least one sample per level")
+    if samples_per_level > MAX_PRODUCT_SAMPLES:
+        raise GuardError(f"{samples_per_level} samples per level requested, over the limit "
+                         f"{MAX_PRODUCT_SAMPLES}")
     prod = 1.0
     b_prev = n
     while b_prev > 1:

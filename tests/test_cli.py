@@ -176,10 +176,13 @@ def test_exit_code_2_on_epsilon_too_small_for_the_run_count(pairs_file, epsilon)
     ["estimate", "--input", "PAIRS", "--epsilon", "0.5", "--delta", "0.25", "--seed", "1",
      "--runs-override", "1000000000000"],
     ["interval-demo", "--n", "10", "--runs", "1000000000000", "--seed", "1"],
-], ids=["epsilon-1e-10", "runs-override-10^12", "interval-10^12"])
+    ["interval-demo", "--n", "10", "--runs", "2", "--product-samples", "1000000000000",
+     "--seed", "1"],
+], ids=["epsilon-1e-10", "runs-override-10^12", "interval-10^12", "product-samples-10^12"])
 def test_exit_code_3_on_too_many_runs(pairs_file, argv):
     # epsilon 1e-10 plans about 2e21 phase-2 runs; each batch is refused
-    # before any of its runs starts
+    # before any of its runs starts, and the product estimator's samples per
+    # level before any of its draws
     argv = [pairs_file if a == "PAIRS" else a for a in argv]
     start = time.perf_counter()
     code, out, err = run_cli(argv)
@@ -405,9 +408,9 @@ def test_exit_code_3_on_guard(tmp_path):
 
 def test_exit_code_3_on_guard_past_61_elements(tmp_path):
     # one bottom below 1998 elements below one top passes the width check and
-    # trips the state limit inside layer 3; ideal bitmasks of 2000 elements
-    # share int hashes in bulk unless tagged: tagged the guard trips in 2 to
-    # 3 s on a shared 2-core x86 host, untagged in about 50 s
+    # trips the state limit inside layer 3, whose C(1998, 2) ideals are keyed
+    # by 32 words each; the trip comes in the chunk of source ideals that
+    # passes the limit, about 2 s into the run on a shared 2-core x86 host
     middle = range(2, 2000)
     big = tmp_path / "big.posets"
     big.write_text("; ".join(["n=2000"] + [f"1<{v}; {v}<2000" for v in middle]))

@@ -2,8 +2,12 @@
 
 import gc
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from linext import (
     stationarity_gap,
     weight,
 )
-from linext import exact
+from linext import catalog, exact
 from linext.catalog import antichain_poset, chain_poset, grid_poset, random_poset
 
 from conftest import SMALL_POSET_BUILDERS, brute_force_extensions, grid_hook_count
@@ -160,6 +164,161 @@ def test_count_forest_hook_formula():
     for n in (1, 5, 9, 14, 18):
         poset, hook = _forest(rng, n)
         assert count_exact(poset) == hook
+
+
+# -- the array DP against the dict DP it replaced -------------------------------
+
+def _dict_layered_sum(poset, cap, pen):
+    """Reference: the DP as one dict of ideal bitmasks per layer, summing each
+    ideal's weight over its source ideals in layer order and its elements in
+    increasing order, with the per-source-ideal guard on exact.STATE_LIMIT."""
+    n = poset.n
+    if cap >= n:
+        w = max(sum(not poset.below_mask(v) for v in range(1, n + 1)),
+                sum(not mask for mask in poset.raw_masks[1:]))
+        if math.comb(w, w // 2) > exact.STATE_LIMIT:
+            raise GuardError(f"n={n} too large: {w} minimal or maximal elements put "
+                             f"C({w}, {w // 2}) ideals in one layer, over the limit "
+                             f"{exact.STATE_LIMIT}")
+    # ints hash modulo 2^61 - 1: past n = 60 a random tag above bit n parts the keys
+    tag = random.Random(n).getrandbits if n > 60 else lambda bits: 0
+    moves = [(1 << v, (1 << v) | poset.below_mask(v), (1 << v) + (tag(61) << n + 1))
+             for v in range(1, n + 1)]
+    layer = {0: 1}
+    for p in range(n):
+        free, at_cap = moves[:p + cap], moves[p + cap:p + cap + 1]
+        nxt = {}
+        get = nxt.get
+        for ideal, w in layer.items():
+            missing = ~ideal
+            for low, need, step in free:
+                if need & missing == low:  # v is unplaced and its predecessors are placed
+                    key = ideal + step
+                    nxt[key] = get(key, 0) + w
+            for low, need, step in at_cap:
+                if need & missing == low:
+                    nxt[ideal + step] = get(ideal + step, 0) + w * pen
+            if len(nxt) > exact.STATE_LIMIT:
+                raise GuardError(f"n={n} too large: {len(nxt)} ideals in layer {p + 1}, "
+                                 f"over the limit {exact.STATE_LIMIT}")
+        layer = nxt
+    return sum(layer.values())
+
+
+_PENS = (1, 0.5, 0.75, 0.3)
+
+
+def _same_sum(poset, cap, pen):
+    got, ref = exact._layered_sum(poset, cap, pen), _dict_layered_sum(poset, cap, pen)
+    assert type(got) is type(ref) and got == ref, (poset, cap, pen, got, ref)
+
+
+def _chain_union(lengths):
+    pairs = []
+    start = 1
+    for m in lengths:
+        pairs += [(start + j, start + j + 1) for j in range(m - 1)]
+        start += m
+    return close_transitively(pairs, sum(lengths))
+
+
+def _small_orders():
+    rng = random.Random(11)
+    return (catalog.small_test_posets() + [grid_poset(2, 3), grid_poset(3, 4)]
+            + [random_poset(rng, rng.randint(1, 10), rng.uniform(0.1, 0.8)) for _ in range(30)])
+
+
+def test_dp_matches_dict_reference_at_every_cap():
+    # identical ints and bit-identical floats: every sum is added in the same order
+    for poset in _small_orders():
+        for cap in range(poset.n + 1):
+            for pen in _PENS:
+                _same_sum(poset, cap, pen)
+
+
+def test_dp_matches_dict_reference_across_chunks(monkeypatch):
+    # chunks of one or two source ideals: ideals found in earlier chunks of
+    # the layer keep their place and gain weight in the same order
+    monkeypatch.setattr(exact, "CHUNK_WORDS", 16)
+    for poset in _small_orders()[-10:] + [antichain_poset(8)]:
+        for cap in (1, 2, poset.n):
+            for pen in (1, 0.3):
+                _same_sum(poset, cap, pen)
+
+
+@pytest.mark.parametrize("poset", [
+    antichain_poset(18), _chain_union([2] * 11), _chain_union([3] * 8), _chain_union([4] * 6),
+    _chain_union([5, 5, 4, 4, 3, 3]), grid_poset(4, 6), grid_poset(3, 6),
+], ids=["antichain-18", "chains-11x2", "chains-8x3", "chains-6x4", "chains-554433",
+        "grid-4x6", "grid-3x6"])
+def test_dp_matches_dict_reference_on_count_wide_shapes(poset):
+    # the dict DP takes about 100 s for every cap and pen on these seven
+    # orders; caps 0..6 cover the banded sums and cap n is count_exact
+    for cap in range(7):
+        for pen in _PENS:
+            _same_sum(poset, cap, pen)
+    _same_sum(poset, poset.n, 1)
+
+
+def test_dp_promotes_past_int64():
+    # Z(1) of antichain(70) is 2^69: at most 70 ideals per layer, two key words
+    assert exact._layered_sum(antichain_poset(70), 1, 1) == 2 ** 69
+
+
+@pytest.mark.parametrize("chunk_words", [exact.CHUNK_WORDS, 64])
+def test_dp_guard_message_matches_dict_reference(monkeypatch, chunk_words):
+    monkeypatch.setattr(exact, "STATE_LIMIT", 100)
+    monkeypatch.setattr(exact, "CHUNK_WORDS", chunk_words)
+    poset = _bottom_middle_top(12)
+    messages = []
+    for dp in (exact._layered_sum, _dict_layered_sum):
+        with pytest.raises(GuardError) as exc:
+            dp(poset, poset.n, 1)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def test_dp_fingerprint_collisions_fall_back_to_rows(monkeypatch):
+    # with every fingerprint 0 each layer of two or more ideals collides and
+    # is grouped by its full rows instead, with the same sums
+    poset = random_poset(random.Random(4), 70, 0.1)
+    monkeypatch.setattr(exact, "_FINGERPRINTS", np.zeros_like(exact._FINGERPRINTS))
+    for cap, pen in ((2, 1), (3, 0.3), (4, 1)):
+        _same_sum(poset, cap, pen)
+
+
+def test_z_small_cap_on_wide_order_follows_the_band():
+    # each ideal tries only the unplaced elements of 1..p + cap + 1, at most
+    # two here, instead of all 400
+    start = time.perf_counter()
+    z = partition_z(antichain_poset(400), BetaParam(0.5, 400))
+    assert time.perf_counter() - start < 0.5
+    assert z == 1.8214294876533923e+70
+
+
+_GUARD_CHILD = """
+import resource
+from linext import GuardError, close_transitively, count_exact
+middle = range(2, 2000)
+poset = close_transitively([(1, v) for v in middle] + [(v, 2000) for v in middle], 2000)
+try:
+    count_exact(poset)
+except GuardError as exc:
+    print(exc)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_count_guard_trip_memory_is_bounded():
+    # layer 3 of bottom < antichain(1998) < top has C(1998, 2) ideals; the
+    # chunked pass stops at the chunk that passes the limit, holding about 40
+    # bytes per ideal found, not the whole layer's candidate rows
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _GUARD_CHILD], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout.splitlines()
+    assert out[0] == "n=2000 too large: 1000248 ideals in layer 3, over the limit 1000000"
+    assert int(out[1]) <= 400 * 1024  # ru_maxrss is in KiB
 
 
 # -- enumerate_extensions -----------------------------------------------------

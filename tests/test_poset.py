@@ -19,6 +19,7 @@ from linext import (
     load_poset,
     parse_poset,
 )
+from linext import catalog
 from linext.catalog import antichain_poset, chain_poset
 from linext.poset import MAX_ELEMENTS
 
@@ -305,3 +306,19 @@ def test_digest_is_stable_and_label_sensitive():
     c = load_poset("n=3; 1<3")[0]
     assert a.digest() == b.digest()
     assert a.digest() != c.digest()
+
+
+@pytest.mark.parametrize("build,digest", [
+    (catalog.two_pairs_poset, "82c412a8d12facaf"),
+    (catalog.vee_poset, "5525b106557bceea"),
+    (catalog.wedge_poset, "193c548e7d1e5d56"),
+    (catalog.zigzag_poset, "a3708986bee5166a"),
+    (lambda: catalog.grid_poset(3, 4), "a843ace3e4fe4a7d"),
+    (lambda: antichain_poset(5), "58f5f875afd05a87"),
+    (lambda: chain_poset(5), "604913eddc60b291"),
+    (lambda: chain_poset(2000), "e063e06f9f8752ca"),
+], ids=["two-pairs", "vee", "wedge", "zigzag", "grid-3x4", "antichain-5", "chain-5",
+        "chain-2000"])
+def test_digest_is_pinned(build, digest):
+    # selftest's stream labels embed the digest, so its bytes never change
+    assert build().digest() == digest
