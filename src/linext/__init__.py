@@ -4,7 +4,7 @@ past over a bounding chain, a continuous embedding, and a nested-family
 contraction estimator, with exact oracles and bit/comparison accounting."""
 
 from .bitrng import BitStream, StepDraw
-from .chain import BetaParam, chain_step, max_displacement, weight
+from .chain import BetaParam, chain_step, weight
 from .cftp import (
     THETA,
     CftpStats,
@@ -62,8 +62,8 @@ __all__ = [
     "ceil_perm", "chain_kernel", "chain_step", "close_transitively",
     "count_exact", "distance", "enumerate_extensions", "generate",
     "in_family", "initial_bound", "interval_tpa", "lift", "load_poset",
-    "max_displacement", "parse_poset", "partition_z", "perfect_sample",
-    "phase1_runs", "phase2_runs", "poisson_diagnostics", "product_estimator",
+    "parse_poset", "partition_z", "perfect_sample", "phase1_runs",
+    "phase2_runs", "poisson_diagnostics", "product_estimator",
     "stationarity_gap", "tpa_runs", "two_phase", "validate_bounding_state",
     "weight",
 ]

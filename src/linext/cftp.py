@@ -17,14 +17,14 @@ property-tested) as ``bounding_chain_step``.
 The second layer is the sampler, coupling from the past (Propp-Wilson), one
 loop in ``generate``: draw and record a block of steps; until a block's
 update map is certified constant, draw one twice as long further in the past,
-up to MAX_LEVELS blocks; then replay the constant value through the recorded
-blocks, deepest first. A certificate is a forward function, which runs one
-block and returns its constant value or None, and a replay function, which
-runs one state through a block. Every state on both paths takes the same
-Metropolis step as ``chain_step``, with a move coin c1 that is fair given the
-state; only the way c1 is derived from the block's recorded bit, and the
-certificate that the block map is constant, differ. ``generate`` picks the
-certificate from the input:
+up to MAX_LEVELS blocks and MAX_STEPS steps in all; then replay the constant
+value through the recorded blocks, deepest first. A certificate is a forward
+function, which runs one block and returns its constant value or None, and a
+replay function, which runs one state through a block. Every state on both
+paths takes the same Metropolis step as ``chain_step``, with a move coin c1
+that is fair given the state; only the way c1 is derived from the block's
+recorded bit, and the certificate that the block map is constant, differ.
+``generate`` picks the certificate from the input:
 
 - Bounding chain (any order). The block draws the bound's own coins
   (i, c3, c2), which do not depend on any state, and records the bound's
@@ -41,13 +41,15 @@ certificate from the input:
   mover through, and a block that leaves one state is constant. On small
   supports this collapses far sooner than the bound does.
 
-  The order is enumerated once; per cap its support is kept with the keyed
-  step as tables over support indices: per slot, the states whose pair
-  descends, and per (slot, c) the states whose move goes through, mapped to
-  the index they land on, with those that land on the cap marked for the
-  gate. A step on the set is then a few set operations on ints, and the
-  replay walks one index. The probes counted are exactly the chain's: one per
-  state whose coin is up, whether or not its move goes through.
+  The path is chosen by the order's extension count, the same at every cap.
+  Each cap's support, listed by ``exact.enumerate_extensions`` within its
+  band, is kept with the keyed step as tables over support indices: per
+  slot, the states whose pair descends, and per (slot, c) the states whose
+  move goes through, mapped to the index they land on, with those that land
+  on the cap marked for the gate. A step on the set is then a few set
+  operations on ints, and the replay walks one index. The probes counted are
+  exactly the chain's: one per state whose coin is up, whether or not its
+  move goes through.
 
 Either way the returned permutation is an exact draw from the weighted
 distribution.
@@ -66,13 +68,14 @@ from typing import NamedTuple, Sequence
 
 from . import exact, native
 from .bitrng import BitStream, StepDraw
-from .chain import BetaParam, _sigma_step_inplace, max_displacement, weight
+from .chain import BetaParam, _sigma_step_inplace, weight
 from .errors import CoalescenceError, GuardError, LinextError
 from .poset import Poset
 
 THETA = 0  # wildcard bound entry: no restriction at all
 
 MAX_LEVELS = 40  # most blocks drawn before a draw gives up
+MAX_STEPS = 10 ** 8  # most steps a draw's blocks may hold: 1 GB at the C kernel's 10 B per step
 SUPPORT_LIMIT = 500  # most extensions tracked as an explicit set; past it the bound is faster
 
 _kernel = native.build()  # the C block loops, or None to run the Python ones
@@ -218,31 +221,24 @@ class _Support(NamedTuple):
     capped: tuple  # capped[i]: the keys of moves[2i + 1] whose mover lands on the cap
 
 
-@lru_cache(maxsize=16)
-def _extensions(poset: Poset) -> tuple | None:
-    """The order's extensions, or None when it has more than SUPPORT_LIMIT.
-    Cached either way, so every cap filters one enumeration."""
-    try:
-        return tuple(exact.enumerate_extensions(poset, guard=SUPPORT_LIMIT))
-    except GuardError:
-        return None
-
-
 @lru_cache(maxsize=128)
 def _support_tables(poset: Poset, cap: int) -> _Support | None:
-    """The support with displacement at most cap and its step tables, or None
-    when the order has more than SUPPORT_LIMIT extensions. Cached either way.
+    """The support with displacement at most cap and its step tables, or None,
+    at every cap, when the order has more than SUPPORT_LIMIT extensions.
+    Cached either way.
 
     Each swap of an ascending pair is stored with the swap back from its image.
     The swap back moves the smaller value left, so it stays below the cap and
     never needs the gate. Work is O(1) per (state, slot) plus O(n) per stored
     move."""
-    extensions = _extensions(poset)
-    if extensions is None:
-        return None
-    states = tuple(s for s in extensions if max_displacement(s) <= cap)
-    index = {s: k for k, s in enumerate(states)}
     n = poset.n
+    if cap < n and _support_tables(poset, n) is None:
+        return None
+    try:
+        states = tuple(exact.enumerate_extensions(poset, guard=SUPPORT_LIMIT, cap=cap))
+    except GuardError:
+        return None
+    index = {s: k for k, s in enumerate(states)}
     above = poset.raw_masks
     desc = [set() for _ in range(n)]
     moves = [{} for _ in range(2 * n)]
@@ -377,8 +373,8 @@ def generate(bp: BetaParam, t: int, stream: BitStream,
 
     Orders with at most SUPPORT_LIMIT extensions track the explicit support;
     all others run the bounding chain. Returns the sample together with its
-    work accounting. Termination is probabilistic; after MAX_LEVELS blocks the
-    call aborts with a diagnostic rather than looping forever.
+    work accounting. Termination is probabilistic; rather than draw a block
+    past MAX_LEVELS blocks or MAX_STEPS steps, the call raises CoalescenceError.
     """
     if t < 1:
         raise LinextError("horizon t must be at least 1")
@@ -399,6 +395,8 @@ def generate(bp: BetaParam, t: int, stream: BitStream,
     steps = comps = 0
     blocks = []
     for _ in range(MAX_LEVELS):
+        if steps + t > MAX_STEPS:
+            raise CoalescenceError(f"no collapse in {steps} steps; {steps + t} pass {MAX_STEPS}")
         block = draw(t, stream, poset.n, bp.pen)
         value, probes = forward(block)
         steps += t

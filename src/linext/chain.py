@@ -20,7 +20,6 @@ explicit-kernel stationarity check in the exact oracle pins it down.
 from __future__ import annotations
 
 import math
-from operator import sub
 from typing import Sequence
 
 from .bitrng import StepDraw
@@ -48,11 +47,6 @@ class BetaParam:
 
     def __repr__(self) -> str:
         return f"BetaParam(beta={self.beta}, cap={self.cap}, pen={self.pen})"
-
-
-def max_displacement(sigma: Sequence[int]) -> int:
-    """Largest value-minus-position over all positions (0 for the identity)."""
-    return max(map(sub, sigma, range(1, len(sigma) + 1)))
 
 
 def weight(sigma: Sequence[int], bp: BetaParam) -> float:

@@ -1,6 +1,6 @@
-"""Exact ground truth: extension counts, full enumeration, the exact weight
-normalizer, and an explicit transition kernel of the adjacent-transposition
-chain for stationarity checks.
+"""Exact ground truth: extension counts, the enumeration of every extension
+within a displacement band, the exact weight normalizer, and an explicit
+transition kernel of the adjacent-transposition chain for stationarity checks.
 
 The count and the normalizer are one layered DP over order ideals, whose cost
 follows the width of the order, not n: it is guarded by the ideals per layer.
@@ -172,16 +172,21 @@ def count_exact(poset: Poset) -> int:
     return _layered_sum(poset, poset.n, 1)
 
 
-def enumerate_extensions(poset: Poset, guard: int = ENUMERATION_GUARD) -> list[tuple[int, ...]]:
-    """All linear extensions in lexicographic order. Raises GuardError as soon
-    as more than guard of them are found, so the check costs O(guard * n).
-    The search keeps its own stack, so any n works."""
+def enumerate_extensions(poset: Poset, guard: int = ENUMERATION_GUARD,
+                         cap: int | None = None) -> list[tuple[int, ...]]:
+    """The linear extensions with every displacement at most cap (all of them
+    by default), in lexicographic order. Position q tries only the unplaced
+    v <= q + cap; the smallest always qualifies, so no branch is a dead end.
+    Raises GuardError as soon as more than guard of them are found, so the
+    check costs O(guard * n). The search keeps its own stack, so any n works."""
     n = poset.n
+    cap = n if cap is None else cap
     below = [poset.below_mask(e) for e in range(n + 1)]
+    window = [(2 << min(q + cap, n)) - 1 for q in range(n + 2)]  # values <= q + cap
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
     remaining = ((1 << (n + 1)) - 1) & ~1
-    untried = [remaining]  # per depth: the elements not yet tried next
+    untried = [remaining & window[1]]  # per depth: the elements not yet tried next
     while untried:
         if not remaining:
             if len(out) == guard:
@@ -196,7 +201,7 @@ def enumerate_extensions(poset: Poset, guard: int = ENUMERATION_GUARD) -> list[t
                 untried[-1] = rest
                 prefix.append(e)
                 remaining ^= low
-                untried.append(remaining)
+                untried.append(remaining & window[len(prefix) + 1])
                 break
         else:
             untried.pop()
@@ -231,7 +236,7 @@ def chain_kernel(poset: Poset, bp: BetaParam) -> KernelMatrix:
     size = _layered_sum(poset, bp.cap, 1)
     if size > KERNEL_SUPPORT_GUARD:
         raise GuardError(f"support size {size} exceeds {KERNEL_SUPPORT_GUARD}")
-    support = [s for s in enumerate_extensions(poset) if weight(s, bp) > 0.0]
+    support = enumerate_extensions(poset, cap=bp.cap)
     idx = {s: j for j, s in enumerate(support)}
     m = len(support)
     probs = np.zeros((m, m))

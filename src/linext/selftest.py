@@ -157,7 +157,7 @@ def criterion_4_sampler_distribution() -> CriterionResult:
                 sigma, _ = perfect_sample(bp, stream.fork(f"draw/{k}"), poset)
                 tally[sigma] += 1
             z = partition_z(poset, bp)
-            support = [s for s in enumerate_extensions(poset) if weight(s, bp) > 0.0]
+            support = enumerate_extensions(poset, cap=bp.cap)
             observed = [tally.get(s, 0) for s in support]
             expected = [draws * weight(s, bp) / z for s in support]
             _, pvalue = chisquare(observed, expected)

@@ -56,6 +56,11 @@ def brute_force_extensions(poset):
     return out
 
 
+def max_displacement(sigma):
+    """Largest value-minus-position over all positions (0 for the identity)."""
+    return max(v - p for p, v in enumerate(sigma, start=1))
+
+
 def grid_hook_count(rows, cols):
     """Hook-length formula: extensions of the rows x cols grid order."""
     hooks = 1

@@ -27,7 +27,6 @@ from linext import (
     chain_kernel,
     chain_step,
     close_transitively,
-    count_exact,
     enumerate_extensions,
     generate,
     initial_bound,
@@ -46,7 +45,7 @@ from linext.catalog import (
 )
 from linext.chain import _sigma_step_inplace
 
-from conftest import SMALL_POSET_BUILDERS
+from conftest import SMALL_POSET_BUILDERS, max_displacement
 
 
 # -- bounds -----------------------------------------------------------------------
@@ -316,8 +315,9 @@ def _check_pinned_outputs(pairs4):
     assert stats.as_dict() == {"total_steps": 32, "levels": 1, "bits_discrete": 198,
                                "bits_continuous": 0, "comparisons": 32}
     poset = antichain_poset(8)
-    assert count_exact(poset) > cftp.SUPPORT_LIMIT  # so the bounding chain runs
-    sigma, stats = perfect_sample(BetaParam(1.5, 8), BitStream(43), poset)
+    bp = BetaParam(1.5, 8)
+    assert cftp._support_tables(poset, bp.cap) is None  # so the bounding chain runs
+    sigma, stats = perfect_sample(bp, BitStream(43), poset)
     assert sigma == (3, 4, 5, 1, 6, 2, 8, 7)
     assert stats.as_dict() == {"total_steps": 2816, "levels": 4, "bits_discrete": 10500,
                                "bits_continuous": 0, "comparisons": 937}
@@ -359,7 +359,7 @@ def _pooled_chi_square_p(poset, bp, draws, seed):
     """Chi-square p-value of perfect draws against the exact weights, with the
     cells expecting fewer than five draws pooled into one. Also checks that no
     draw falls outside the support."""
-    assert count_exact(poset) > cftp.SUPPORT_LIMIT  # so the bounding chain runs
+    assert cftp._support_tables(poset, bp.cap) is None  # so the bounding chain runs
     z = partition_z(poset, bp)
     support = [s for s in enumerate_extensions(poset) if weight(s, bp) > 0.0]
     stream = BitStream(seed)
@@ -479,21 +479,18 @@ def test_coalesced_set_block_is_constant(builder):
         assert coalesced > 0
 
 
-def test_support_tables_enumerate_each_order_once(monkeypatch):
-    calls = []
-
-    def counting(poset, guard):
-        calls.append(poset)
-        return enumerate_extensions(poset, guard=guard)
-
-    monkeypatch.setattr("linext.exact.enumerate_extensions", counting)
-    for poset in (grid_poset(3, 4), antichain_poset(8)):  # 462 and 40320 extensions
-        cftp._extensions.cache_clear()
-        cftp._support_tables.cache_clear()
-        calls.clear()
-        tables = [cftp._support_tables(poset, cap) for cap in range(1, poset.n + 1)]
-        assert calls == [poset]
-        assert (tables[-1] is None) == (poset.n == 8)
+def test_support_tables_selected_by_extension_count():
+    # The set path is chosen by the order's extension count, the same at every
+    # cap, not by the support at the draw's cap: chosen per cap, TPA runs on
+    # antichain(6) (720 extensions, 2^5 at cap 1) took 5.2-5.8 ms each against
+    # 1.5-2.0 ms on the bound alone (medians of 7 batches of 20 runs, 2-core x86)
+    grid = grid_poset(3, 4)  # 462 extensions
+    full = enumerate_extensions(grid)
+    for cap in range(grid.n + 1):
+        tab = cftp._support_tables(grid, cap)
+        assert list(tab.states) == [s for s in full if max_displacement(s) <= cap]
+    for poset in (antichain_poset(6), antichain_poset(8)):  # 720 and 40320 extensions
+        assert all(cftp._support_tables(poset, cap) is None for cap in range(poset.n + 1))
 
 
 def test_support_limit_keeps_the_set_path_up_to_the_3x4_grid():
@@ -527,6 +524,18 @@ def test_generate_level_cap(monkeypatch):
         monkeypatch.setattr(cftp, "_kernel", kernel)
         with pytest.raises(CoalescenceError):
             generate(BetaParam(4.0, 4), 1, BitStream(1), poset)
+
+
+def test_generate_step_ceiling(monkeypatch):
+    # blocks of 2, 4 and 8 steps fit under a ceiling of 14; the fourth, of 16,
+    # is refused before it is drawn, on both certificates and both loops
+    monkeypatch.setattr(cftp, "MAX_STEPS", 14)
+    for poset in (antichain_poset(4), antichain_poset(8)):
+        for kernel in _block_paths():
+            monkeypatch.setattr(cftp, "_kernel", kernel)
+            stream = BitStream(1)
+            with pytest.raises(CoalescenceError, match="no collapse in 14 steps"):
+                generate(BetaParam(float(poset.n), poset.n), 2, stream, poset)
 
 
 def test_step_budget_small():

@@ -10,7 +10,6 @@ from linext import (
     LinextError,
     StepDraw,
     chain_step,
-    max_displacement,
     weight,
 )
 from linext.catalog import antichain_poset, chain_poset, random_poset
@@ -63,12 +62,6 @@ def test_weight_at_beta_n_is_one():
 
 def test_weight_beyond_cap_is_zero():
     assert weight((3, 1, 2), BetaParam(1.0, 3)) == 0.0  # displacement 2 > cap 1
-
-
-def test_max_displacement_examples():
-    assert max_displacement((1, 2, 3, 4)) == 0
-    assert max_displacement((3, 2, 4, 1)) == 2
-    assert max_displacement((2, 1)) == 1
 
 
 # -- chain_step -------------------------------------------------------------------

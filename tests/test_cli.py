@@ -3,13 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linext import cli
+from linext import cftp, cli
 from linext.budgets import (
     sample_bits_bound,
     sample_comparisons_bound,
@@ -22,6 +26,7 @@ from conftest import grid_hook_count
 GRID23 = "n=6; 1<2; 2<3; 4<5; 5<6; 1<4; 2<5; 3<6"
 CHAIN5 = "n=5; 1<2; 2<3; 3<4; 4<5"
 PAIRS = '{"n": 4, "relations": [[1, 3], [2, 4]]}'
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(argv):
@@ -242,6 +247,51 @@ def test_chain_diag(pairs_file):
     assert betas[-1] == 4.0
 
 
+def test_chain_diag_follows_its_support(tmp_path):
+    # antichain(10) has 10! extensions but 2^9 within displacement 1; the
+    # kernel lists only the band, so these betas take well under a second
+    wide = tmp_path / "wide.posets"
+    wide.write_text("n=10")
+    start = time.perf_counter()
+    code, out, _ = run_cli(["chain-diag", "--input", str(wide), "--betas", "0.25,0.5,1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert [row["support"] for row in json.loads(out)["results"]["kernels"]] == [512] * 3
+
+
+def _address_space_2gb():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.skipif(cftp._kernel is None, reason="the Python loops store 32 B per step, "
+                    "so the ceiling's blocks do not fit in 2 GB without the C kernel")
+def test_exit_code_3_on_step_ceiling(tmp_path):
+    # beta = 0.1 on antichain(24) needs far more steps than MAX_STEPS; the draw
+    # is refused before its blocks would pass it, instead of running out of
+    # memory (the refusal comes about 5.5 s in on a 2-core x86 host)
+    wide = tmp_path / "wide.posets"
+    wide.write_text("n=24")
+    argv = ["sample", "--input", str(wide), "--beta", "0.1", "--count", "1", "--seed", "1"]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "linext.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                          text=True, timeout=60, preexec_fn=_address_space_2gb)
+    assert time.perf_counter() - start < 10.0
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "no collapse" in proc.stderr
+
+
+def test_import_leaves_scipy_out():
+    # scipy.sparse alone takes longer to import than all of linext; only the
+    # selftest criteria import scipy, when they run
+    code = "import sys, linext; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    assert out == "[]\n"
+
+
 def test_interval_demo_report():
     code, out, _ = run_cli(["interval-demo", "--n", "50", "--runs", "500",
                             "--seed", "6"])
@@ -423,15 +473,18 @@ def test_exit_code_3_on_guard_past_61_elements(tmp_path):
 
 def test_exit_code_3_on_kernel_support_before_enumerating(tmp_path):
     # antichain(10) has 10! = 3628800 extensions at beta = 10; the DP counts
-    # them and the kernel is refused before the enumeration guard trips
+    # them and the kernel is refused before the enumeration guard trips. The
+    # default betas list the bands up to beta = 1 and are refused at 1.3,
+    # whose cap of 2 admits 2 * 3^8 states.
     wide = tmp_path / "wide.posets"
     wide.write_text("n=10")
-    start = time.perf_counter()
-    code, out, err = run_cli(["chain-diag", "--input", str(wide), "--betas", "10"])
-    assert time.perf_counter() - start < 0.5
-    assert code == 3
-    assert out == ""
-    assert "support size 3628800" in err
+    for betas, seconds, size in ((["--betas", "10"], 0.5, 3628800), ([], 1.0, 13122)):
+        start = time.perf_counter()
+        code, out, err = run_cli(["chain-diag", "--input", str(wide), *betas])
+        assert time.perf_counter() - start < seconds
+        assert code == 3
+        assert out == ""
+        assert f"support size {size}" in err
 
 
 def test_selftest_subset():

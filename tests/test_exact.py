@@ -19,7 +19,6 @@ from linext import (
     close_transitively,
     count_exact,
     enumerate_extensions,
-    max_displacement,
     partition_z,
     stationarity_gap,
     weight,
@@ -27,7 +26,7 @@ from linext import (
 from linext import catalog, exact
 from linext.catalog import antichain_poset, chain_poset, grid_poset, random_poset
 
-from conftest import SMALL_POSET_BUILDERS, brute_force_extensions, grid_hook_count
+from conftest import SMALL_POSET_BUILDERS, brute_force_extensions, grid_hook_count, max_displacement
 
 
 # -- count_exact --------------------------------------------------------------
@@ -353,6 +352,28 @@ def test_enumeration_guard_stops_the_search_early():
 def test_enumerate_beyond_exact_count_cap():
     # n deeper than Python's recursion limit is fine when the extensions are few
     assert enumerate_extensions(chain_poset(1200)) == [tuple(range(1, 1201))]
+    assert enumerate_extensions(chain_poset(1200), cap=0) == [tuple(range(1, 1201))]
+
+
+def _band_orders():
+    rng = random.Random(12)
+    return (catalog.small_test_posets() + [grid_poset(2, 3), grid_poset(3, 4)]
+            + [random_poset(rng, rng.randint(1, 9), rng.uniform(0.2, 0.8)) for _ in range(30)])
+
+
+def test_banded_enumeration_is_the_filtered_full_list():
+    # the band walk lists, in the same order, exactly the extensions of the
+    # full enumeration whose every displacement is at most the cap
+    for poset in _band_orders():
+        full = enumerate_extensions(poset)
+        for cap in range(poset.n + 1):
+            banded = enumerate_extensions(poset, cap=cap)
+            assert banded == [s for s in full if max_displacement(s) <= cap]
+
+
+def test_enumeration_guard_counts_only_banded_states():
+    # antichain(12) has 12! extensions but 2^11 within displacement 1
+    assert len(enumerate_extensions(antichain_poset(12), guard=5000, cap=1)) == 2048
 
 
 # -- partition_z --------------------------------------------------------------
