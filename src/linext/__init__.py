@@ -15,7 +15,7 @@ from .cftp import (
     perfect_sample,
     validate_bounding_state,
 )
-from .embed import ceil_perm, distance, in_family, lift
+from .embed import distance, lift
 from .errors import (
     CoalescenceError,
     CycleError,
@@ -56,14 +56,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BetaParam", "BitStream", "CftpStats", "CoalescenceError", "CycleError",
-    "GuardError", "KernelMatrix", "LinextError", "ParseError", "PoissonReport",
-    "Poset", "Relabeling", "StepDraw", "THETA", "TpaRunResult",
-    "TwoPhaseEstimate", "bounding_chain_step", "bounds", "canonicalize",
-    "ceil_perm", "chain_kernel", "chain_step", "close_transitively",
+    "GuardError", "KernelMatrix", "LinextError", "ParseError",
+    "PoissonReport", "Poset", "Relabeling", "StepDraw", "THETA",
+    "TpaRunResult", "TwoPhaseEstimate", "bounding_chain_step", "bounds",
+    "canonicalize", "chain_kernel", "chain_step", "close_transitively",
     "count_exact", "distance", "enumerate_extensions", "generate",
-    "in_family", "initial_bound", "interval_tpa", "lift", "load_poset",
-    "parse_poset", "partition_z", "perfect_sample", "phase1_runs",
-    "phase2_runs", "poisson_diagnostics", "product_estimator",
-    "stationarity_gap", "tpa_runs", "two_phase", "validate_bounding_state",
-    "weight",
+    "initial_bound", "interval_tpa", "lift", "load_poset", "parse_poset",
+    "partition_z", "perfect_sample", "phase1_runs", "phase2_runs",
+    "poisson_diagnostics", "product_estimator", "stationarity_gap",
+    "tpa_runs", "two_phase", "validate_bounding_state", "weight",
 ]

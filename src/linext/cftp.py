@@ -42,14 +42,11 @@ recorded bit, and the certificate that the block map is constant, differ.
   supports this collapses far sooner than the bound does.
 
   The path is chosen by the order's extension count, the same at every cap.
-  Each cap's support, listed by ``exact.enumerate_extensions`` within its
-  band, is kept with the keyed step as tables over support indices: per
-  slot, the states whose pair descends, and per (slot, c) the states whose
-  move goes through, mapped to the index they land on, with those that land
-  on the cap marked for the gate. A step on the set is then a few set
-  operations on ints, and the replay walks one index. The probes counted are
-  exactly the chain's: one per state whose coin is up, whether or not its
-  move goes through.
+  Each cap's support is kept with the keyed step as tables over support
+  indices (``exact.Support``, whose kernel ``chain-diag`` checks), so a step
+  on the set is a few set operations on ints, and the replay walks one
+  index. The probes counted are exactly the chain's: one per state whose
+  coin is up, whether or not its move goes through.
 
 Either way the returned permutation is an exact draw from the weighted
 distribution.
@@ -64,7 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from . import exact, native
 from .bitrng import BitStream, StepDraw
@@ -204,58 +201,21 @@ def bounding_chain_step(sigma: Sequence[int], b: Sequence[int], bp: BetaParam,
 # ---------------------------------------------------------------------------
 
 
-class _Support(NamedTuple):
-    """The support of one (poset, cap), indexed in enumeration order, with the
-    keyed step as per-slot tables over those indices. Only descents and moves
-    that go through are stored, so the tables hold O(n |support|) entries.
-
-    The keyed coin is up for c = 1 on an ascending pair and for c = 0 on a
-    descending one, so it is fair given the state and the keyed step's law is
-    the chain's. A state whose coin is up swaps the pair unless the pair is
-    ordered or the left mover would pass the cap; at the cap the swap also
-    needs the gate c2."""
-
-    states: tuple  # the extensions with displacement at most cap
-    desc: tuple  # desc[i]: the states whose pair at slots (i, i+1) descends
-    moves: tuple  # moves[2i + c]: {state: landing} for the keyed swaps that go through
-    capped: tuple  # capped[i]: the keys of moves[2i + 1] whose mover lands on the cap
-
-
 @lru_cache(maxsize=128)
-def _support_tables(poset: Poset, cap: int) -> _Support | None:
-    """The support with displacement at most cap and its step tables, or None,
-    at every cap, when the order has more than SUPPORT_LIMIT extensions.
-    Cached either way.
-
-    Each swap of an ascending pair is stored with the swap back from its image.
-    The swap back moves the smaller value left, so it stays below the cap and
-    never needs the gate. Work is O(1) per (state, slot) plus O(n) per stored
-    move."""
-    n = poset.n
-    if cap < n and _support_tables(poset, n) is None:
+def _support_tables(poset: Poset, cap: int) -> exact.Support | None:
+    """The support with displacement at most cap and its step tables, or None
+    at every cap when the order has over SUPPORT_LIMIT extensions; cached
+    either way. No extension moves v right of v - 1 - |below(v)|, so every cap
+    above the reach, the largest of those, shares cap reach + 1's tables."""
+    top = max(v - 1 - poset.below_mask(v).bit_count() for v in range(1, poset.n + 1)) + 1
+    if cap > top:
+        return _support_tables(poset, top)
+    if cap < top and _support_tables(poset, top) is None:
         return None
     try:
-        states = tuple(exact.enumerate_extensions(poset, guard=SUPPORT_LIMIT, cap=cap))
+        return exact.band_support(poset, cap, SUPPORT_LIMIT)
     except GuardError:
         return None
-    index = {s: k for k, s in enumerate(states)}
-    above = poset.raw_masks
-    desc = [set() for _ in range(n)]
-    moves = [{} for _ in range(2 * n)]
-    capped = [set() for _ in range(n)]
-    slots = range(1, n)
-    for k, s in enumerate(states):
-        for i, a, b in zip(slots, s, s[1:]):
-            if a > b:  # never ordered in a canonical extension
-                desc[i].add(k)
-            elif b - i <= cap and not (above[a] >> b) & 1:
-                j = index[s[:i - 1] + (b, a) + s[i + 1:]]
-                moves[2 * i + 1][k] = j
-                moves[2 * i][j] = k
-                if b - i == cap:
-                    capped[i].add(k)
-    return _Support(states, tuple(map(frozenset, desc)), tuple(moves),
-                    tuple(map(frozenset, capped)))
 
 
 def _draw_block(t: int, stream: BitStream, n: int, pen: float) -> list:
@@ -276,7 +236,7 @@ def _draw_block(t: int, stream: BitStream, n: int, pen: float) -> list:
     return [pos, up, gate]
 
 
-def _set_step(states: set, tab: _Support, i: int, c: int, g: int) -> int:
+def _set_step(states: set, tab: exact.Support, i: int, c: int, g: int) -> int:
     """Apply one keyed step to a set of support indices in place; returns the
     probes made, one per state whose keyed coin is up."""
     down = len(states & tab.desc[i])
@@ -292,7 +252,7 @@ def _set_step(states: set, tab: _Support, i: int, c: int, g: int) -> int:
     return probes
 
 
-def _walk(tab: _Support, s: int, pos: list, up: list, gate: list, start: int = 0) -> tuple[int, int]:
+def _walk(tab: exact.Support, s: int, pos: list, up: list, gate: list, start: int = 0) -> tuple[int, int]:
     """Run one support index through steps start.. of a recorded block, as
     _set_step does; returns the final index and the probes made."""
     desc = tab.desc
@@ -311,7 +271,7 @@ def _walk(tab: _Support, s: int, pos: list, up: list, gate: list, start: int = 0
     return s, probes
 
 
-def _set_forward(tab: _Support, block: list) -> tuple[int | None, int]:
+def _set_forward(tab: exact.Support, block: list) -> tuple[int | None, int]:
     """Run the whole support through a recorded block. Returns the index every
     state ends on if one state is left (the block is then constant), else None,
     and the probes made."""

@@ -30,7 +30,8 @@ from .poset import Poset
 class BetaParam:
     """A chain parameter beta in [0, n] with its derived cap and penalty.
 
-    cap = ceil(beta); pen = 1 + beta - cap, which lies in (0, 1].
+    cap = ceil(beta); pen = 1 + beta - cap, or the exact beta - (cap - 1) where
+    that sum rounds to 0 just above an integer; pen lies in (0, 1].
     """
 
     __slots__ = ("beta", "cap", "pen")
@@ -43,7 +44,8 @@ class BetaParam:
             raise LinextError(f"beta must be at most n={n}, got {beta}")
         self.beta = beta
         self.cap = math.ceil(beta)
-        self.pen = 1.0 + beta - self.cap
+        pen = 1.0 + beta - self.cap
+        self.pen = pen if pen > 0.0 else beta - (self.cap - 1)
 
     def __repr__(self) -> str:
         return f"BetaParam(beta={self.beta}, cap={self.cap}, pen={self.pen})"

@@ -19,13 +19,11 @@ smallest family member containing x has parameter exactly distance(x).
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from .bitrng import BitStream
 from .chain import BetaParam, weight
 from .errors import LinextError
-from .poset import Poset
 
 
 def lift(sigma: Sequence[int], bp: BetaParam, stream: BitStream) -> tuple[float, ...]:
@@ -49,25 +47,3 @@ def lift(sigma: Sequence[int], bp: BetaParam, stream: BitStream) -> tuple[float,
 def distance(x: Sequence[float]) -> float:
     """Largest coordinate overshoot max_i (x(i) - i); in (-1, n-1]."""
     return max(v - p for p, v in enumerate(x, start=1))
-
-
-def ceil_perm(x: Sequence[float]) -> tuple[int, ...]:
-    """The permutation induced by coordinatewise ceilings; raises if the
-    ceilings do not form a permutation of 1..n."""
-    perm = tuple(math.ceil(v) for v in x)
-    if sorted(perm) != list(range(1, len(x) + 1)):
-        raise LinextError(f"ceilings {perm} are not a permutation of 1..{len(x)}")
-    return perm
-
-
-def in_family(x: Sequence[float], beta: float, poset: Poset) -> bool:
-    """Membership test for the nested family at parameter beta: coordinates in
-    (0, n], ceilings form a linear extension, and distance at most beta."""
-    n = poset.n
-    if len(x) != n or any(not 0.0 < v <= n for v in x):
-        return False
-    try:
-        perm = ceil_perm(x)
-    except LinextError:
-        return False
-    return poset.is_linear_extension(perm) and distance(x) <= beta

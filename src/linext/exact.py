@@ -1,6 +1,6 @@
-"""Exact ground truth: extension counts, the enumeration of every extension
-within a displacement band, the exact weight normalizer, and an explicit
-transition kernel of the adjacent-transposition chain for stationarity checks.
+"""Exact ground truth: extension counts, every extension within a displacement
+band, the exact weight normalizer, and a band's chain-step tables, which cftp's
+set sampler steps on and whose sparse kernel the stationarity check scores.
 
 The count and the normalizer are one layered DP over order ideals, whose cost
 follows the width of the order, not n: it is guarded by the ideals per layer.
@@ -29,10 +29,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .chain import BetaParam, chain_step, weight
+from .chain import BetaParam, _sigma_step_inplace, weight
 from .errors import GuardError
 from .poset import MAX_ELEMENTS, Poset
 
@@ -215,51 +216,89 @@ def partition_z(poset: Poset, bp: BetaParam) -> float:
     return float(_layered_sum(poset, bp.cap, bp.pen if bp.pen < 1.0 else 1))
 
 
+class Support(NamedTuple):
+    """The extensions with every displacement at most cap, indexed in
+    enumeration order, with the keyed step as per-slot tables over those
+    indices: bit c = 1 moves an ascending pair, c = 0 a descending one. Only
+    descents and moves that go through are stored: O(n |support|) entries."""
+
+    states: tuple  # the extensions with displacement at most cap
+    desc: tuple  # desc[i]: the states whose pair at slots (i, i+1) descends
+    moves: tuple  # moves[2i + c]: {state: landing} for the keyed swaps that go through
+    capped: tuple  # capped[i]: the keys of moves[2i + 1] whose mover lands on the cap
+
+
+def band_support(poset: Poset, cap: int, guard: int) -> Support:
+    """The support with displacement at most cap and its step tables; raises
+    GuardError past guard states. A swap of an ascending pair is the chain's
+    own step: stored if it goes through with the gate up, capped if not with
+    it down. Its swap back moves the smaller value left and needs no gate."""
+    n = poset.n
+    states = tuple(enumerate_extensions(poset, guard, cap))
+    index = {s: k for k, s in enumerate(states)}
+    above = poset.raw_masks
+    desc = [set() for _ in range(n)]
+    moves = [{} for _ in range(2 * n)]
+    capped = [set() for _ in range(n)]
+    slots = range(1, n)
+    for k, s in enumerate(states):
+        for i, a, b in zip(slots, s, s[1:]):
+            if a > b:  # never ordered in a canonical extension
+                desc[i].add(k)
+                continue
+            sig = list(s)
+            _sigma_step_inplace(sig, i, 1, 1, cap, above)
+            if sig[i] != b:
+                j = index[tuple(sig)]
+                moves[2 * i + 1][k] = j
+                moves[2 * i][j] = k
+                sig = list(s)
+                _sigma_step_inplace(sig, i, 1, 0, cap, above)
+                if sig[i] == b:
+                    capped[i].add(k)
+    return Support(states, tuple(map(frozenset, desc)), tuple(moves),
+                   tuple(map(frozenset, capped)))
+
+
 @dataclass
 class KernelMatrix:
-    """Explicit one-step transition kernel of the chain restricted to its
-    support: row-stochastic, indexed by the support list."""
+    """The chain's kernel on its support, sparse: support[src[k]] moves to
+    support[dst[k]] with probability prob[k], and stays with the rest."""
 
     support: list[tuple[int, ...]]
-    probs: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    prob: np.ndarray
 
 
 def chain_kernel(poset: Poset, bp: BetaParam) -> KernelMatrix:
-    """Marginalize one chain step over its randomness (position and coins) to
-    get exact transition probabilities between support states.
-
-    Built by literally calling the step function on every (i, c1, c2) combo,
-    so the kernel is the step's true marginal rather than a re-derivation.
-    A support of more than KERNEL_SUPPORT_GUARD states, counted by the ideal
-    DP at bp.cap, is refused before any extension is enumerated.
-    """
+    """The chain's transitions, read off the band's step tables: a swap has
+    probability 0.5 / (n - 1), times pen when an ascending pair's mover lands
+    on the cap. A support of more than KERNEL_SUPPORT_GUARD states, counted by
+    the ideal DP at bp.cap, is refused before any extension is enumerated."""
     size = _layered_sum(poset, bp.cap, 1)
     if size > KERNEL_SUPPORT_GUARD:
         raise GuardError(f"support size {size} exceeds {KERNEL_SUPPORT_GUARD}")
-    support = enumerate_extensions(poset, cap=bp.cap)
-    idx = {s: j for j, s in enumerate(support)}
-    m = len(support)
-    probs = np.zeros((m, m))
+    tab = band_support(poset, bp.cap, KERNEL_SUPPORT_GUARD)
     n = poset.n
-    if n == 1:
-        probs[0, 0] = 1.0
-        return KernelMatrix(support, probs)
-    coin2 = [(1, bp.pen)] if bp.pen == 1.0 else [(0, 1.0 - bp.pen), (1, bp.pen)]
-    from .bitrng import StepDraw
-
-    for s in support:
-        row = idx[s]
-        for i in range(1, n):
-            for c1, p1 in ((0, 0.5), (1, 0.5)):
-                for c2, p2 in coin2:
-                    nxt = chain_step(s, bp, StepDraw(i, c1, c2), poset)
-                    probs[row, idx[nxt]] += p1 * p2 / (n - 1)
-    return KernelMatrix(support, probs)
+    src, dst, prob = [], [], []
+    for i in range(1, n):
+        for c in (0, 1):
+            for k, j in tab.moves[2 * i + c].items():
+                src.append(k)
+                dst.append(j)
+                prob.append(0.5 * bp.pen / (n - 1) if c and k in tab.capped[i]
+                            else 0.5 / (n - 1))
+    return KernelMatrix(list(tab.states), np.array(src, dtype=np.intp),
+                        np.array(dst, dtype=np.intp), np.array(prob, dtype=float))
 
 
 def stationarity_gap(kernel: KernelMatrix, poset: Poset, bp: BetaParam) -> float:
-    """Max-norm of pi P - pi where pi is the normalized weight vector over the
-    kernel's support. The chain design is correct iff this is ~0 (<= 1e-10)."""
+    """Largest |inflow - outflow| of pi over the kernel's transitions, pi the
+    normalized weights over its support: the max-norm of pi P - pi. The chain
+    design is correct iff this is ~0 (<= 1e-10)."""
     w = np.array([weight(s, bp) for s in kernel.support])
     pi = w / w.sum()
-    return float(np.max(np.abs(pi @ kernel.probs - pi)))
+    flow = pi[kernel.src] * kernel.prob
+    net = np.bincount(kernel.dst, flow, len(pi)) - np.bincount(kernel.src, flow, len(pi))
+    return float(np.max(np.abs(net)))

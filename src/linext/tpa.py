@@ -118,14 +118,13 @@ def _interval_step(n: int, beta: float, stream: BitStream, stats: CftpStats) -> 
     """One draw of the interval family [0, beta] by the two-step scheme: a
     discrete index (the last cell is shortened to the fractional part of
     beta), then a fractional offset."""
-    cap = math.ceil(beta)
-    pen = 1.0 + beta - cap
+    bp = BetaParam(beta, n)
     x = math.ceil(stream.uniform_real() * beta)
-    if x > cap:
-        x = cap
+    if x > bp.cap:
+        x = bp.cap
     y = stream.uniform_real()
-    if x == cap:
-        y *= pen
+    if x == bp.cap:
+        y *= bp.pen
     return x - 1.0 + y
 
 

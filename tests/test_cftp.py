@@ -211,18 +211,47 @@ def _keyed_kernel(poset, bp):
     return list(tab.states), probs
 
 
-@pytest.mark.parametrize("builder", SMALL_POSET_BUILDERS)
+def _literal_kernel(poset, bp):
+    """Reference kernel: one chain_step on every (i, c1, c2), each weighted by
+    its probability, as a dense matrix over the support."""
+    support = enumerate_extensions(poset, cap=bp.cap)
+    idx = {s: j for j, s in enumerate(support)}
+    n = poset.n
+    probs = np.zeros((len(support), len(support)))
+    coin2 = [(1, bp.pen)] if bp.pen == 1.0 else [(0, 1.0 - bp.pen), (1, bp.pen)]
+    for s in support:
+        for i in range(1, n):
+            for c1, p1 in ((0, 0.5), (1, 0.5)):
+                for c2, p2 in coin2:
+                    nxt = chain_step(s, bp, StepDraw(i, c1, c2), poset)
+                    probs[idx[s], idx[nxt]] += p1 * p2 / (n - 1)
+    return support, probs
+
+
+@pytest.mark.parametrize("builder", SMALL_POSET_BUILDERS + [
+    lambda: chain_poset(2), lambda: chain_poset(4), lambda: grid_poset(2, 3)])
 def test_keyed_step_marginal_is_the_chain_kernel(builder):
+    # the sparse kernel is the literal step's marginal off the diagonal, its
+    # implied diagonal is the rest of the row, and the set step's marginal is
+    # the literal one as well
     poset = builder()
     n = poset.n
     for beta in (0.25, 0.5, 1.0, 1.3, 2.0, float(n)):
         if beta > n:
             continue
         bp = BetaParam(beta, n)
-        support, probs = _keyed_kernel(poset, bp)
+        support, probs = _literal_kernel(poset, bp)
         kernel = chain_kernel(poset, bp)
-        assert support == kernel.support
-        assert np.array_equal(probs, kernel.probs)
+        assert kernel.support == support
+        dense = np.zeros_like(probs)
+        dense[kernel.src, kernel.dst] = kernel.prob
+        off = ~np.eye(len(support), dtype=bool)
+        assert np.array_equal(dense[off], probs[off])
+        assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(1.0 - dense.sum(axis=1), probs.diagonal(), rtol=0, atol=1e-12)
+        keyed_support, keyed = _keyed_kernel(poset, bp)
+        assert keyed_support == support
+        assert np.array_equal(keyed, probs)
 
 
 @pytest.mark.parametrize("builder", SMALL_POSET_BUILDERS)
@@ -491,6 +520,16 @@ def test_support_tables_selected_by_extension_count():
         assert list(tab.states) == [s for s in full if max_displacement(s) <= cap]
     for poset in (antichain_poset(6), antichain_poset(8)):  # 720 and 40320 extensions
         assert all(cftp._support_tables(poset, cap) is None for cap in range(poset.n + 1))
+
+
+def test_caps_above_the_reach_share_one_table():
+    # no extension of the 3x4 grid moves an element more than 6 right, so
+    # caps 7..12 hold every extension and one set of tables serves them all
+    grid = grid_poset(3, 4)
+    tab = cftp._support_tables(grid, 7)
+    assert all(cftp._support_tables(grid, c) is tab for c in range(7, 13))
+    assert list(tab.states) == enumerate_extensions(grid)
+    assert cftp._support_tables(grid, 6) is not tab
 
 
 def test_support_limit_keeps_the_set_path_up_to_the_3x4_grid():

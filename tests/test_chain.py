@@ -29,6 +29,16 @@ def test_beta_param_fields():
     assert zero.cap == 0 and zero.pen == 1.0
 
 
+@pytest.mark.parametrize("beta, cap, pen", [(1e-17, 1, 1e-17),
+                                            (1.0000000000000002, 2, 2.0 ** -52)])
+def test_beta_param_pen_just_above_an_integer(beta, cap, pen):
+    # 1 + beta - cap rounds to 0.0 here; the pen is beta's exact excess over cap - 1
+    bp = BetaParam(beta, 3)
+    assert bp.cap == cap and bp.pen == pen
+    first = cap + 1  # at displacement cap in position 1
+    assert weight((first,) + tuple(v for v in (1, 2, 3) if v != first), bp) == pen
+
+
 def test_beta_param_range_checks():
     with pytest.raises(LinextError):
         BetaParam(-0.1, 4)

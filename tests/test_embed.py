@@ -9,10 +9,8 @@ from linext import (
     BetaParam,
     BitStream,
     LinextError,
-    ceil_perm,
     count_exact,
     distance,
-    in_family,
     lift,
     partition_z,
     weight,
@@ -20,6 +18,29 @@ from linext import (
 from linext.catalog import antichain_poset
 
 from conftest import SMALL_POSET_BUILDERS
+
+
+def ceil_perm(x):
+    """The permutation induced by coordinatewise ceilings; raises if the
+    ceilings do not form a permutation of 1..n."""
+    perm = tuple(math.ceil(v) for v in x)
+    if sorted(perm) != list(range(1, len(x) + 1)):
+        raise LinextError(f"ceilings {perm} are not a permutation of 1..{len(x)}")
+    return perm
+
+
+def in_family(x, beta, poset):
+    """Oracle for membership in the nested family at parameter beta:
+    coordinates in (0, n], ceilings form a linear extension, and distance at
+    most beta."""
+    n = poset.n
+    if len(x) != n or any(not 0.0 < v <= n for v in x):
+        return False
+    try:
+        perm = ceil_perm(x)
+    except LinextError:
+        return False
+    return poset.is_linear_extension(perm) and distance(x) <= beta
 
 
 def test_lift_intervals_by_hand(antichain2):

@@ -440,28 +440,37 @@ def test_integer_cap_counts_displacement_band():
 
 # -- chain kernel and stationarity ---------------------------------------------
 
+def _moves(kernel):
+    """The kernel's transitions as {(state, state): probability}."""
+    return {(kernel.support[k], kernel.support[j]): p
+            for k, j, p in zip(kernel.src, kernel.dst, kernel.prob)}
+
+
 def test_kernel_antichain2_transition(antichain2):
     bp = BetaParam(0.5, 2)
-    kernel = chain_kernel(antichain2, bp)
-    i12 = kernel.support.index((1, 2))
-    i21 = kernel.support.index((2, 1))
-    assert kernel.probs[i12, i21] == pytest.approx(0.25)
-    assert kernel.probs[i21, i12] == pytest.approx(0.5)
+    moves = _moves(chain_kernel(antichain2, bp))
+    assert moves == {((1, 2), (2, 1)): pytest.approx(0.25),
+                     ((2, 1), (1, 2)): pytest.approx(0.5)}
 
 
 def test_kernel_chain_is_identity():
     kernel = chain_kernel(chain_poset(3), BetaParam(1.3, 3))
-    assert kernel.probs.shape == (1, 1)
-    assert kernel.probs[0, 0] == pytest.approx(1.0)
+    assert kernel.support == [(1, 2, 3)]
+    assert len(kernel.src) == len(kernel.dst) == len(kernel.prob) == 0
 
 
 @pytest.mark.parametrize("builder", SMALL_POSET_BUILDERS)
 def test_kernel_rows_sum_to_one(builder):
+    # each transition leaves its state, appears once, and no state's moves
+    # take more than its whole row
     poset = builder()
     bp = BetaParam(min(1.3, poset.n), poset.n)
     kernel = chain_kernel(poset, bp)
-    assert np.allclose(kernel.probs.sum(axis=1), 1.0, atol=1e-12)
-    assert (kernel.probs >= 0).all()
+    assert (kernel.src != kernel.dst).all()
+    assert len(set(zip(kernel.src, kernel.dst))) == len(kernel.src)
+    assert (kernel.prob > 0).all()
+    out = np.bincount(kernel.src, kernel.prob, len(kernel.support))
+    assert (out <= 1.0 + 1e-12).all()
 
 
 def test_stationarity_antichain2_by_hand(antichain2):
@@ -484,6 +493,45 @@ def test_stationarity_chain_is_exact():
     bp = BetaParam(2.0, 5)
     poset = chain_poset(5)
     assert stationarity_gap(chain_kernel(poset, bp), poset, bp) == 0.0
+
+
+def test_stationarity_gap_sees_the_wrong_weights(pairs4):
+    # the kernel at beta = 1.3 is not stationary for the weights at 1.5,
+    # though both have cap 2 and so the same support
+    kernel = chain_kernel(pairs4, BetaParam(1.3, 4))
+    assert stationarity_gap(kernel, pairs4, BetaParam(1.5, 4)) > 1e-3
+
+
+# Linux starts a new program's ru_maxrss at the peak of the process that
+# started it, here the test runner, so the kernel runs in a fork of the child,
+# whose ru_maxrss starts afresh.
+_KERNEL_CHILD = """
+import os, resource, time
+from linext import BetaParam, chain_kernel, stationarity_gap
+from linext.catalog import antichain_poset
+if os.fork() == 0:
+    poset, bp = antichain_poset(9), BetaParam(1.3, 9)
+    t0 = time.perf_counter()
+    kernel = chain_kernel(poset, bp)
+    gap = stationarity_gap(kernel, poset, bp)
+    print(len(kernel.support), gap, time.perf_counter() - t0)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, flush=True)
+    os._exit(0)
+os.wait()
+"""
+
+
+def test_kernel_memory_follows_the_transitions():
+    # 4374 states at cap 2 on antichain(9): at most n - 1 transitions per
+    # state, where a dense matrix would take 153 MB
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _KERNEL_CHILD], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout.splitlines()
+    size, gap, seconds = out[0].split()
+    assert int(size) == 4374 and float(gap) <= 1e-10
+    assert float(seconds) < 1.0
+    assert int(out[1]) <= 100 * 1024  # ru_maxrss is in KiB
 
 
 def test_kernel_guard(monkeypatch):
