@@ -17,10 +17,10 @@ property-tested) as ``bounding_chain_step``.
 The second layer is the sampler, coupling from the past (Propp-Wilson), one
 loop in ``generate``: draw and record a block of steps; until a block's
 update map is certified constant, draw one twice as long further in the past,
-up to MAX_LEVELS blocks and MAX_STEPS steps in all; then replay the constant
-value through the recorded blocks, deepest first. A certificate is a forward
-function, which runs one block and returns its constant value or None, and a
-replay function, which runs one state through a block. Every state on both
+up to MAX_STEPS steps in all; then replay the constant value through the
+recorded blocks, deepest first. A certificate is a forward function, which
+runs one block and returns its constant value or None, and a replay function,
+which runs one state through a block. Every state on both
 paths takes the same Metropolis step as ``chain_step``, with a move coin c1
 that is fair given the state; only the way c1 is derived from the block's
 recorded bit, and the certificate that the block map is constant, differ.
@@ -43,10 +43,11 @@ recorded bit, and the certificate that the block map is constant, differ.
 
   The path is chosen by the order's extension count, the same at every cap.
   Each cap's support is kept with the keyed step as tables over support
-  indices (``exact.Support``, whose kernel ``chain-diag`` checks), so a step
-  on the set is a few set operations on ints, and the replay walks one
-  index. The probes counted are exactly the chain's: one per state whose
-  coin is up, whether or not its move goes through.
+  indices (``exact.Support``, whose kernel ``chain-diag`` checks) that hold
+  each gate bit's outcome, keyed by slot, coin and gate. A step on the set is
+  a few set operations on ints and the replay walks one index; neither
+  decides the gate. The probes counted are exactly the chain's: one per state
+  whose coin is up, whether or not its move goes through.
 
 Either way the returned permutation is an exact draw from the weighted
 distribution.
@@ -71,7 +72,6 @@ from .poset import Poset
 
 THETA = 0  # wildcard bound entry: no restriction at all
 
-MAX_LEVELS = 40  # most blocks drawn before a draw gives up
 MAX_STEPS = 10 ** 8  # most steps a draw's blocks may hold: 1 GB at the C kernel's 10 B per step
 SUPPORT_LIMIT = 500  # most extensions tracked as an explicit set; past it the bound is faster
 
@@ -236,50 +236,38 @@ def _draw_block(t: int, stream: BitStream, n: int, pen: float) -> list:
     return [pos, up, gate]
 
 
-def _set_step(states: set, tab: exact.Support, i: int, c: int, g: int) -> int:
-    """Apply one keyed step to a set of support indices in place; returns the
-    probes made, one per state whose keyed coin is up."""
-    down = len(states & tab.desc[i])
-    probes = len(states) - down if c else down
-    key = 2 * i + c
-    moves = tab.moves[key]
-    hit = moves.keys() & states
-    if hit:
-        if not g:
-            hit = hit - tab.capped[i]
-        states -= hit
-        states.update(map(moves.__getitem__, hit))
-    return probes
-
-
 def _walk(tab: exact.Support, s: int, pos: list, up: list, gate: list, start: int = 0) -> tuple[int, int]:
     """Run one support index through steps start.. of a recorded block, as
-    _set_step does; returns the final index and the probes made."""
-    desc = tab.desc
-    moves = tab.moves
-    capped = tab.capped
+    _set_forward runs the set; returns the final index and the probes made."""
+    _, desc, moves = tab
     probes = 0
     for k in range(start, len(pos)):
         i = pos[k]
         c = up[k]
         if (s in desc[i]) != c:  # the keyed coin is up
             probes += 1
-            key = 2 * i + c
-            landing = moves[key].get(s)
-            if landing is not None and (gate[k] or s not in capped[i]):
-                s = landing
+            s = moves[4 * i + 2 * c + gate[k]].get(s, s)
     return s, probes
 
 
 def _set_forward(tab: exact.Support, block: list) -> tuple[int | None, int]:
     """Run the whole support through a recorded block. Returns the index every
     state ends on if one state is left (the block is then constant), else None,
-    and the probes made."""
+    and the probes made, one per state whose keyed coin is up."""
     pos, up, gate = block
-    states = set(range(len(tab.states)))
+    support, desc, moves = tab
+    states = set(range(len(support)))
     probes = 0
     for k in range(len(pos)):
-        probes += _set_step(states, tab, pos[k], up[k], gate[k])
+        i = pos[k]
+        c = up[k]
+        down = len(states & desc[i])
+        probes += len(states) - down if c else down
+        step = moves[4 * i + 2 * c + gate[k]]
+        hit = step.keys() & states
+        if hit:
+            states -= hit
+            states.update(map(step.__getitem__, hit))
         if len(states) == 1:
             s, rest = _walk(tab, states.pop(), pos, up, gate, k + 1)
             return s, probes + rest
@@ -334,7 +322,7 @@ def generate(bp: BetaParam, t: int, stream: BitStream,
     Orders with at most SUPPORT_LIMIT extensions track the explicit support;
     all others run the bounding chain. Returns the sample together with its
     work accounting. Termination is probabilistic; rather than draw a block
-    past MAX_LEVELS blocks or MAX_STEPS steps, the call raises CoalescenceError.
+    past MAX_STEPS steps in all, the call raises CoalescenceError.
     """
     if t < 1:
         raise LinextError("horizon t must be at least 1")
@@ -354,7 +342,7 @@ def generate(bp: BetaParam, t: int, stream: BitStream,
     bits0 = stream.bits_consumed
     steps = comps = 0
     blocks = []
-    for _ in range(MAX_LEVELS):
+    while True:
         if steps + t > MAX_STEPS:
             raise CoalescenceError(f"no collapse in {steps} steps; {steps + t} pass {MAX_STEPS}")
         block = draw(t, stream, poset.n, bp.pen)
@@ -365,9 +353,6 @@ def generate(bp: BetaParam, t: int, stream: BitStream,
             break
         blocks.append(block)
         t *= 2
-    else:
-        raise CoalescenceError(
-            f"no collapse in {MAX_LEVELS} levels ({steps} steps); check the instance")
     for block in reversed(blocks):
         value, probes = replay(value, *block)
         steps += len(block[0])

@@ -18,4 +18,4 @@ class GuardError(LinextError):
 
 
 class CoalescenceError(LinextError):
-    """Coupling from the past drew MAX_LEVELS blocks without one coalescing."""
+    """Coupling from the past reached MAX_STEPS steps without a block coalescing."""

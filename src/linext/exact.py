@@ -2,6 +2,10 @@
 band, the exact weight normalizer, and a band's chain-step tables, which cftp's
 set sampler steps on and whose sparse kernel the stationarity check scores.
 
+The tables key a move by slot i, coin bit c and gate bit g as 4i + 2c + g and
+hold the outcome of ``chain._sigma_step_inplace`` for each gate bit, so no
+reader of them decides the gate.
+
 The count and the normalizer are one layered DP over order ideals, whose cost
 follows the width of the order, not n: it is guarded by the ideals per layer.
 Each layer is a set of numpy arrays: the ideals as rows of W = n // 64 + 1
@@ -219,27 +223,26 @@ def partition_z(poset: Poset, bp: BetaParam) -> float:
 class Support(NamedTuple):
     """The extensions with every displacement at most cap, indexed in
     enumeration order, with the keyed step as per-slot tables over those
-    indices: bit c = 1 moves an ascending pair, c = 0 a descending one. Only
-    descents and moves that go through are stored: O(n |support|) entries."""
+    indices: bit c = 1 moves an ascending pair, c = 0 a descending one, g is
+    the gate bit. Only descents and moves that go through are stored."""
 
     states: tuple  # the extensions with displacement at most cap
     desc: tuple  # desc[i]: the states whose pair at slots (i, i+1) descends
-    moves: tuple  # moves[2i + c]: {state: landing} for the keyed swaps that go through
-    capped: tuple  # capped[i]: the keys of moves[2i + 1] whose mover lands on the cap
+    moves: tuple  # moves[4i + 2c + g]: {state: landing} for the keyed swaps that go through
 
 
 def band_support(poset: Poset, cap: int, guard: int) -> Support:
     """The support with displacement at most cap and its step tables; raises
-    GuardError past guard states. A swap of an ascending pair is the chain's
-    own step: stored if it goes through with the gate up, capped if not with
-    it down. Its swap back moves the smaller value left and needs no gate."""
+    GuardError past guard states. An ascending pair takes the chain's own step
+    with the gate up, then down, until one does not move; its swap back moves
+    the smaller value left, never needs the gate, and both gate bits share it."""
     n = poset.n
     states = tuple(enumerate_extensions(poset, guard, cap))
     index = {s: k for k, s in enumerate(states)}
     above = poset.raw_masks
     desc = [set() for _ in range(n)]
-    moves = [{} for _ in range(2 * n)]
-    capped = [set() for _ in range(n)]
+    backs = [{} for _ in range(n)]  # the swaps back, shared by both gate bits
+    moves = [m for back in backs for m in (back, back, {}, {})]
     slots = range(1, n)
     for k, s in enumerate(states):
         for i, a, b in zip(slots, s, s[1:]):
@@ -250,14 +253,13 @@ def band_support(poset: Poset, cap: int, guard: int) -> Support:
             _sigma_step_inplace(sig, i, 1, 1, cap, above)
             if sig[i] != b:
                 j = index[tuple(sig)]
-                moves[2 * i + 1][k] = j
-                moves[2 * i][j] = k
+                moves[4 * i + 3][k] = j
+                moves[4 * i][j] = k
                 sig = list(s)
                 _sigma_step_inplace(sig, i, 1, 0, cap, above)
-                if sig[i] == b:
-                    capped[i].add(k)
-    return Support(states, tuple(map(frozenset, desc)), tuple(moves),
-                   tuple(map(frozenset, capped)))
+                if sig[i] != b:
+                    moves[4 * i + 2][k] = j
+    return Support(states, tuple(map(frozenset, desc)), tuple(moves))
 
 
 @dataclass
@@ -272,10 +274,10 @@ class KernelMatrix:
 
 
 def chain_kernel(poset: Poset, bp: BetaParam) -> KernelMatrix:
-    """The chain's transitions, read off the band's step tables: a swap has
-    probability 0.5 / (n - 1), times pen when an ascending pair's mover lands
-    on the cap. A support of more than KERNEL_SUPPORT_GUARD states, counted by
-    the ideal DP at bp.cap, is refused before any extension is enumerated."""
+    """The chain's transitions, read off the band's gate-up maps: a swap has
+    probability 0.5 / (n - 1), times pen when the gate-down map lacks it. A
+    support of more than KERNEL_SUPPORT_GUARD states, counted by the ideal DP
+    at bp.cap, is refused before any extension is enumerated."""
     size = _layered_sum(poset, bp.cap, 1)
     if size > KERNEL_SUPPORT_GUARD:
         raise GuardError(f"support size {size} exceeds {KERNEL_SUPPORT_GUARD}")
@@ -284,11 +286,11 @@ def chain_kernel(poset: Poset, bp: BetaParam) -> KernelMatrix:
     src, dst, prob = [], [], []
     for i in range(1, n):
         for c in (0, 1):
-            for k, j in tab.moves[2 * i + c].items():
+            gate_down = tab.moves[4 * i + 2 * c]
+            for k, j in tab.moves[4 * i + 2 * c + 1].items():
                 src.append(k)
                 dst.append(j)
-                prob.append(0.5 * bp.pen / (n - 1) if c and k in tab.capped[i]
-                            else 0.5 / (n - 1))
+                prob.append(0.5 / (n - 1) if k in gate_down else 0.5 * bp.pen / (n - 1))
     return KernelMatrix(list(tab.states), np.array(src, dtype=np.intp),
                         np.array(dst, dtype=np.intp), np.array(prob, dtype=float))
 

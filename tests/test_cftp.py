@@ -187,11 +187,8 @@ def _keyed_step(sigma, i, c, c2, bp, poset):
 
 def _table_step(tab, k, i, c, c2):
     """The set path's step on one support index, through the cached tables:
-    the set step on {k} and the one-step replay walk must agree."""
-    states = {k}
-    probes = cftp._set_step(states, tab, i, c, c2)
-    assert cftp._walk(tab, k, [i], [c], [c2]) == (*states, probes)
-    return states.pop(), probes
+    the one-step replay walk."""
+    return cftp._walk(tab, k, [i], [c], [c2])
 
 
 def _keyed_kernel(poset, bp):
@@ -276,8 +273,8 @@ def test_table_step_is_the_keyed_step(builder):
 
 def test_tables_store_only_descents_and_moves():
     # a 300-chain plus one free element: 301 extensions, each with at most two
-    # incomparable adjacent pairs, so the tables stay near 2 |support| entries
-    # rather than (n - 1) |support|
+    # incomparable adjacent pairs, so the tables stay near 3 |support| entries
+    # (a move with each gate bit and its swap back) rather than (n - 1) |support|
     n = 301
     poset = canonicalize(close_transitively([(k, k + 1) for k in range(1, n - 1)], n))[0]
     tab = cftp._support_tables(poset, n)
@@ -285,9 +282,14 @@ def test_tables_store_only_descents_and_moves():
     free = sum(1 for s in tab.states for i in range(1, n)
                if not poset.less(s[i - 1], s[i]) and not poset.less(s[i], s[i - 1]))
     assert free == 2 * (n - 1)
-    assert sum(map(len, tab.moves)) <= free
+    distinct = {id(m): m for m in tab.moves}.values()
+    assert sum(map(len, distinct)) <= 1.5 * free
     assert sum(map(len, tab.desc)) <= free
-    assert all(tab.capped[i] <= tab.moves[2 * i + 1].keys() for i in range(1, n))
+    for i in range(1, n):
+        assert tab.moves[4 * i] is tab.moves[4 * i + 1]  # a swap back needs no gate
+        for c in (0, 1):
+            up, down = tab.moves[4 * i + 2 * c + 1], tab.moves[4 * i + 2 * c]
+            assert down.items() <= up.items()  # closing the gate only removes moves
 
 
 def test_keyed_step_merges_twin_states(antichain4):
@@ -534,7 +536,9 @@ def test_caps_above_the_reach_share_one_table():
 
 def test_support_limit_keeps_the_set_path_up_to_the_3x4_grid():
     # Per TPA run the set path beats the bound on the 3x4 grid (462 extensions)
-    # and loses to it on antichain(6) (720) and every larger order measured
+    # and loses to it on antichain(6) (720) and every larger order measured;
+    # it also loses on some smaller orders, such as antichain(5) (120), which
+    # the extension count still sends to it
     assert cftp._support_tables(grid_poset(3, 4), 12) is not None
     assert cftp._support_tables(antichain_poset(6), 6) is None
 
@@ -554,15 +558,6 @@ def test_generate_rejects_uncanonical_poset():
     poset = close_transitively([(2, 1)], 2)  # not canonicalized
     with pytest.raises(LinextError):
         generate(BetaParam(1.0, 2), 4, BitStream(1), poset)
-
-
-def test_generate_level_cap(monkeypatch):
-    poset = antichain_poset(4)
-    monkeypatch.setattr(cftp, "MAX_LEVELS", 1)
-    for kernel in _block_paths():
-        monkeypatch.setattr(cftp, "_kernel", kernel)
-        with pytest.raises(CoalescenceError):
-            generate(BetaParam(4.0, 4), 1, BitStream(1), poset)
 
 
 def test_generate_step_ceiling(monkeypatch):
