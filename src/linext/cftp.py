@@ -44,10 +44,10 @@ recorded bit, and the certificate that the block map is constant, differ.
   The path is chosen by the order's extension count, the same at every cap.
   Each cap's support is kept with the keyed step as tables over support
   indices (``exact.Support``, whose kernel ``chain-diag`` checks) that hold
-  each gate bit's outcome, keyed by slot, coin and gate. A step on the set is
-  a few set operations on ints and the replay walks one index; neither
-  decides the gate. The probes counted are exactly the chain's: one per state
-  whose coin is up, whether or not its move goes through.
+  each gate bit's outcome, keyed by slot, coin and gate; a state descends at
+  a slot iff it is a key of the slot's swap back. A step on the set is set
+  operations on ints and the replay walks one index; neither decides the
+  gate. The probes counted are the chain's, one per state whose coin is up.
 
 Either way the returned permutation is an exact draw from the weighted
 distribution.
@@ -60,6 +60,7 @@ Drawing a block and the bounding chain's forward and replay also run in C
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Sequence
@@ -72,8 +73,8 @@ from .poset import Poset
 
 THETA = 0  # wildcard bound entry: no restriction at all
 
-MAX_STEPS = 10 ** 8  # most steps a draw's blocks may hold: 1 GB at the C kernel's 10 B per step
-SUPPORT_LIMIT = 500  # most extensions tracked as an explicit set; past it the bound is faster
+MAX_STEPS = 10 ** 8  # most steps a draw's blocks may hold: about 1 GB at 10 B per step
+SUPPORT_LIMIT = 500  # most extensions tracked as an explicit set: the crossover measured on grids
 
 _kernel = native.build()  # the C block loops, or None to run the Python ones
 
@@ -219,15 +220,15 @@ def _support_tables(poset: Poset, cap: int) -> exact.Support | None:
 
 
 def _draw_block(t: int, stream: BitStream, n: int, pen: float) -> list:
-    """A block's randomness as the lists [pos, up, gate]: per step the slot
+    """A block's randomness as arrays [pos, up, gate], 4 + 1 + 1 B per step:
     i = uniform_int(n - 1), one bit, and the gate bernoulli(pen), 1 if pen = 1."""
     uniform_int = stream.uniform_int
     next_bit = stream.next_bit
     bernoulli = stream.bernoulli
     m = n - 1
-    pos = [0] * t
-    up = [0] * t
-    gate = [1] * t
+    pos = array("i", [0]) * t
+    up = bytearray(t)
+    gate = bytearray([1]) * t
     for k in range(t):
         pos[k] = uniform_int(m)
         up[k] = next_bit()
@@ -239,12 +240,12 @@ def _draw_block(t: int, stream: BitStream, n: int, pen: float) -> list:
 def _walk(tab: exact.Support, s: int, pos: list, up: list, gate: list, start: int = 0) -> tuple[int, int]:
     """Run one support index through steps start.. of a recorded block, as
     _set_forward runs the set; returns the final index and the probes made."""
-    _, desc, moves = tab
+    moves = tab.moves
     probes = 0
     for k in range(start, len(pos)):
         i = pos[k]
         c = up[k]
-        if (s in desc[i]) != c:  # the keyed coin is up
+        if (s in moves[4 * i]) != c:  # the keyed coin is up: s descends at i iff it swaps back
             probes += 1
             s = moves[4 * i + 2 * c + gate[k]].get(s, s)
     return s, probes
@@ -255,16 +256,15 @@ def _set_forward(tab: exact.Support, block: list) -> tuple[int | None, int]:
     state ends on if one state is left (the block is then constant), else None,
     and the probes made, one per state whose keyed coin is up."""
     pos, up, gate = block
-    support, desc, moves = tab
+    support, moves = tab
     states = set(range(len(support)))
     probes = 0
     for k in range(len(pos)):
         i = pos[k]
         c = up[k]
-        down = len(states & desc[i])
-        probes += len(states) - down if c else down
         step = moves[4 * i + 2 * c + gate[k]]
         hit = step.keys() & states
+        probes += len(states) - len(moves[4 * i].keys() & states) if c else len(hit)
         if hit:
             states -= hit
             states.update(map(step.__getitem__, hit))
@@ -282,7 +282,7 @@ def _bound_forward(poset: Poset, bp: BetaParam, block: list) -> tuple[list | Non
     pos, up, gate = block
     cap = bp.cap
     above = poset.raw_masks
-    right = [0] * len(pos)
+    right = array("i", [0]) * len(pos)
     bnd = list(initial_bound(poset.n))
     placed = 1
     probes = 0

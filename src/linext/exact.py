@@ -4,7 +4,7 @@ set sampler steps on and whose sparse kernel the stationarity check scores.
 
 The tables key a move by slot i, coin bit c and gate bit g as 4i + 2c + g and
 hold the outcome of ``chain._sigma_step_inplace`` for each gate bit, so no
-reader of them decides the gate.
+reader of them decides the gate; they hold nothing else.
 
 The count and the normalizer are one layered DP over order ideals, whose cost
 follows the width of the order, not n: it is guarded by the ideals per layer.
@@ -185,9 +185,9 @@ def enumerate_extensions(poset: Poset, guard: int = ENUMERATION_GUARD,
     Raises GuardError as soon as more than guard of them are found, so the
     check costs O(guard * n). The search keeps its own stack, so any n works."""
     n = poset.n
-    cap = n if cap is None else cap
+    band = n if cap is None else cap
     below = [poset.below_mask(e) for e in range(n + 1)]
-    window = [(2 << min(q + cap, n)) - 1 for q in range(n + 2)]  # values <= q + cap
+    window = [(2 << min(q + band, n)) - 1 for q in range(n + 2)]  # values <= q + band
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
     remaining = ((1 << (n + 1)) - 1) & ~1
@@ -195,7 +195,8 @@ def enumerate_extensions(poset: Poset, guard: int = ENUMERATION_GUARD,
     while untried:
         if not remaining:
             if len(out) == guard:
-                raise GuardError(f"L(P) exceeds enumeration guard {guard}")
+                raise GuardError(f"L(P) exceeds enumeration guard {guard}" if cap is None else
+                                 f"more than {guard} extensions lie within displacement {cap}")
             out.append(tuple(prefix))
         rest = untried[-1]
         while rest:
@@ -224,30 +225,28 @@ class Support(NamedTuple):
     """The extensions with every displacement at most cap, indexed in
     enumeration order, with the keyed step as per-slot tables over those
     indices: bit c = 1 moves an ascending pair, c = 0 a descending one, g is
-    the gate bit. Only descents and moves that go through are stored."""
+    the gate bit. Only moves that go through are stored, and as every
+    descending pair swaps back, the keys of moves[4i] are the descents at i."""
 
     states: tuple  # the extensions with displacement at most cap
-    desc: tuple  # desc[i]: the states whose pair at slots (i, i+1) descends
     moves: tuple  # moves[4i + 2c + g]: {state: landing} for the keyed swaps that go through
 
 
 def band_support(poset: Poset, cap: int, guard: int) -> Support:
     """The support with displacement at most cap and its step tables; raises
     GuardError past guard states. An ascending pair takes the chain's own step
-    with the gate up, then down, until one does not move; its swap back moves
-    the smaller value left, never needs the gate, and both gate bits share it."""
+    with the gate up, then down, until one does not move. Its swap back leaves
+    the larger value below the cap, so both gate bits share it, and every
+    state that descends at slot i is a key of that map."""
     n = poset.n
     states = tuple(enumerate_extensions(poset, guard, cap))
     index = {s: k for k, s in enumerate(states)}
     above = poset.raw_masks
-    desc = [set() for _ in range(n)]
     backs = [{} for _ in range(n)]  # the swaps back, shared by both gate bits
     moves = [m for back in backs for m in (back, back, {}, {})]
-    slots = range(1, n)
     for k, s in enumerate(states):
-        for i, a, b in zip(slots, s, s[1:]):
-            if a > b:  # never ordered in a canonical extension
-                desc[i].add(k)
+        for i, a, b in zip(range(1, n), s, s[1:]):
+            if a > b:  # stored from its ascending twin
                 continue
             sig = list(s)
             _sigma_step_inplace(sig, i, 1, 1, cap, above)
@@ -259,7 +258,7 @@ def band_support(poset: Poset, cap: int, guard: int) -> Support:
                 _sigma_step_inplace(sig, i, 1, 0, cap, above)
                 if sig[i] != b:
                     moves[4 * i + 2][k] = j
-    return Support(states, tuple(map(frozenset, desc)), tuple(moves))
+    return Support(states, tuple(moves))
 
 
 @dataclass

@@ -6,7 +6,9 @@ import math
 import os
 import random
 import shutil
+import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,6 +46,7 @@ from linext.catalog import (
     zigzag_poset,
 )
 from linext.chain import _sigma_step_inplace
+from linext.exact import band_support
 
 from conftest import SMALL_POSET_BUILDERS, max_displacement
 
@@ -271,6 +274,23 @@ def test_table_step_is_the_keyed_step(builder):
                         assert (tab.states[nxt], probes) == _keyed_step(s, i, c, c2, bp, poset)
 
 
+def _check_swap_back_keys(tab, n):
+    """The states whose pair at slot i descends are exactly the keys of the
+    swap-back map, which both gate bits share: the set path reads its
+    descents off those keys."""
+    for i in range(1, n):
+        assert set(tab.moves[4 * i]) == {k for k, s in enumerate(tab.states) if s[i - 1] > s[i]}
+        assert tab.moves[4 * i] is tab.moves[4 * i + 1]  # a swap back needs no gate
+
+
+@pytest.mark.parametrize("builder", SMALL_POSET_BUILDERS + [
+    lambda: grid_poset(2, 3), lambda: grid_poset(3, 4)])
+def test_swap_back_keys_are_the_descents(builder):
+    poset = builder()
+    for cap in range(poset.n + 1):
+        _check_swap_back_keys(band_support(poset, cap, cftp.SUPPORT_LIMIT), poset.n)
+
+
 def test_tables_store_only_descents_and_moves():
     # a 300-chain plus one free element: 301 extensions, each with at most two
     # incomparable adjacent pairs, so the tables stay near 3 |support| entries
@@ -284,9 +304,8 @@ def test_tables_store_only_descents_and_moves():
     assert free == 2 * (n - 1)
     distinct = {id(m): m for m in tab.moves}.values()
     assert sum(map(len, distinct)) <= 1.5 * free
-    assert sum(map(len, tab.desc)) <= free
+    _check_swap_back_keys(tab, n)
     for i in range(1, n):
-        assert tab.moves[4 * i] is tab.moves[4 * i + 1]  # a swap back needs no gate
         for c in (0, 1):
             up, down = tab.moves[4 * i + 2 * c + 1], tab.moves[4 * i + 2 * c]
             assert down.items() <= up.items()  # closing the gate only removes moves
@@ -572,6 +591,22 @@ def test_generate_step_ceiling(monkeypatch):
                 generate(BetaParam(float(poset.n), poset.n), 2, stream, poset)
 
 
+def test_python_block_is_compact():
+    # the Python loops keep a block as arrays, 6 B per step (24 MB as lists
+    # for this block), so MAX_STEPS bounds a draw's memory with or without
+    # the C kernel; a stream of builtins that allocate nothing keeps the
+    # traced loop fast and leaves only the block to measure
+    stream = SimpleNamespace(uniform_int=abs, next_bit=int, bernoulli=bool)
+    tracemalloc.start()
+    try:
+        block = cftp._draw_block(10 ** 6, stream, 8, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(block[0]) == 10 ** 6
+    assert peak <= 11 * 10 ** 6
+
+
 def test_step_budget_small():
     n = 8
     poset = antichain_poset(n)
@@ -618,11 +653,11 @@ def test_kernel_blocks_match_the_python_loops():
                         stream.next_bit()
                 block = cftp._draw_block(t, ref, n, bp.pen)
                 arrays = kernel.draw_block(t, nat, n, bp.pen)
-                assert [list(a) for a in arrays] == block
+                assert [list(a) for a in arrays] == [list(a) for a in block]
                 assert _stream_state(nat) == _stream_state(ref)
                 value, probes = cftp._bound_forward(poset, bp, block)
                 nvalue, nprobes = kernel.bound_forward(poset, bp, arrays)
-                assert list(arrays[3]) == block[3]
+                assert list(arrays[3]) == list(block[3])
                 assert (None if nvalue is None else list(nvalue), nprobes) == (value, probes)
                 for start in [list(range(1, n + 1))] + ([value] if value else []):
                     sig = (ctypes.c_int32 * n)(*start)

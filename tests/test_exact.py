@@ -344,8 +344,11 @@ def test_enumerate_two_pairs_matches_brute_force(pairs4):
 
 
 def test_enumeration_guard():
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError, match=r"L\(P\) exceeds enumeration guard 1000"):
         enumerate_extensions(antichain_poset(8), guard=1000)
+    # with a cap the guard counts the band, not L(P): 2^7 extensions within 1
+    with pytest.raises(GuardError, match="more than 100 extensions lie within displacement 1"):
+        enumerate_extensions(antichain_poset(8), guard=100, cap=1)
 
 
 def test_enumeration_guard_stops_the_search_early():
