@@ -52,10 +52,11 @@ recorded bit, and the certificate that the block map is constant, differ.
 Either way the returned permutation is an exact draw from the weighted
 distribution.
 
-Drawing a block and the bounding chain's forward and replay also run in C
+Drawing a block and both certificates' forward and replay also run in C
 (``native``) when the kernel was built at import; ``_draw_block``,
-``_bound_forward`` and ``_bound_replay`` are then its reference and, when
-``_kernel`` is None, the loops that run. Both read the same bits.
+``_bound_forward``, ``_bound_replay``, ``_set_forward`` and ``_walk`` are then
+its reference and, when ``_kernel`` is None, the loops that run. Both read the
+same bits and the same support tables.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from .poset import Poset
 THETA = 0  # wildcard bound entry: no restriction at all
 
 MAX_STEPS = 10 ** 8  # most steps a draw's blocks may hold: about 1 GB at 10 B per step
-SUPPORT_LIMIT = 500  # most extensions tracked as an explicit set: the crossover measured on grids
+SUPPORT_LIMIT = 500  # most extensions tracked as an explicit set; another limit changes draws
 
 _kernel = native.build()  # the C block loops, or None to run the Python ones
 
@@ -256,8 +257,8 @@ def _set_forward(tab: exact.Support, block: list) -> tuple[int | None, int]:
     state ends on if one state is left (the block is then constant), else None,
     and the probes made, one per state whose keyed coin is up."""
     pos, up, gate = block
-    support, moves = tab
-    states = set(range(len(support)))
+    moves = tab.moves
+    states = set(range(len(tab.states)))
     probes = 0
     for k in range(len(pos)):
         i = pos[k]
@@ -337,8 +338,8 @@ def generate(bp: BetaParam, t: int, stream: BitStream,
     elif len(tab.states) == 1:
         return tab.states[0], CftpStats()
     else:
-        forward = partial(_set_forward, tab)
-        replay = partial(_walk, tab)
+        forward = partial(_set_forward if kernel is None else kernel.set_forward, tab)
+        replay = partial(_walk if kernel is None else kernel.set_walk, tab)
     bits0 = stream.bits_consumed
     steps = comps = 0
     blocks = []

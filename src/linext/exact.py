@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -221,12 +220,14 @@ def partition_z(poset: Poset, bp: BetaParam) -> float:
     return float(_layered_sum(poset, bp.cap, bp.pen if bp.pen < 1.0 else 1))
 
 
-class Support(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class Support:
     """The extensions with every displacement at most cap, indexed in
     enumeration order, with the keyed step as per-slot tables over those
     indices: bit c = 1 moves an ascending pair, c = 0 a descending one, g is
     the gate bit. Only moves that go through are stored, and as every
-    descending pair swaps back, the keys of moves[4i] are the descents at i."""
+    descending pair swaps back, the keys of moves[4i] are the descents at i.
+    Equal and hashed by identity, so packed forms can be cached per support."""
 
     states: tuple  # the extensions with displacement at most cap
     moves: tuple  # moves[4i + 2c + g]: {state: landing} for the keyed swaps that go through

@@ -1,4 +1,4 @@
-"""The C kernel for bounding-chain CFTP blocks: built once, opened at import.
+"""The C kernel for CFTP blocks: built once, opened at import.
 
 ``build`` compiles ``_kernel.c`` with the system C compiler into the package's
 ``__pycache__``, under a name keyed by the sha256 of the source, and returns a
@@ -8,10 +8,13 @@ file, or one built on another machine), and callers then run the Python loops.
 A cached kernel costs a hash, a stat and opening the object, well under 1 ms.
 
 A Kernel's methods take and return what ``cftp._draw_block``,
-``cftp._bound_forward`` and ``cftp._bound_replay`` do, with the block kept in
-ctypes arrays. The bits still come only from the stream's own words, through
-``BitStream.draw_steps``, so draws, counters and the generator state match the
-Python loops exactly.
+``cftp._bound_forward``, ``cftp._bound_replay``, ``cftp._set_forward`` and
+``cftp._walk`` do, with the block kept in ctypes arrays. The bits still come
+only from the stream's own words, through ``BitStream.draw_steps``, so draws,
+counters and the generator state match the Python loops exactly. An explicit
+support's tables are packed from its dicts once per support (``_tables``), in
+int32 linear in the dicts' entries and the states; each call allocates its own
+scratch, so calls may run in parallel threads.
 """
 
 from __future__ import annotations
@@ -19,13 +22,16 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+from array import array
 from ctypes import POINTER, byref, c_char_p, c_double, c_int32, c_int64, c_uint8, c_uint64
 from functools import lru_cache
+from itertools import accumulate, chain
 from pathlib import Path
 
 from .bitrng import BitStream
 from .chain import BetaParam
 from .errors import LinextError
+from .exact import Support
 from .poset import Poset
 
 SOURCE = Path(__file__).with_name("_kernel.c")
@@ -70,9 +76,30 @@ def _rows(poset: Poset) -> tuple:
     return (c_uint64 * len(words))(*words), w
 
 
+@lru_cache(maxsize=128)
+def _tables(tab: Support) -> tuple:
+    """The support's moves for set_run as int32 arrays off and ent: state s
+    has rows off[s]..off[s+1]-1 of ent, in slot order, one (2 i + d, land0,
+    land1) per slot i where it descends (d = 1) or moves up with the gate bit
+    up (d = 0); land_g is where it goes with gate bit g, a descent's swap back
+    under both."""
+    moves = tab.moves
+    rows = [[] for _ in tab.states]
+    for i in range(1, len(moves) // 4):
+        for s, j in moves[4 * i].items():
+            rows[s] += (2 * i + 1, j, j)
+        down = moves[4 * i + 2]
+        for s, j in moves[4 * i + 3].items():
+            rows[s] += (2 * i, down.get(s, s), j)
+    off = array("i", accumulate((len(r) // 3 for r in rows), initial=0))
+    ent = array("i", chain.from_iterable(rows))
+    return (c_int32 * len(off)).from_buffer(off), (c_int32 * len(ent)).from_buffer(ent)
+
+
 class Kernel:
-    """The block functions of the shared object at path; opening it raises
-    OSError when the file is not a loadable object."""
+    """The block functions of the shared object at path, for the bounding
+    chain and the explicit support; opening it raises OSError when the file
+    is not a loadable object."""
 
     def __init__(self, path: str):
         self.path = path
@@ -84,7 +111,9 @@ class Kernel:
                                       i32, u8, u8, i32, i32, i64)
         lib.bound_replay.argtypes = (c_int64, POINTER(c_uint64), c_int64, c_int64,
                                      i32, u8, u8, i32, i32)
-        for f in (lib.draw_block, lib.bound_forward, lib.bound_replay):
+        lib.set_run.argtypes = (c_int64, i32, i32, c_int64, i32, u8, u8, c_int64, c_int64,
+                                i32, i32, i64)
+        for f in (lib.draw_block, lib.bound_forward, lib.bound_replay, lib.set_run):
             f.restype = c_int64
 
     def draw_block(self, t: int, stream: BitStream, n: int, pen: float) -> list:
@@ -120,3 +149,27 @@ class Kernel:
             raise LinextError("state or block arrays do not fit the order and the block")
         rows, w = _rows(poset)
         return sig, self._lib.bound_replay(bp.cap, rows, w, len(pos), pos, up, gate, right, sig)
+
+    def set_forward(self, tab: Support, block: list) -> tuple:
+        """As cftp._set_forward."""
+        s, probes = self._set_run(tab, -1, *block, 0)
+        return (None if s < 0 else s), probes
+
+    def set_walk(self, tab: Support, s: int, pos, up, gate, start: int = 0) -> tuple:
+        """As cftp._walk, from a step start >= 0."""
+        if not 0 <= s < len(tab.states) or start < 0:
+            raise LinextError(f"no support index {s} to walk from step {start}")
+        return self._set_run(tab, s, pos, up, gate, start)
+
+    def _set_run(self, tab: Support, s: int, pos, up, gate, start: int) -> tuple:
+        """set_run on the packed tables; a run of the whole support (s < 0)
+        gets scratch arrays of its own."""
+        t, size = len(pos), len(tab.states)
+        if not len(up) == len(gate) == t:
+            raise LinextError("block arrays differ in length")
+        off, ent = _tables(tab)
+        live, stamp = ((c_int32 * size)(), (c_int32 * size)()) if s < 0 else (None, None)
+        probes = c_int64()
+        s = self._lib.set_run(size, off, ent, t, pos, up, gate, s, start, live, stamp,
+                              byref(probes))
+        return s, probes.value

@@ -6,6 +6,8 @@ import math
 import os
 import random
 import shutil
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
@@ -533,7 +535,8 @@ def test_support_tables_selected_by_extension_count():
     # The set path is chosen by the order's extension count, the same at every
     # cap, not by the support at the draw's cap: chosen per cap, TPA runs on
     # antichain(6) (720 extensions, 2^5 at cap 1) took 5.2-5.8 ms each against
-    # 1.5-2.0 ms on the bound alone (medians of 7 batches of 20 runs, 2-core x86)
+    # 1.5-2.0 ms on the bound alone (medians of 7 batches of 20 runs, 2-core x86,
+    # with the set path stepped in Python)
     grid = grid_poset(3, 4)  # 462 extensions
     full = enumerate_extensions(grid)
     for cap in range(grid.n + 1):
@@ -554,10 +557,9 @@ def test_caps_above_the_reach_share_one_table():
 
 
 def test_support_limit_keeps_the_set_path_up_to_the_3x4_grid():
-    # Per TPA run the set path beats the bound on the 3x4 grid (462 extensions)
-    # and loses to it on antichain(6) (720) and every larger order measured;
-    # it also loses on some smaller orders, such as antichain(5) (120), which
-    # the extension count still sends to it
+    # The limit of 500 extensions sends the 3x4 grid (462) to the set path and
+    # antichain(6) (720) to the bound; with both certificates in C the set path
+    # is the faster on both, but moving the limit changes their draws
     assert cftp._support_tables(grid_poset(3, 4), 12) is not None
     assert cftp._support_tables(antichain_poset(6), 6) is None
 
@@ -668,6 +670,85 @@ def test_kernel_blocks_match_the_python_loops():
         kernel.bound_replay(poset, bp, (ctypes.c_int32 * (n + 1))(), *arrays)
 
 
+@pytest.mark.skipif(cftp._kernel is None, reason="no C kernel was built")
+def test_kernel_set_blocks_match_the_python_loops():
+    # Every order with a support x cap x horizon, on a kernel-drawn block with
+    # both gate bits: the set forward gives the Python value and probes, and
+    # the walk agrees from every state, at the block's start and mid-block.
+    kernel = cftp._kernel
+    case = 0
+    for poset in [antichain_poset(2), antichain_poset(3), antichain_poset(4),
+                  antichain_poset(5), two_pairs_poset(), zigzag_poset(), grid_poset(2, 3),
+                  grid_poset(3, 4)]:
+        n = poset.n
+        for cap in range(n + 1):
+            bp = BetaParam(max(cap - 0.3, 0.0), n)
+            tab = cftp._support_tables(poset, cap)
+            for t in (1, 255, 256, 257, 2 * n * n):
+                case += 1
+                block = kernel.draw_block(t, BitStream(case, "set"), n, bp.pen)
+                assert kernel.set_forward(tab, block) == cftp._set_forward(tab, block)
+                for s in range(len(tab.states)):
+                    for start in (0, s * 37 % (t + 1)):
+                        assert (kernel.set_walk(tab, s, *block, start=start)
+                                == cftp._walk(tab, s, *block, start))
+    pos, up, gate = block
+    with pytest.raises(LinextError):  # arrays of unequal length
+        kernel.set_forward(tab, [pos, up, (ctypes.c_uint8 * (len(gate) - 1))()])
+    for s, start in ((-1, 0), (len(tab.states), 0), (0, -1)):
+        with pytest.raises(LinextError):  # no such state, or no such step
+            kernel.set_walk(tab, s, pos, up, gate, start)
+
+
+def test_packed_set_tables_stay_linear_in_the_moves():
+    # A chain plus one free element at n = 120: a row of every landing per
+    # slot, coin and gate would take 4 n int32 per state, 230 KB at the top
+    # cap, where the packed tables keep to 12 B per stored move and 4 B per
+    # state, and are packed once per support.
+    n = 120
+    poset = canonicalize(close_transitively([(k, k + 1) for k in range(1, n - 1)], n))[0]
+    for cap in (1, 2, n // 2, n):
+        tab = cftp._support_tables(poset, cap)
+        entries = sum(map(len, {id(m): m for m in tab.moves}.values()))
+        packed = native._tables(tab)
+        assert native._tables(tab) is packed
+        assert sum(map(ctypes.sizeof, packed)) <= 12 * (entries + len(tab.states) + 1)
+
+
+def test_threads_sharing_a_poset_draw_as_they_do_alone():
+    # Threads on one order, each on its own stream, at a cap where the set
+    # path runs in the kernel (which releases the interpreter lock) or in
+    # Python: each gets the draws and accounting it gets alone, so no call's
+    # scratch is another's.
+    grid = grid_poset(3, 4)
+    bp = BetaParam(8.7, grid.n)
+    assert cftp._support_tables(grid, bp.cap) is not None
+
+    def draws(j):
+        stream = BitStream(j, "threads")
+        return [(s, st.as_dict()) for s, st in (perfect_sample(bp, stream, grid)
+                                                 for _ in range(150))]
+
+    alone = [draws(j) for j in range(2)]
+    got = [None, None]
+
+    def run(j):
+        got[j] = draws(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(j,)) for j in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == alone
+
+
 def test_kernel_loads_when_a_compiler_is_present(tmp_path):
     # The fallback must not hide a broken build: with a compiler on the path
     # the package's kernel exists, a build is cached per source and opens.
@@ -677,7 +758,7 @@ def test_kernel_loads_when_a_compiler_is_present(tmp_path):
     kernel = native.build(cache=tmp_path)
     assert kernel is not None
     assert native.build(cache=tmp_path, cc=str(tmp_path / "no-cc")).path == kernel.path
-    assert kernel._lib.draw_block is not None
+    assert kernel._lib.draw_block is not None and kernel._lib.set_run is not None
 
 
 def test_kernel_build_failures_fall_back(tmp_path, capfd, monkeypatch):
