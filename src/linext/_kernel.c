@@ -4,9 +4,9 @@
    bernoulli do, reading bits least significant first from a little-endian
    byte buffer. bound_forward and bound_replay are _bound_forward and
    _bound_replay. The order is given as rows of w 64-bit words: bit b of row a
-   is set iff a precedes b. set_run is _set_forward and _walk on an explicit
-   support packed as native._tables packs it. Values, positions and slots are
-   1-based as in Python; arrays and support indices are 0-based. */
+   is set iff a precedes b. set_run and set_step are _set_run and _set_step,
+   on the off and ent rows of an exact.Support. Values, positions and slots
+   are 1-based as in Python; arrays and support indices are 0-based. */
 
 #include <stdint.h>
 
@@ -141,11 +141,11 @@ int64_t bound_replay(int64_t cap, const uint64_t *rows, int64_t w, int64_t t,
     return comps;
 }
 
-/* The keyed step of support index s at (i, c, g), as cftp._walk takes it:
-   entries off[s]..off[s+1]-1 of ent hold one row (2 slot + d, land0, land1)
-   per slot where s moves or descends (d = 1), sorted by slot; a descent swaps
-   back under either gate bit. The coin is up iff d != c, and then *probes
-   counts one and s moves if it has a row. */
+/* The keyed step of support index s at (i, c, g): entries off[s]..off[s+1]-1
+   of ent hold one row (2 slot + d, land0, land1) per slot where s moves or
+   descends (d = 1), sorted by slot; a descent swaps back under either gate
+   bit. The coin is up iff d != c, and then *probes counts one and s moves if
+   it has a row. */
 static int32_t set_step(const int32_t *off, const int32_t *ent, int32_t s, int32_t i,
                         int c, int g, int64_t *probes) {
     for (int64_t e = off[s], end = off[s + 1]; e < end; e++) {

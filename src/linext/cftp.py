@@ -42,21 +42,21 @@ recorded bit, and the certificate that the block map is constant, differ.
   supports this collapses far sooner than the bound does.
 
   The path is chosen by the order's extension count, the same at every cap.
-  Each cap's support is kept with the keyed step as tables over support
-  indices (``exact.Support``, whose kernel ``chain-diag`` checks) that hold
-  each gate bit's outcome, keyed by slot, coin and gate; a state descends at
-  a slot iff it is a key of the slot's swap back. A step on the set is set
-  operations on ints and the replay walks one index; neither decides the
-  gate. The probes counted are the chain's, one per state whose coin is up.
+  Each cap's support is kept with the keyed step as int32 rows over support
+  indices (``exact.Support``, whose kernel ``chain-diag`` checks): per state,
+  one row for each slot where it descends or moves with the gate up, holding
+  its landing under each gate bit. A step on the set steps each distinct
+  state by its rows and the replay walks one index; neither decides the gate.
+  The probes counted are the chain's, one per state whose coin is up.
 
 Either way the returned permutation is an exact draw from the weighted
 distribution.
 
 Drawing a block and both certificates' forward and replay also run in C
 (``native``) when the kernel was built at import; ``_draw_block``,
-``_bound_forward``, ``_bound_replay``, ``_set_forward`` and ``_walk`` are then
-its reference and, when ``_kernel`` is None, the loops that run. Both read the
-same bits and the same support tables.
+``_bound_forward``, ``_bound_replay`` and ``_set_run`` are then its reference
+and, when ``_kernel`` is None, the loops that run. Both read the same bits and
+the same support rows.
 """
 
 from __future__ import annotations
@@ -238,41 +238,48 @@ def _draw_block(t: int, stream: BitStream, n: int, pen: float) -> list:
     return [pos, up, gate]
 
 
-def _walk(tab: exact.Support, s: int, pos: list, up: list, gate: list, start: int = 0) -> tuple[int, int]:
-    """Run one support index through steps start.. of a recorded block, as
-    _set_forward runs the set; returns the final index and the probes made."""
-    moves = tab.moves
+def _set_step(off, ent, s: int, i: int, c: int, g: int) -> tuple[int, int]:
+    """The keyed step of support index s at (i, c, g) on a support's rows, as
+    set_step in C: the index it lands on, and 1 if its coin is up (a probe),
+    else 0."""
+    for e in range(3 * off[s], 3 * off[s + 1], 3):
+        slot = ent[e] >> 1
+        if slot < i:
+            continue
+        if slot > i:
+            break
+        if (ent[e] & 1) == c:
+            return s, 0
+        return ent[e + 1 + g], 1
+    return s, c
+
+
+def _set_run(tab: exact.Support, s: int, pos, up, gate, k: int = 0) -> tuple[int | None, int]:
+    """Run a recorded block on the support, as set_run in C. With s < 0, run
+    every index from step 0, keeping the distinct ones, and once one is left
+    walk it alone through the rest; with s >= 0, walk s alone from step k.
+    Returns the index every start ends on, or None if not exactly one is
+    left, and the probes made, one per state whose keyed coin is up."""
+    off, ent, t = tab.off, tab.ent, len(pos)
     probes = 0
-    for k in range(start, len(pos)):
-        i = pos[k]
-        c = up[k]
-        if (s in moves[4 * i]) != c:  # the keyed coin is up: s descends at i iff it swaps back
-            probes += 1
-            s = moves[4 * i + 2 * c + gate[k]].get(s, s)
+    if s < 0:
+        live = range(len(tab.states))
+        k = 0
+        while k < t and len(live) > 1:
+            landed = set()
+            for x in live:
+                x, p = _set_step(off, ent, x, pos[k], up[k], gate[k])
+                landed.add(x)
+                probes += p
+            live = landed
+            k += 1
+        if len(live) != 1:
+            return None, probes
+        s, = live
+    for k in range(k, t):
+        s, p = _set_step(off, ent, s, pos[k], up[k], gate[k])
+        probes += p
     return s, probes
-
-
-def _set_forward(tab: exact.Support, block: list) -> tuple[int | None, int]:
-    """Run the whole support through a recorded block. Returns the index every
-    state ends on if one state is left (the block is then constant), else None,
-    and the probes made, one per state whose keyed coin is up."""
-    pos, up, gate = block
-    moves = tab.moves
-    states = set(range(len(tab.states)))
-    probes = 0
-    for k in range(len(pos)):
-        i = pos[k]
-        c = up[k]
-        step = moves[4 * i + 2 * c + gate[k]]
-        hit = step.keys() & states
-        probes += len(states) - len(moves[4 * i].keys() & states) if c else len(hit)
-        if hit:
-            states -= hit
-            states.update(map(step.__getitem__, hit))
-        if len(states) == 1:
-            s, rest = _walk(tab, states.pop(), pos, up, gate, k + 1)
-            return s, probes + rest
-    return None, probes
 
 
 def _bound_forward(poset: Poset, bp: BetaParam, block: list) -> tuple[list | None, int]:
@@ -338,8 +345,8 @@ def generate(bp: BetaParam, t: int, stream: BitStream,
     elif len(tab.states) == 1:
         return tab.states[0], CftpStats()
     else:
-        forward = partial(_set_forward if kernel is None else kernel.set_forward, tab)
-        replay = partial(_walk if kernel is None else kernel.set_walk, tab)
+        replay = partial(_set_run if kernel is None else kernel.set_run, tab)
+        forward = lambda block: replay(-1, *block)
     bits0 = stream.bits_consumed
     steps = comps = 0
     blocks = []

@@ -45,7 +45,7 @@ def _load_input(args, report: dict) -> tuple[Poset, Relabeling]:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read input file {args.input!r}: {exc}") from exc
     poset, relab = load_poset(text, args.format)
     report["input"] = {"path": args.input, "n": poset.n, "digest": poset.digest()}

@@ -1,10 +1,12 @@
 """Exact ground truth: extension counts, every extension within a displacement
-band, the exact weight normalizer, and a band's chain-step tables, which cftp's
-set sampler steps on and whose sparse kernel the stationarity check scores.
+band, the exact weight normalizer, and a band's chain-step rows, which cftp's
+set sampler and the C kernel step on and whose sparse kernel the stationarity
+check scores.
 
-The tables key a move by slot i, coin bit c and gate bit g as 4i + 2c + g and
-hold the outcome of ``chain._sigma_step_inplace`` for each gate bit, so no
-reader of them decides the gate; they hold nothing else.
+The rows are one table format: per state, one int32 row for each slot where
+it descends or moves with the gate bit up, holding the outcome of
+``chain._sigma_step_inplace`` under each gate bit, so no reader of them
+decides the gate; they hold nothing else.
 
 The count and the normalizer are one layered DP over order ideals, whose cost
 follows the width of the order, not n: it is guarded by the ideals per layer.
@@ -32,7 +34,10 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
+from ctypes import Array, c_int32
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -220,46 +225,48 @@ def partition_z(poset: Poset, bp: BetaParam) -> float:
     return float(_layered_sum(poset, bp.cap, bp.pen if bp.pen < 1.0 else 1))
 
 
-@dataclass(frozen=True, eq=False)
-class Support:
+class Support(NamedTuple):
     """The extensions with every displacement at most cap, indexed in
-    enumeration order, with the keyed step as per-slot tables over those
-    indices: bit c = 1 moves an ascending pair, c = 0 a descending one, g is
-    the gate bit. Only moves that go through are stored, and as every
-    descending pair swaps back, the keys of moves[4i] are the descents at i.
-    Equal and hashed by identity, so packed forms can be cached per support."""
+    enumeration order, with the keyed step as int32 rows over those indices,
+    which the C kernel reads in place. State s has rows off[s]..off[s+1]-1 of
+    ent, in slot order: one (2 i + d, land0, land1) per slot i where it
+    descends (d = 1) or moves with the gate bit up (d = 0), land_g being where
+    it goes with gate bit g. The keyed coin c moves an ascending pair when
+    c = 1 and a descending one when c = 0, so the coin is up iff d != c, and a
+    state with no row at slot i stays there."""
 
     states: tuple  # the extensions with displacement at most cap
-    moves: tuple  # moves[4i + 2c + g]: {state: landing} for the keyed swaps that go through
+    off: Array  # len(states) + 1 row offsets
+    ent: Array  # 3 int32 per row
 
 
 def band_support(poset: Poset, cap: int, guard: int) -> Support:
-    """The support with displacement at most cap and its step tables; raises
+    """The support with displacement at most cap and its step rows; raises
     GuardError past guard states. An ascending pair takes the chain's own step
-    with the gate up, then down, until one does not move. Its swap back leaves
-    the larger value below the cap, so both gate bits share it, and every
-    state that descends at slot i is a key of that map."""
+    with the gate up, then down, and has a row if the first one moves. A
+    descending pair swaps back under both gate bits: the mover ends below the
+    cap, so the swap back is in the support."""
     n = poset.n
     states = tuple(enumerate_extensions(poset, guard, cap))
     index = {s: k for k, s in enumerate(states)}
     above = poset.raw_masks
-    backs = [{} for _ in range(n)]  # the swaps back, shared by both gate bits
-    moves = [m for back in backs for m in (back, back, {}, {})]
+    off, ent = [0], []
     for k, s in enumerate(states):
         for i, a, b in zip(range(1, n), s, s[1:]):
-            if a > b:  # stored from its ascending twin
-                continue
             sig = list(s)
+            if a > b:
+                sig[i - 1:i + 1] = b, a
+                j = index[tuple(sig)]
+                ent += (2 * i + 1, j, j)
+                continue
             _sigma_step_inplace(sig, i, 1, 1, cap, above)
             if sig[i] != b:
                 j = index[tuple(sig)]
-                moves[4 * i + 3][k] = j
-                moves[4 * i][j] = k
                 sig = list(s)
                 _sigma_step_inplace(sig, i, 1, 0, cap, above)
-                if sig[i] != b:
-                    moves[4 * i + 2][k] = j
-    return Support(states, tuple(moves))
+                ent += (2 * i, k if sig[i] == b else j, j)
+        off.append(len(ent) // 3)
+    return Support(states, *((c_int32 * len(a)).from_buffer(array("i", a)) for a in (off, ent)))
 
 
 @dataclass
@@ -274,25 +281,23 @@ class KernelMatrix:
 
 
 def chain_kernel(poset: Poset, bp: BetaParam) -> KernelMatrix:
-    """The chain's transitions, read off the band's gate-up maps: a swap has
-    probability 0.5 / (n - 1), times pen when the gate-down map lacks it. A
-    support of more than KERNEL_SUPPORT_GUARD states, counted by the ideal DP
-    at bp.cap, is refused before any extension is enumerated."""
+    """The chain's transitions, read off the band's rows: a row's gate-up
+    landing has probability 0.5 / (n - 1), times pen when the gate-down
+    landing stays, listed by slot, then coin, then the state that swaps (coin
+    1) or the one it swaps back to (coin 0). A support of more than
+    KERNEL_SUPPORT_GUARD states, counted by the ideal DP at bp.cap, is refused
+    before any extension is enumerated."""
     size = _layered_sum(poset, bp.cap, 1)
     if size > KERNEL_SUPPORT_GUARD:
         raise GuardError(f"support size {size} exceeds {KERNEL_SUPPORT_GUARD}")
     tab = band_support(poset, bp.cap, KERNEL_SUPPORT_GUARD)
-    n = poset.n
-    src, dst, prob = [], [], []
-    for i in range(1, n):
-        for c in (0, 1):
-            gate_down = tab.moves[4 * i + 2 * c]
-            for k, j in tab.moves[4 * i + 2 * c + 1].items():
-                src.append(k)
-                dst.append(j)
-                prob.append(0.5 / (n - 1) if k in gate_down else 0.5 * bp.pen / (n - 1))
-    return KernelMatrix(list(tab.states), np.array(src, dtype=np.intp),
-                        np.array(dst, dtype=np.intp), np.array(prob, dtype=float))
+    m = max(poset.n - 1, 1)  # one element has no slot and no rows
+    rows = np.frombuffer(tab.ent, dtype=np.int32).reshape(-1, 3).astype(np.intp)
+    src = np.repeat(np.arange(len(tab.states)), np.diff(np.frombuffer(tab.off, dtype=np.int32)))
+    d, down, dst = rows[:, 0] & 1, rows[:, 1], rows[:, 2]
+    order = np.lexsort((np.where(d, dst, src), 1 - d, rows[:, 0] >> 1))
+    prob = np.where(down != src, 0.5 / m, 0.5 * bp.pen / m)
+    return KernelMatrix(list(tab.states), src[order], dst[order], prob[order])
 
 
 def stationarity_gap(kernel: KernelMatrix, poset: Poset, bp: BetaParam) -> float:

@@ -8,13 +8,12 @@ file, or one built on another machine), and callers then run the Python loops.
 A cached kernel costs a hash, a stat and opening the object, well under 1 ms.
 
 A Kernel's methods take and return what ``cftp._draw_block``,
-``cftp._bound_forward``, ``cftp._bound_replay``, ``cftp._set_forward`` and
-``cftp._walk`` do, with the block kept in ctypes arrays. The bits still come
-only from the stream's own words, through ``BitStream.draw_steps``, so draws,
-counters and the generator state match the Python loops exactly. An explicit
-support's tables are packed from its dicts once per support (``_tables``), in
-int32 linear in the dicts' entries and the states; each call allocates its own
-scratch, so calls may run in parallel threads.
+``cftp._bound_forward``, ``cftp._bound_replay`` and ``cftp._set_run`` do, with
+the block kept in ctypes arrays. The bits still come only from the stream's
+own words, through ``BitStream.draw_steps``, so draws, counters and the
+generator state match the Python loops exactly. ``set_run`` reads an explicit
+support's int32 rows in place, as ``exact.band_support`` built them; each call
+allocates its own scratch, so calls may run in parallel threads.
 """
 
 from __future__ import annotations
@@ -22,10 +21,8 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-from array import array
 from ctypes import POINTER, byref, c_char_p, c_double, c_int32, c_int64, c_uint8, c_uint64
 from functools import lru_cache
-from itertools import accumulate, chain
 from pathlib import Path
 
 from .bitrng import BitStream
@@ -74,26 +71,6 @@ def _rows(poset: Poset) -> tuple:
     words = [(mask >> (64 * j)) & 0xFFFF_FFFF_FFFF_FFFF
              for mask in poset.raw_masks for j in range(w)]
     return (c_uint64 * len(words))(*words), w
-
-
-@lru_cache(maxsize=128)
-def _tables(tab: Support) -> tuple:
-    """The support's moves for set_run as int32 arrays off and ent: state s
-    has rows off[s]..off[s+1]-1 of ent, in slot order, one (2 i + d, land0,
-    land1) per slot i where it descends (d = 1) or moves up with the gate bit
-    up (d = 0); land_g is where it goes with gate bit g, a descent's swap back
-    under both."""
-    moves = tab.moves
-    rows = [[] for _ in tab.states]
-    for i in range(1, len(moves) // 4):
-        for s, j in moves[4 * i].items():
-            rows[s] += (2 * i + 1, j, j)
-        down = moves[4 * i + 2]
-        for s, j in moves[4 * i + 3].items():
-            rows[s] += (2 * i, down.get(s, s), j)
-    off = array("i", accumulate((len(r) // 3 for r in rows), initial=0))
-    ent = array("i", chain.from_iterable(rows))
-    return (c_int32 * len(off)).from_buffer(off), (c_int32 * len(ent)).from_buffer(ent)
 
 
 class Kernel:
@@ -150,26 +127,16 @@ class Kernel:
         rows, w = _rows(poset)
         return sig, self._lib.bound_replay(bp.cap, rows, w, len(pos), pos, up, gate, right, sig)
 
-    def set_forward(self, tab: Support, block: list) -> tuple:
-        """As cftp._set_forward."""
-        s, probes = self._set_run(tab, -1, *block, 0)
-        return (None if s < 0 else s), probes
-
-    def set_walk(self, tab: Support, s: int, pos, up, gate, start: int = 0) -> tuple:
-        """As cftp._walk, from a step start >= 0."""
-        if not 0 <= s < len(tab.states) or start < 0:
-            raise LinextError(f"no support index {s} to walk from step {start}")
-        return self._set_run(tab, s, pos, up, gate, start)
-
-    def _set_run(self, tab: Support, s: int, pos, up, gate, start: int) -> tuple:
-        """set_run on the packed tables; a run of the whole support (s < 0)
-        gets scratch arrays of its own."""
+    def set_run(self, tab: Support, s: int, pos, up, gate, k: int = 0) -> tuple:
+        """As cftp._set_run; a run of the whole support (s < 0) gets scratch
+        arrays of its own."""
         t, size = len(pos), len(tab.states)
         if not len(up) == len(gate) == t:
             raise LinextError("block arrays differ in length")
-        off, ent = _tables(tab)
+        if s >= size or k < 0:
+            raise LinextError(f"no support index {s} to walk from step {k}")
         live, stamp = ((c_int32 * size)(), (c_int32 * size)()) if s < 0 else (None, None)
         probes = c_int64()
-        s = self._lib.set_run(size, off, ent, t, pos, up, gate, s, start, live, stamp,
+        s = self._lib.set_run(size, tab.off, tab.ent, t, pos, up, gate, s, k, live, stamp,
                               byref(probes))
-        return s, probes.value
+        return (None if s < 0 else s), probes.value

@@ -191,9 +191,9 @@ def _keyed_step(sigma, i, c, c2, bp, poset):
 
 
 def _table_step(tab, k, i, c, c2):
-    """The set path's step on one support index, through the cached tables:
-    the one-step replay walk."""
-    return cftp._walk(tab, k, [i], [c], [c2])
+    """The set path's step on one support index, through the cached rows:
+    the one-step walk."""
+    return cftp._set_run(tab, k, [i], [c], [c2])
 
 
 def _keyed_kernel(poset, bp):
@@ -276,13 +276,21 @@ def test_table_step_is_the_keyed_step(builder):
                         assert (tab.states[nxt], probes) == _keyed_step(s, i, c, c2, bp, poset)
 
 
+def _rows(tab, k):
+    """Support index k's rows as (slot, d, land0, land1)."""
+    ent = tab.ent
+    return [(ent[e] >> 1, ent[e] & 1, ent[e + 1], ent[e + 2])
+            for e in range(3 * tab.off[k], 3 * tab.off[k + 1], 3)]
+
+
 def _check_swap_back_keys(tab, n):
-    """The states whose pair at slot i descends are exactly the keys of the
-    swap-back map, which both gate bits share: the set path reads its
-    descents off those keys."""
-    for i in range(1, n):
-        assert set(tab.moves[4 * i]) == {k for k, s in enumerate(tab.states) if s[i - 1] > s[i]}
-        assert tab.moves[4 * i] is tab.moves[4 * i + 1]  # a swap back needs no gate
+    """A state has a d = 1 row at exactly the slots where its pair descends,
+    and both gate bits share that row's landing: the set path reads its
+    descents off those rows."""
+    for k, s in enumerate(tab.states):
+        rows = _rows(tab, k)
+        assert [i for i, d, _, _ in rows if d] == [i for i in range(1, n) if s[i - 1] > s[i]]
+        assert all(land0 == land1 for _, d, land0, land1 in rows if d)  # no gate on a swap back
 
 
 @pytest.mark.parametrize("builder", SMALL_POSET_BUILDERS + [
@@ -295,8 +303,8 @@ def test_swap_back_keys_are_the_descents(builder):
 
 def test_tables_store_only_descents_and_moves():
     # a 300-chain plus one free element: 301 extensions, each with at most two
-    # incomparable adjacent pairs, so the tables stay near 3 |support| entries
-    # (a move with each gate bit and its swap back) rather than (n - 1) |support|
+    # incomparable adjacent pairs, so the rows stay near |support| (a move or
+    # a swap back per free pair) rather than (n - 1) |support|
     n = 301
     poset = canonicalize(close_transitively([(k, k + 1) for k in range(1, n - 1)], n))[0]
     tab = cftp._support_tables(poset, n)
@@ -304,13 +312,13 @@ def test_tables_store_only_descents_and_moves():
     free = sum(1 for s in tab.states for i in range(1, n)
                if not poset.less(s[i - 1], s[i]) and not poset.less(s[i], s[i - 1]))
     assert free == 2 * (n - 1)
-    distinct = {id(m): m for m in tab.moves}.values()
-    assert sum(map(len, distinct)) <= 1.5 * free
+    assert len(tab.ent) // 3 <= 1.5 * free
     _check_swap_back_keys(tab, n)
-    for i in range(1, n):
-        for c in (0, 1):
-            up, down = tab.moves[4 * i + 2 * c + 1], tab.moves[4 * i + 2 * c]
-            assert down.items() <= up.items()  # closing the gate only removes moves
+    for k in range(n):
+        rows = _rows(tab, k)
+        assert [i for i, *_ in rows] == sorted({i for i, *_ in rows})  # one per slot, in order
+        for _, _, land0, land1 in rows:
+            assert land0 in (k, land1)  # closing the gate only removes moves
 
 
 def test_keyed_step_merges_twin_states(antichain4):
@@ -517,14 +525,14 @@ def test_coalesced_set_block_is_constant(builder):
         coalesced = 0
         for seed in range(20):
             block = cftp._draw_block(n * n, BitStream(seed, f"set/{beta}"), n, bp.pen)
-            value, probes = cftp._set_forward(tab, block)
+            value, probes = cftp._set_run(tab, -1, *block)
             if value is None:
                 continue
             coalesced += 1
-            assert {cftp._walk(tab, k, *block)[0] for k in range(size)} == {value}
+            assert {cftp._set_run(tab, k, *block)[0] for k in range(size)} == {value}
             live, total = set(range(size)), 0
             for i, c, g in zip(*block):
-                moved = [cftp._walk(tab, k, [i], [c], [g]) for k in live]
+                moved = [_table_step(tab, k, i, c, g) for k in live]
                 live = {k for k, _ in moved}
                 total += sum(p for _, p in moved)
             assert live == {value} and total == probes
@@ -687,32 +695,32 @@ def test_kernel_set_blocks_match_the_python_loops():
             for t in (1, 255, 256, 257, 2 * n * n):
                 case += 1
                 block = kernel.draw_block(t, BitStream(case, "set"), n, bp.pen)
-                assert kernel.set_forward(tab, block) == cftp._set_forward(tab, block)
+                assert kernel.set_run(tab, -1, *block) == cftp._set_run(tab, -1, *block)
                 for s in range(len(tab.states)):
                     for start in (0, s * 37 % (t + 1)):
-                        assert (kernel.set_walk(tab, s, *block, start=start)
-                                == cftp._walk(tab, s, *block, start))
+                        assert (kernel.set_run(tab, s, *block, start)
+                                == cftp._set_run(tab, s, *block, start))
     pos, up, gate = block
     with pytest.raises(LinextError):  # arrays of unequal length
-        kernel.set_forward(tab, [pos, up, (ctypes.c_uint8 * (len(gate) - 1))()])
-    for s, start in ((-1, 0), (len(tab.states), 0), (0, -1)):
+        kernel.set_run(tab, -1, pos, up, (ctypes.c_uint8 * (len(gate) - 1))())
+    for s, start in ((len(tab.states), 0), (0, -1)):
         with pytest.raises(LinextError):  # no such state, or no such step
-            kernel.set_walk(tab, s, pos, up, gate, start)
+            kernel.set_run(tab, s, pos, up, gate, start)
 
 
 def test_packed_set_tables_stay_linear_in_the_moves():
     # A chain plus one free element at n = 120: a row of every landing per
     # slot, coin and gate would take 4 n int32 per state, 230 KB at the top
-    # cap, where the packed tables keep to 12 B per stored move and 4 B per
-    # state, and are packed once per support.
+    # cap, where the rows keep to 12 B per row and 4 B per state, with a row
+    # only at the (at most two) slots where the free element meets the chain.
     n = 120
     poset = canonicalize(close_transitively([(k, k + 1) for k in range(1, n - 1)], n))[0]
     for cap in (1, 2, n // 2, n):
         tab = cftp._support_tables(poset, cap)
-        entries = sum(map(len, {id(m): m for m in tab.moves}.values()))
-        packed = native._tables(tab)
-        assert native._tables(tab) is packed
-        assert sum(map(ctypes.sizeof, packed)) <= 12 * (entries + len(tab.states) + 1)
+        rows = len(tab.ent) // 3
+        assert rows <= 2 * len(tab.states)
+        size = ctypes.sizeof(tab.off) + ctypes.sizeof(tab.ent)
+        assert size <= 12 * rows + 4 * len(tab.states) + 4
 
 
 def test_threads_sharing_a_poset_draw_as_they_do_alone():

@@ -20,6 +20,7 @@ from linext.budgets import (
     total_bits_bound,
     total_bits_bound_as_printed,
 )
+from linext.catalog import antichain_poset, grid_poset
 
 from conftest import grid_hook_count
 
@@ -259,12 +260,30 @@ def test_chain_diag_follows_its_support(tmp_path):
     assert [row["support"] for row in json.loads(out)["results"]["kernels"]] == [512] * 3
 
 
+def test_chain_diag_pinned_gaps(tmp_path):
+    # Each gap sums float flows over the kernel's transitions, so listing them
+    # in another order moves it in the last bits (unordered rows give 2.7e-20
+    # on the grid at 0.25 and 3.5e-18 on antichain(6) at 0.25); these are the
+    # figures of the order chain_kernel keeps: slot, coin, then state.
+    cases = [(grid_poset(3, 4), "0.25,2.3", [0.0, 5.421010862427522e-20]),
+             (antichain_poset(6), "0.25,0.5,2.5", [0.0, 0.0, 0.0]),
+             (antichain_poset(5), "1.3,1.7", [1.734723475976807e-18, 8.673617379884035e-19])]
+    for poset, betas, gaps in cases:
+        path = tmp_path / f"order{poset.n}.posets"
+        path.write_text(f"n={poset.n}" + "".join(
+            f"; {a}<{b}" for a in range(1, poset.n + 1) for b in range(1, poset.n + 1)
+            if poset.less(a, b)))
+        code, out, _ = run_cli(["chain-diag", "--input", str(path), "--betas", betas])
+        assert code == 0
+        assert [row["stationarity_gap"] for row in json.loads(out)["results"]["kernels"]] == gaps
+
+
 def _address_space_2gb():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-@pytest.mark.skipif(cftp._kernel is None, reason="the Python loops store 32 B per step, "
-                    "so the ceiling's blocks do not fit in 2 GB without the C kernel")
+@pytest.mark.skipif(cftp._kernel is None, reason="the Python loops step about 30 times "
+                    "slower, so the refusal would come far past the 10 s bound")
 def test_exit_code_3_on_step_ceiling(tmp_path):
     # beta = 0.1 on antichain(24) needs far more steps than MAX_STEPS; the draw
     # is refused before its blocks would pass it, instead of running out of
@@ -370,6 +389,12 @@ def test_exit_code_2_on_bad_input(tmp_path):
 
     code, _, _ = run_cli(["count-exact", "--input", str(tmp_path / "missing")])
     assert code == 2
+
+    latin = tmp_path / "latin1.posets"
+    latin.write_bytes(b"n=3\n1<2\n\xff\n")
+    code, out, err = run_cli(["count-exact", "--input", str(latin)])
+    assert code == 2
+    assert out == "" and "error:" in err and "Traceback" not in err
 
 
 def test_exit_code_2_on_deeply_nested_json(tmp_path):
@@ -520,6 +545,7 @@ _ORDERS = {
     "cycle.posets": "n=2; 1<2; 2<1",
     "out-of-range.posets": "n=2; 1<5",
     "empty.posets": "",
+    "latin1.posets": b"n=3\n1<2\n\xff\n",  # not UTF-8
 }
 _ORDER_FILES = _mix(list(_ORDERS)[:5], list(_ORDERS)[5:])
 _FORMATS = _mix(["auto"], ["edge-list", "structured"])
@@ -534,7 +560,10 @@ _SEEDS = st.integers(-2, 2**64).map(str)
 def order_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("orders")
     for name, text in _ORDERS.items():
-        (path / name).write_text(text)
+        if isinstance(text, bytes):
+            (path / name).write_bytes(text)
+        else:
+            (path / name).write_text(text)
     return path
 
 
