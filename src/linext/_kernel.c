@@ -4,9 +4,8 @@
    bernoulli do, reading bits least significant first from a little-endian
    byte buffer. bound_forward and bound_replay are _bound_forward and
    _bound_replay. The order is given as rows of w 64-bit words: bit b of row a
-   is set iff a precedes b. set_run and set_step are _set_run and _set_step,
-   on the off and ent rows of an exact.Support. Values, positions and slots
-   are 1-based as in Python; arrays and support indices are 0-based. */
+   is set iff a precedes b. Values, positions and slots are 1-based as in
+   Python; arrays are 0-based. */
 
 #include <stdint.h>
 
@@ -139,64 +138,4 @@ int64_t bound_replay(int64_t cap, const uint64_t *rows, int64_t w, int64_t t,
         sig[i] = a;
     }
     return comps;
-}
-
-/* The keyed step of support index s at (i, c, g): entries off[s]..off[s+1]-1
-   of ent hold one row (2 slot + d, land0, land1) per slot where s moves or
-   descends (d = 1), sorted by slot; a descent swaps back under either gate
-   bit. The coin is up iff d != c, and then *probes counts one and s moves if
-   it has a row. */
-static int32_t set_step(const int32_t *off, const int32_t *ent, int32_t s, int32_t i,
-                        int c, int g, int64_t *probes) {
-    for (int64_t e = off[s], end = off[s + 1]; e < end; e++) {
-        int32_t slot = ent[3 * e] >> 1;
-        if (slot < i)
-            continue;
-        if (slot > i)
-            break;
-        if ((ent[3 * e] & 1) == c)
-            return s;
-        ++*probes;
-        return ent[3 * e + 1 + (g != 0)];
-    }
-    if (c)
-        ++*probes;
-    return s;
-}
-
-/* With s < 0, run all size support indices through the t-step block,
-   keeping the distinct ones in live (size entries) and marking each step's
-   with its number in stamp (size entries, zero on entry); once one is left,
-   walk it through the rest. With s >= 0, walk s through steps k.. alone.
-   Returns the index every start ends on, or -1 if not exactly one is left;
-   *probes counts the coins that are up. */
-int64_t set_run(int64_t size, const int32_t *off, const int32_t *ent, int64_t t,
-                const int32_t *pos, const uint8_t *up, const uint8_t *gate, int64_t s,
-                int64_t k, int32_t *live, int32_t *stamp, int64_t *probes) {
-    int64_t comps = 0;
-    if (s < 0) {
-        int64_t m = size;
-        for (int64_t a = 0; a < m; a++)
-            live[a] = (int32_t)a;
-        for (k = 0; k < t && m > 1; k++) {
-            int64_t j = 0;
-            for (int64_t a = 0; a < m; a++) {
-                int32_t x = set_step(off, ent, live[a], pos[k], up[k], gate[k], &comps);
-                if (stamp[x] != k + 1) {
-                    stamp[x] = (int32_t)(k + 1);
-                    live[j++] = x;
-                }
-            }
-            m = j;
-        }
-        if (m != 1) {
-            *probes = comps;
-            return -1;
-        }
-        s = live[0];
-    }
-    for (; k < t; k++)
-        s = set_step(off, ent, (int32_t)s, pos[k], up[k], gate[k], &comps);
-    *probes = comps;
-    return s;
 }

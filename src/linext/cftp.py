@@ -14,49 +14,36 @@ provably keeps the state compatible with the bound, and when no wildcards
 remain the bound pins the driven trajectory exactly. It is exposed (and
 property-tested) as ``bounding_chain_step``.
 
-The second layer is the sampler, coupling from the past (Propp-Wilson), one
-loop in ``generate``: draw and record a block of steps; until a block's
-update map is certified constant, draw one twice as long further in the past,
-up to MAX_STEPS steps in all; then replay the constant value through the
-recorded blocks, deepest first. A certificate is a forward function, which
-runs one block and returns its constant value or None, and a replay function,
-which runs one state through a block. Every state on both
-paths takes the same Metropolis step as ``chain_step``, with a move coin c1
-that is fair given the state; only the way c1 is derived from the block's
-recorded bit, and the certificate that the block map is constant, differ.
-``generate`` picks the certificate from the input:
+The second layer is the sampler, one function, ``generate``, with two paths
+chosen by the order's extension count, the same at every cap:
 
-- Bounding chain (any order). The block draws the bound's own coins
-  (i, c3, c2), which do not depend on any state, and records the bound's
-  right entry B(i + 1) before each step. Every state then derives its coin as
-  c1 = 1 - c3 when its left element equals that entry and c1 = c3 otherwise,
-  so every start is driven along the same bound trajectory. A block that ends
-  with no wildcard left therefore maps every state to the bound: it is
-  constant.
 - Explicit support (orders with at most ``SUPPORT_LIMIT`` extensions). The
-  block draws (i, c, c2) and evolves the enumerated support as a set. Each
-  state keys its coin to the pair at slots (i, i+1): c1 = c when the pair is
-  ascending and 1 - c when it is descending. Twin states that differ only in
-  that pair then propose opposite moves and merge whenever the gate lets the
-  mover through, and a block that leaves one state is constant. On small
-  supports this collapses far sooner than the bound does.
-
-  The path is chosen by the order's extension count, the same at every cap.
-  Each cap's support is kept with the keyed step as int32 rows over support
-  indices (``exact.Support``, whose kernel ``chain-diag`` checks): per state,
-  one row for each slot where it descends or moves with the gate up, holding
-  its landing under each gate bit. A step on the set steps each distinct
-  state by its rows and the replay walks one index; neither decides the gate.
-  The probes counted are the chain's, one per state whose coin is up.
+  support at the cap is enumerated once and cached, and a draw is made from
+  it directly by rejection: propose a state uniformly and keep it with
+  probability pen^k, k its coordinates at displacement exactly cap, by one
+  bernoulli(pen) per such coordinate. Every state of the support at cap - 1
+  is kept outright, so a draw takes at most |S_c| / |S_{c-1}| proposals in
+  expectation, S_c being the support at cap c. It runs no chain and counts
+  only its bits.
+- Bounding chain (any order), coupling from the past (Propp-Wilson): draw and
+  record a block of steps; until a block's update map is certified constant,
+  draw one twice as long further in the past, up to MAX_STEPS steps in all;
+  then replay the constant value through the recorded blocks, deepest first.
+  The block draws the bound's own coins (i, c3, c2), which do not depend on
+  any state, and records the bound's right entry B(i + 1) before each step.
+  Every state then takes the same Metropolis step as ``chain_step`` with its
+  coin derived as c1 = 1 - c3 when its left element equals that entry and
+  c1 = c3 otherwise, a coin that is fair given the state, so every start is
+  driven along the same bound trajectory. A block that ends with no wildcard
+  left therefore maps every state to the bound: it is constant.
 
 Either way the returned permutation is an exact draw from the weighted
 distribution.
 
-Drawing a block and both certificates' forward and replay also run in C
+Drawing a block and the bound's forward run and replay also run in C
 (``native``) when the kernel was built at import; ``_draw_block``,
-``_bound_forward``, ``_bound_replay`` and ``_set_run`` are then its reference
-and, when ``_kernel`` is None, the loops that run. Both read the same bits and
-the same support rows.
+``_bound_forward`` and ``_bound_replay`` are then its reference and, when
+``_kernel`` is None, the loops that run. Both read the same bits.
 """
 
 from __future__ import annotations
@@ -75,20 +62,21 @@ from .poset import Poset
 THETA = 0  # wildcard bound entry: no restriction at all
 
 MAX_STEPS = 10 ** 8  # most steps a draw's blocks may hold: about 1 GB at 10 B per step
-SUPPORT_LIMIT = 500  # most extensions tracked as an explicit set; another limit changes draws
+SUPPORT_LIMIT = 500  # most extensions drawn from their enumerated support; another limit changes draws
 
 _kernel = native.build()  # the C block loops, or None to run the Python ones
 
 
 @dataclass
 class CftpStats:
-    """Work accounting for one (or several merged) perfect-sample calls."""
+    """Work accounting for one (or several merged) perfect-sample calls. A
+    draw from an explicit support counts only bits_discrete."""
 
-    total_steps: int = 0  # forward passes plus replays, over all levels
-    levels: int = 0  # number of level runs executed
+    total_steps: int = 0  # bounding chain: forward passes plus replays, over all levels
+    levels: int = 0  # bounding chain: number of level runs executed
     bits_discrete: int = 0
     bits_continuous: int = 0
-    comparisons: int = 0
+    comparisons: int = 0  # bounding chain: order tests
 
     def merge(self, other: "CftpStats") -> None:
         self.total_steps += other.total_steps
@@ -199,25 +187,38 @@ def bounding_chain_step(sigma: Sequence[int], b: Sequence[int], bp: BetaParam,
 
 
 # ---------------------------------------------------------------------------
-# Exact sampler: coupling from the past with a collapse certificate per block
+# Exact sampler: a draw from the enumerated support, or CFTP on the bound
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=128)
-def _support_tables(poset: Poset, cap: int) -> exact.Support | None:
-    """The support with displacement at most cap and its step tables, or None
-    at every cap when the order has over SUPPORT_LIMIT extensions; cached
+def _support_tables(poset: Poset, cap: int) -> tuple | None:
+    """The extensions with displacement at most cap, in enumeration order, or
+    None at every cap when the order has over SUPPORT_LIMIT extensions; cached
     either way. No extension moves v right of v - 1 - |below(v)|, so every cap
-    above the reach, the largest of those, shares cap reach + 1's tables."""
+    above the reach, the largest of those, shares cap reach + 1's support."""
     top = max(v - 1 - poset.below_mask(v).bit_count() for v in range(1, poset.n + 1)) + 1
     if cap > top:
         return _support_tables(poset, top)
     if cap < top and _support_tables(poset, top) is None:
         return None
     try:
-        return exact.band_support(poset, cap, SUPPORT_LIMIT)
+        return tuple(exact.enumerate_extensions(poset, SUPPORT_LIMIT, cap))
     except GuardError:
         return None
+
+
+def _support_draw(states: tuple, bp: BetaParam, stream: BitStream) -> tuple[int, ...]:
+    """An exact draw from the weights on states, the support at bp.cap:
+    propose a state uniformly and keep it if bernoulli(pen) comes up 1 for
+    each of its k coordinates at displacement exactly cap, stopping at the
+    first 0, so it is kept with probability pen^k; else propose again. Costs
+    no bits when pen = 1 or there is one state."""
+    cap, pen = bp.cap, bp.pen
+    while True:
+        s = states[stream.uniform_int(len(states)) - 1]
+        if all(stream.bernoulli(pen) for p, v in enumerate(s, start=1) if v - p == cap):
+            return s
 
 
 def _draw_block(t: int, stream: BitStream, n: int, pen: float) -> list:
@@ -236,50 +237,6 @@ def _draw_block(t: int, stream: BitStream, n: int, pen: float) -> list:
         if pen != 1.0:
             gate[k] = bernoulli(pen)
     return [pos, up, gate]
-
-
-def _set_step(off, ent, s: int, i: int, c: int, g: int) -> tuple[int, int]:
-    """The keyed step of support index s at (i, c, g) on a support's rows, as
-    set_step in C: the index it lands on, and 1 if its coin is up (a probe),
-    else 0."""
-    for e in range(3 * off[s], 3 * off[s + 1], 3):
-        slot = ent[e] >> 1
-        if slot < i:
-            continue
-        if slot > i:
-            break
-        if (ent[e] & 1) == c:
-            return s, 0
-        return ent[e + 1 + g], 1
-    return s, c
-
-
-def _set_run(tab: exact.Support, s: int, pos, up, gate, k: int = 0) -> tuple[int | None, int]:
-    """Run a recorded block on the support, as set_run in C. With s < 0, run
-    every index from step 0, keeping the distinct ones, and once one is left
-    walk it alone through the rest; with s >= 0, walk s alone from step k.
-    Returns the index every start ends on, or None if not exactly one is
-    left, and the probes made, one per state whose keyed coin is up."""
-    off, ent, t = tab.off, tab.ent, len(pos)
-    probes = 0
-    if s < 0:
-        live = range(len(tab.states))
-        k = 0
-        while k < t and len(live) > 1:
-            landed = set()
-            for x in live:
-                x, p = _set_step(off, ent, x, pos[k], up[k], gate[k])
-                landed.add(x)
-                probes += p
-            live = landed
-            k += 1
-        if len(live) != 1:
-            return None, probes
-        s, = live
-    for k in range(k, t):
-        s, p = _set_step(off, ent, s, pos[k], up[k], gate[k])
-        probes += p
-    return s, probes
 
 
 def _bound_forward(poset: Poset, bp: BetaParam, block: list) -> tuple[list | None, int]:
@@ -324,30 +281,28 @@ def _bound_replay(poset: Poset, bp: BetaParam, sig: list, pos: list, up: list,
 
 def generate(bp: BetaParam, t: int, stream: BitStream,
              poset: Poset) -> tuple[tuple[int, ...], CftpStats]:
-    """Draw one exact sample of the weighted extension distribution, starting
-    from a block of t steps.
+    """Draw one exact sample of the weighted extension distribution, the
+    bounding chain starting from a block of t steps.
 
-    Orders with at most SUPPORT_LIMIT extensions track the explicit support;
-    all others run the bounding chain. Returns the sample together with its
-    work accounting. Termination is probabilistic; rather than draw a block
-    past MAX_STEPS steps in all, the call raises CoalescenceError.
+    Orders with at most SUPPORT_LIMIT extensions are drawn from their
+    enumerated support, with only bits counted; all others run the bounding
+    chain. Returns the sample together with its work accounting. Termination
+    is probabilistic; rather than draw a block past MAX_STEPS steps in all,
+    the call raises CoalescenceError.
     """
     if t < 1:
         raise LinextError("horizon t must be at least 1")
     if not poset.identity_is_extension:
         raise LinextError("poset must be canonicalized before sampling")
-    tab = _support_tables(poset, bp.cap)
+    bits0 = stream.bits_consumed
+    states = _support_tables(poset, bp.cap)
+    if states is not None:
+        sigma = _support_draw(states, bp, stream)
+        return sigma, CftpStats(bits_discrete=stream.bits_consumed - bits0)
     kernel = _kernel
     draw = _draw_block if kernel is None else kernel.draw_block
-    if tab is None:
-        forward = partial(_bound_forward if kernel is None else kernel.bound_forward, poset, bp)
-        replay = partial(_bound_replay if kernel is None else kernel.bound_replay, poset, bp)
-    elif len(tab.states) == 1:
-        return tab.states[0], CftpStats()
-    else:
-        replay = partial(_set_run if kernel is None else kernel.set_run, tab)
-        forward = lambda block: replay(-1, *block)
-    bits0 = stream.bits_consumed
+    forward = partial(_bound_forward if kernel is None else kernel.bound_forward, poset, bp)
+    replay = partial(_bound_replay if kernel is None else kernel.bound_replay, poset, bp)
     steps = comps = 0
     blocks = []
     while True:
@@ -368,7 +323,7 @@ def generate(bp: BetaParam, t: int, stream: BitStream,
     poset.add_queries(comps)
     stats = CftpStats(total_steps=steps, levels=len(blocks) + 1,
                       bits_discrete=stream.bits_consumed - bits0, comparisons=comps)
-    return (tuple(value) if tab is None else tab.states[value]), stats
+    return tuple(value), stats
 
 
 def perfect_sample(bp: BetaParam, stream: BitStream,

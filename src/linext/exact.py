@@ -1,12 +1,11 @@
 """Exact ground truth: extension counts, every extension within a displacement
-band, the exact weight normalizer, and a band's chain-step rows, which cftp's
-set sampler and the C kernel step on and whose sparse kernel the stationarity
-check scores.
+band, the exact weight normalizer, and a band's chain-step rows, whose sparse
+kernel the stationarity check scores.
 
-The rows are one table format: per state, one int32 row for each slot where
-it descends or moves with the gate bit up, holding the outcome of
-``chain._sigma_step_inplace`` under each gate bit, so no reader of them
-decides the gate; they hold nothing else.
+The rows hold, per state, one int32 row for each slot where it descends or
+moves with the gate bit up, with the outcome of ``chain._sigma_step_inplace``
+under each gate bit, so their reader does not decide the gate; they hold
+nothing else.
 
 The count and the normalizer are one layered DP over order ideals, whose cost
 follows the width of the order, not n: it is guarded by the ideals per layer.
@@ -35,7 +34,6 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from ctypes import Array, c_int32
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -227,17 +225,15 @@ def partition_z(poset: Poset, bp: BetaParam) -> float:
 
 class Support(NamedTuple):
     """The extensions with every displacement at most cap, indexed in
-    enumeration order, with the keyed step as int32 rows over those indices,
-    which the C kernel reads in place. State s has rows off[s]..off[s+1]-1 of
-    ent, in slot order: one (2 i + d, land0, land1) per slot i where it
-    descends (d = 1) or moves with the gate bit up (d = 0), land_g being where
-    it goes with gate bit g. The keyed coin c moves an ascending pair when
-    c = 1 and a descending one when c = 0, so the coin is up iff d != c, and a
-    state with no row at slot i stays there."""
+    enumeration order, with the chain's moves as int32 rows over those
+    indices. State s has rows off[s]..off[s+1]-1 of ent, in slot order: one
+    (2 i + d, land0, land1) per slot i where it descends (d = 1) or moves with
+    the gate bit up (d = 0), land_g being where it goes with gate bit g. A
+    state with no row at slot i stays there under either coin."""
 
     states: tuple  # the extensions with displacement at most cap
-    off: Array  # len(states) + 1 row offsets
-    ent: Array  # 3 int32 per row
+    off: array  # len(states) + 1 row offsets
+    ent: array  # 3 int32 per row
 
 
 def band_support(poset: Poset, cap: int, guard: int) -> Support:
@@ -266,7 +262,7 @@ def band_support(poset: Poset, cap: int, guard: int) -> Support:
                 _sigma_step_inplace(sig, i, 1, 0, cap, above)
                 ent += (2 * i, k if sig[i] == b else j, j)
         off.append(len(ent) // 3)
-    return Support(states, *((c_int32 * len(a)).from_buffer(array("i", a)) for a in (off, ent)))
+    return Support(states, array("i", off), array("i", ent))
 
 
 @dataclass

@@ -8,12 +8,11 @@ file, or one built on another machine), and callers then run the Python loops.
 A cached kernel costs a hash, a stat and opening the object, well under 1 ms.
 
 A Kernel's methods take and return what ``cftp._draw_block``,
-``cftp._bound_forward``, ``cftp._bound_replay`` and ``cftp._set_run`` do, with
-the block kept in ctypes arrays. The bits still come only from the stream's
-own words, through ``BitStream.draw_steps``, so draws, counters and the
-generator state match the Python loops exactly. ``set_run`` reads an explicit
-support's int32 rows in place, as ``exact.band_support`` built them; each call
-allocates its own scratch, so calls may run in parallel threads.
+``cftp._bound_forward`` and ``cftp._bound_replay`` do, with the block kept in
+ctypes arrays. The bits still come only from the stream's own words, through
+``BitStream.draw_steps``, so draws, counters and the generator state match the
+Python loops exactly. Each call allocates its own arrays, so calls may run in
+parallel threads.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from pathlib import Path
 from .bitrng import BitStream
 from .chain import BetaParam
 from .errors import LinextError
-from .exact import Support
 from .poset import Poset
 
 SOURCE = Path(__file__).with_name("_kernel.c")
@@ -75,8 +73,7 @@ def _rows(poset: Poset) -> tuple:
 
 class Kernel:
     """The block functions of the shared object at path, for the bounding
-    chain and the explicit support; opening it raises OSError when the file
-    is not a loadable object."""
+    chain; opening it raises OSError when the file is not a loadable object."""
 
     def __init__(self, path: str):
         self.path = path
@@ -88,9 +85,7 @@ class Kernel:
                                       i32, u8, u8, i32, i32, i64)
         lib.bound_replay.argtypes = (c_int64, POINTER(c_uint64), c_int64, c_int64,
                                      i32, u8, u8, i32, i32)
-        lib.set_run.argtypes = (c_int64, i32, i32, c_int64, i32, u8, u8, c_int64, c_int64,
-                                i32, i32, i64)
-        for f in (lib.draw_block, lib.bound_forward, lib.bound_replay, lib.set_run):
+        for f in (lib.draw_block, lib.bound_forward, lib.bound_replay):
             f.restype = c_int64
 
     def draw_block(self, t: int, stream: BitStream, n: int, pen: float) -> list:
@@ -126,17 +121,3 @@ class Kernel:
             raise LinextError("state or block arrays do not fit the order and the block")
         rows, w = _rows(poset)
         return sig, self._lib.bound_replay(bp.cap, rows, w, len(pos), pos, up, gate, right, sig)
-
-    def set_run(self, tab: Support, s: int, pos, up, gate, k: int = 0) -> tuple:
-        """As cftp._set_run; a run of the whole support (s < 0) gets scratch
-        arrays of its own."""
-        t, size = len(pos), len(tab.states)
-        if not len(up) == len(gate) == t:
-            raise LinextError("block arrays differ in length")
-        if s >= size or k < 0:
-            raise LinextError(f"no support index {s} to walk from step {k}")
-        live, stamp = ((c_int32 * size)(), (c_int32 * size)()) if s < 0 else (None, None)
-        probes = c_int64()
-        s = self._lib.set_run(size, tab.off, tab.ent, t, pos, up, gate, s, k, live, stamp,
-                              byref(probes))
-        return (None if s < 0 else s), probes.value

@@ -47,7 +47,6 @@ from linext.catalog import (
     two_pairs_poset,
     zigzag_poset,
 )
-from linext.chain import _sigma_step_inplace
 from linext.exact import band_support
 
 from conftest import SMALL_POSET_BUILDERS, max_displacement
@@ -173,45 +172,7 @@ def test_trajectory_invariants_random(pairs4):
     assert coalesced_at is not None
 
 
-# -- explicit-support path: the pair-keyed Metropolis step ----------------------------
-
-def _keyed_coin(sig, i, c):
-    """Reference for the set path's move coin: c when the pair at slots
-    (i, i+1) ascends, 1 - c when it descends."""
-    return c if sig[i - 1] < sig[i] else 1 - c
-
-
-def _keyed_step(sigma, i, c, c2, bp, poset):
-    """Reference for the set path's step: the Metropolis step with its move
-    coin keyed to the pair at slots (i, i+1). Returns the state and the probes
-    made."""
-    sig = list(sigma)
-    probes = _sigma_step_inplace(sig, i, _keyed_coin(sig, i, c), c2, bp.cap, poset.raw_masks)
-    return tuple(sig), probes
-
-
-def _table_step(tab, k, i, c, c2):
-    """The set path's step on one support index, through the cached rows:
-    the one-step walk."""
-    return cftp._set_run(tab, k, [i], [c], [c2])
-
-
-def _keyed_kernel(poset, bp):
-    """Exact one-step kernel of the set path's table step, marginalized over
-    its randomness: position i, the bit c the move coin is keyed from, and the
-    gate c2."""
-    tab = cftp._support_tables(poset, bp.cap)
-    n = poset.n
-    gates = [(1, 1.0)] if bp.pen == 1.0 else [(0, 1.0 - bp.pen), (1, bp.pen)]
-    probs = np.zeros((len(tab.states), len(tab.states)))
-    for k in range(len(tab.states)):
-        for i in range(1, n):
-            for c in (0, 1):
-                for c2, p2 in gates:
-                    nxt, _ = _table_step(tab, k, i, c, c2)
-                    probs[k, nxt] += 0.5 * p2 / (n - 1)
-    return list(tab.states), probs
-
+# -- the chain's sparse kernel and the band's rows ----------------------------------
 
 def _literal_kernel(poset, bp):
     """Reference kernel: one chain_step on every (i, c1, c2), each weighted by
@@ -233,9 +194,8 @@ def _literal_kernel(poset, bp):
 @pytest.mark.parametrize("builder", SMALL_POSET_BUILDERS + [
     lambda: chain_poset(2), lambda: chain_poset(4), lambda: grid_poset(2, 3)])
 def test_keyed_step_marginal_is_the_chain_kernel(builder):
-    # the sparse kernel is the literal step's marginal off the diagonal, its
-    # implied diagonal is the rest of the row, and the set step's marginal is
-    # the literal one as well
+    # the sparse kernel read off the band's rows is the literal step's
+    # marginal off the diagonal, and its implied diagonal is the rest of the row
     poset = builder()
     n = poset.n
     for beta in (0.25, 0.5, 1.0, 1.3, 2.0, float(n)):
@@ -251,29 +211,6 @@ def test_keyed_step_marginal_is_the_chain_kernel(builder):
         assert np.array_equal(dense[off], probs[off])
         assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.allclose(1.0 - dense.sum(axis=1), probs.diagonal(), rtol=0, atol=1e-12)
-        keyed_support, keyed = _keyed_kernel(poset, bp)
-        assert keyed_support == support
-        assert np.array_equal(keyed, probs)
-
-
-@pytest.mark.parametrize("builder", SMALL_POSET_BUILDERS)
-def test_table_step_is_the_keyed_step(builder):
-    # every support state x slot x bit x gate: the cached tables give the
-    # reference step's state and its probe count
-    poset = builder()
-    n = poset.n
-    for beta in (0.25, 0.5, 1.3, 2.0, float(n)):
-        if beta > n:
-            continue
-        bp = BetaParam(beta, n)
-        tab = cftp._support_tables(poset, bp.cap)
-        assert list(tab.states) == [s for s in enumerate_extensions(poset) if weight(s, bp) > 0.0]
-        for k, s in enumerate(tab.states):
-            for i in range(1, n):
-                for c in (0, 1):
-                    for c2 in (0, 1):
-                        nxt, probes = _table_step(tab, k, i, c, c2)
-                        assert (tab.states[nxt], probes) == _keyed_step(s, i, c, c2, bp, poset)
 
 
 def _rows(tab, k):
@@ -285,8 +222,7 @@ def _rows(tab, k):
 
 def _check_swap_back_keys(tab, n):
     """A state has a d = 1 row at exactly the slots where its pair descends,
-    and both gate bits share that row's landing: the set path reads its
-    descents off those rows."""
+    and both gate bits share that row's landing: a swap back is never gated."""
     for k, s in enumerate(tab.states):
         rows = _rows(tab, k)
         assert [i for i, d, _, _ in rows if d] == [i for i in range(1, n) if s[i - 1] > s[i]]
@@ -307,7 +243,7 @@ def test_tables_store_only_descents_and_moves():
     # a swap back per free pair) rather than (n - 1) |support|
     n = 301
     poset = canonicalize(close_transitively([(k, k + 1) for k in range(1, n - 1)], n))[0]
-    tab = cftp._support_tables(poset, n)
+    tab = band_support(poset, n, cftp.SUPPORT_LIMIT)
     assert len(tab.states) == n
     free = sum(1 for s in tab.states for i in range(1, n)
                if not poset.less(s[i - 1], s[i]) and not poset.less(s[i], s[i - 1]))
@@ -319,16 +255,6 @@ def test_tables_store_only_descents_and_moves():
         assert [i for i, *_ in rows] == sorted({i for i, *_ in rows})  # one per slot, in order
         for _, _, land0, land1 in rows:
             assert land0 in (k, land1)  # closing the gate only removes moves
-
-
-def test_keyed_step_merges_twin_states(antichain4):
-    # states differing only in the pair at slots (2, 3) propose opposite
-    # moves, so with the gate open they land on the same state
-    bp = BetaParam(4.0, 4)
-    for c in (0, 1):
-        a = _keyed_step((1, 3, 2, 4), 2, c, 1, bp, antichain4)
-        b = _keyed_step((1, 2, 3, 4), 2, c, 1, bp, antichain4)
-        assert a[0] == b[0]
 
 
 # -- generate / perfect_sample --------------------------------------------------------
@@ -360,10 +286,10 @@ def _block_paths():
 
 
 def test_perfect_sample_pinned_outputs(pairs4, monkeypatch):
-    # Pins the draw and its accounting on each certificate, with the block
-    # loops in C and in Python. A change to the kernel, the coupling or the
-    # order in which bits are drawn fails here and must say in its change log
-    # why the new figures are right.
+    # Pins the draw and its accounting on each path, with the block loops in C
+    # and in Python. A change to the support draw, the kernel, the coupling or
+    # the order in which bits are drawn fails here and must say in its change
+    # log why the new figures are right.
     for kernel in _block_paths():
         monkeypatch.setattr(cftp, "_kernel", kernel)
         _check_pinned_outputs(pairs4)
@@ -371,9 +297,9 @@ def test_perfect_sample_pinned_outputs(pairs4, monkeypatch):
 
 def _check_pinned_outputs(pairs4):
     sigma, stats = perfect_sample(BetaParam(1.3, 4), BitStream(123), pairs4)
-    assert sigma == (2, 1, 3, 4)
-    assert stats.as_dict() == {"total_steps": 32, "levels": 1, "bits_discrete": 198,
-                               "bits_continuous": 0, "comparisons": 32}
+    assert sigma == (2, 1, 4, 3)
+    assert stats.as_dict() == {"total_steps": 0, "levels": 0, "bits_discrete": 7,
+                               "bits_continuous": 0, "comparisons": 0}
     poset = antichain_poset(8)
     bp = BetaParam(1.5, 8)
     assert cftp._support_tables(poset, bp.cap) is None  # so the bounding chain runs
@@ -383,9 +309,9 @@ def _check_pinned_outputs(pairs4):
                                "bits_continuous": 0, "comparisons": 937}
     grid = grid_poset(3, 4)  # 462 extensions, all in the support at beta = n
     sigma, stats = perfect_sample(BetaParam(12.0, 12), BitStream(7), grid)
-    assert sigma == (1, 5, 2, 9, 6, 3, 10, 7, 4, 11, 8, 12)
-    assert stats.as_dict() == {"total_steps": 1152, "levels": 2, "bits_discrete": 4975,
-                               "bits_continuous": 0, "comparisons": 3209}
+    assert sigma == (1, 2, 5, 6, 9, 3, 7, 10, 4, 11, 8, 12)
+    assert stats.as_dict() == {"total_steps": 0, "levels": 0, "bits_discrete": 9,
+                               "bits_continuous": 0, "comparisons": 0}
 
 
 def test_generate_uniform_small_chi_square():
@@ -419,7 +345,6 @@ def _pooled_chi_square_p(poset, bp, draws, seed):
     """Chi-square p-value of perfect draws against the exact weights, with the
     cells expecting fewer than five draws pooled into one. Also checks that no
     draw falls outside the support."""
-    assert cftp._support_tables(poset, bp.cap) is None  # so the bounding chain runs
     z = partition_z(poset, bp)
     support = [s for s in enumerate_extensions(poset) if weight(s, bp) > 0.0]
     stream = BitStream(seed)
@@ -443,11 +368,13 @@ def _pooled_chi_square_p(poset, bp, draws, seed):
 
 def test_bounding_path_weighted_antichain_chi_square():
     poset = antichain_poset(8)  # L = 8! = 40320
+    assert cftp._support_tables(poset, 1) is None  # so the bounding chain runs
     assert _pooled_chi_square_p(poset, BetaParam(0.5, 8), 640, 1) >= 0.01
 
 
 def test_bounding_path_weighted_random_poset_chi_square():
     poset = random_poset(random.Random(2), 10, density=0.2)  # L = 34020
+    assert cftp._support_tables(poset, 1) is None  # so the bounding chain runs
     assert _pooled_chi_square_p(poset, BetaParam(0.5, 10), 432, 1) >= 0.01
 
 
@@ -511,76 +438,51 @@ def test_coalesced_bounding_block_is_constant(builder):
         assert coalesced > 0
 
 
-@pytest.mark.parametrize("builder", SMALL_POSET_BUILDERS)
-def test_coalesced_set_block_is_constant(builder):
-    # Over seeded recorded blocks: when the set path reports one state left,
-    # every support index walked through the same block ends there, and the
-    # probes it counts are one per distinct live state whose coin is up.
-    poset = builder()
-    n = poset.n
-    for beta in (0.5, 1.3, float(n)):
-        bp = BetaParam(beta, n)
-        tab = cftp._support_tables(poset, bp.cap)
-        size = len(tab.states)
-        coalesced = 0
-        for seed in range(20):
-            block = cftp._draw_block(n * n, BitStream(seed, f"set/{beta}"), n, bp.pen)
-            value, probes = cftp._set_run(tab, -1, *block)
-            if value is None:
-                continue
-            coalesced += 1
-            assert {cftp._set_run(tab, k, *block)[0] for k in range(size)} == {value}
-            live, total = set(range(size)), 0
-            for i, c, g in zip(*block):
-                moved = [_table_step(tab, k, i, c, g) for k in live]
-                live = {k for k, _ in moved}
-                total += sum(p for _, p in moved)
-            assert live == {value} and total == probes
-        assert coalesced > 0
-
-
 def test_support_tables_selected_by_extension_count():
-    # The set path is chosen by the order's extension count, the same at every
-    # cap, not by the support at the draw's cap: chosen per cap, TPA runs on
-    # antichain(6) (720 extensions, 2^5 at cap 1) took 5.2-5.8 ms each against
-    # 1.5-2.0 ms on the bound alone (medians of 7 batches of 20 runs, 2-core x86,
-    # with the set path stepped in Python)
+    # The support draw is chosen by the order's extension count, the same at
+    # every cap, not by the support at the draw's cap
     grid = grid_poset(3, 4)  # 462 extensions
     full = enumerate_extensions(grid)
     for cap in range(grid.n + 1):
-        tab = cftp._support_tables(grid, cap)
-        assert list(tab.states) == [s for s in full if max_displacement(s) <= cap]
+        states = cftp._support_tables(grid, cap)
+        assert list(states) == [s for s in full if max_displacement(s) <= cap]
     for poset in (antichain_poset(6), antichain_poset(8)):  # 720 and 40320 extensions
         assert all(cftp._support_tables(poset, cap) is None for cap in range(poset.n + 1))
 
 
 def test_caps_above_the_reach_share_one_table():
     # no extension of the 3x4 grid moves an element more than 6 right, so
-    # caps 7..12 hold every extension and one set of tables serves them all
+    # caps 7..12 hold every extension and one cached support serves them all
     grid = grid_poset(3, 4)
-    tab = cftp._support_tables(grid, 7)
-    assert all(cftp._support_tables(grid, c) is tab for c in range(7, 13))
-    assert list(tab.states) == enumerate_extensions(grid)
-    assert cftp._support_tables(grid, 6) is not tab
+    states = cftp._support_tables(grid, 7)
+    assert all(cftp._support_tables(grid, c) is states for c in range(7, 13))
+    assert list(states) == enumerate_extensions(grid)
+    assert cftp._support_tables(grid, 6) is not states
 
 
 def test_support_limit_keeps_the_set_path_up_to_the_3x4_grid():
-    # The limit of 500 extensions sends the 3x4 grid (462) to the set path and
-    # antichain(6) (720) to the bound; with both certificates in C the set path
-    # is the faster on both, but moving the limit changes their draws
+    # The limit of 500 extensions sends the 3x4 grid (462) to the support draw
+    # and antichain(6) (720) to the bound; moving the limit changes their draws
     assert cftp._support_tables(grid_poset(3, 4), 12) is not None
     assert cftp._support_tables(antichain_poset(6), 6) is None
 
 
 def test_generate_stats_accounting(antichain4):
-    bp = BetaParam(4.0, 4)
+    # the bounding chain counts its steps, levels and comparisons
+    poset = antichain_poset(6)
     stream = BitStream(42)
-    sigma, stats = perfect_sample(bp, stream, antichain4)
-    assert antichain4.is_linear_extension(sigma)
+    sigma, stats = perfect_sample(BetaParam(6.0, 6), stream, poset)
+    assert poset.is_linear_extension(sigma)
     assert stats.bits_discrete == stream.bits_consumed
     assert stats.total_steps > 0
     assert stats.levels >= 1
     assert stats.comparisons > 0
+    # a support draw counts only its bits
+    stream = BitStream(42)
+    sigma, stats = perfect_sample(BetaParam(4.0, 4), stream, antichain4)
+    assert antichain4.is_linear_extension(sigma)
+    assert stats.bits_discrete == stream.bits_consumed > 0
+    assert stats.total_steps == stats.levels == stats.comparisons == 0
 
 
 def test_generate_rejects_uncanonical_poset():
@@ -591,14 +493,67 @@ def test_generate_rejects_uncanonical_poset():
 
 def test_generate_step_ceiling(monkeypatch):
     # blocks of 2, 4 and 8 steps fit under a ceiling of 14; the fourth, of 16,
-    # is refused before it is drawn, on both certificates and both loops
+    # is refused before it is drawn, on both loops
     monkeypatch.setattr(cftp, "MAX_STEPS", 14)
-    for poset in (antichain_poset(4), antichain_poset(8)):
-        for kernel in _block_paths():
-            monkeypatch.setattr(cftp, "_kernel", kernel)
-            stream = BitStream(1)
-            with pytest.raises(CoalescenceError, match="no collapse in 14 steps"):
-                generate(BetaParam(float(poset.n), poset.n), 2, stream, poset)
+    poset = antichain_poset(8)
+    for kernel in _block_paths():
+        monkeypatch.setattr(cftp, "_kernel", kernel)
+        stream = BitStream(1)
+        with pytest.raises(CoalescenceError, match="no collapse in 14 steps"):
+            generate(BetaParam(float(poset.n), poset.n), 2, stream, poset)
+
+
+# -- support draw: orders with at most SUPPORT_LIMIT extensions -----------------------
+
+@pytest.mark.parametrize("poset, beta, draws", [
+    (antichain_poset(5), 1.02, 3000),
+    (two_pairs_poset(), 0.01, 3000),
+    (grid_poset(3, 3), 1.02, 3000),
+])
+def test_support_draw_rejecting_most_proposals_chi_square(poset, beta, draws):
+    # pen is near 0, so most proposals have a coordinate at the cap and are
+    # rejected: the kept draws must still follow the exact weights
+    bp = BetaParam(beta, poset.n)
+    states = cftp._support_tables(poset, bp.cap)
+    assert states is not None
+    assert partition_z(poset, bp) < 0.5 * len(states)  # the expected share kept
+    assert _pooled_chi_square_p(poset, bp, draws, 1) >= 0.01
+
+
+def test_support_draw_accounting():
+    # a support draw counts its bits and nothing else, and makes no order test
+    poset = grid_poset(3, 3)
+    bp = BetaParam(2.02, poset.n)
+    stream = BitStream(5)
+    q0 = poset.query_count
+    for _ in range(20):
+        bits0 = stream.bits_consumed
+        sigma, stats = perfect_sample(bp, stream, poset)
+        assert poset.is_linear_extension(sigma) and weight(sigma, bp) > 0.0
+        assert stats.as_dict() == {"total_steps": 0, "levels": 0,
+                                   "bits_discrete": stream.bits_consumed - bits0,
+                                   "bits_continuous": 0, "comparisons": 0}
+    assert poset.query_count == q0
+
+
+class _NoKernel:
+    """A kernel that fails any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the kernel's {name} was used")
+
+
+def test_support_draw_is_the_same_with_and_without_the_kernel(monkeypatch):
+    grid = grid_poset(3, 4)
+    bp = BetaParam(3.05, grid.n)
+    runs = []
+    for kernel in _block_paths() + [_NoKernel()]:
+        monkeypatch.setattr(cftp, "_kernel", kernel)
+        stream = BitStream(9)
+        runs.append([(s, st.as_dict()) for s, st in (perfect_sample(bp, stream, grid)
+                                                     for _ in range(50))])
+        runs[-1].append(stream.bits_consumed)
+    assert all(run == runs[0] for run in runs)
 
 
 def test_python_block_is_compact():
@@ -678,36 +633,6 @@ def test_kernel_blocks_match_the_python_loops():
         kernel.bound_replay(poset, bp, (ctypes.c_int32 * (n + 1))(), *arrays)
 
 
-@pytest.mark.skipif(cftp._kernel is None, reason="no C kernel was built")
-def test_kernel_set_blocks_match_the_python_loops():
-    # Every order with a support x cap x horizon, on a kernel-drawn block with
-    # both gate bits: the set forward gives the Python value and probes, and
-    # the walk agrees from every state, at the block's start and mid-block.
-    kernel = cftp._kernel
-    case = 0
-    for poset in [antichain_poset(2), antichain_poset(3), antichain_poset(4),
-                  antichain_poset(5), two_pairs_poset(), zigzag_poset(), grid_poset(2, 3),
-                  grid_poset(3, 4)]:
-        n = poset.n
-        for cap in range(n + 1):
-            bp = BetaParam(max(cap - 0.3, 0.0), n)
-            tab = cftp._support_tables(poset, cap)
-            for t in (1, 255, 256, 257, 2 * n * n):
-                case += 1
-                block = kernel.draw_block(t, BitStream(case, "set"), n, bp.pen)
-                assert kernel.set_run(tab, -1, *block) == cftp._set_run(tab, -1, *block)
-                for s in range(len(tab.states)):
-                    for start in (0, s * 37 % (t + 1)):
-                        assert (kernel.set_run(tab, s, *block, start)
-                                == cftp._set_run(tab, s, *block, start))
-    pos, up, gate = block
-    with pytest.raises(LinextError):  # arrays of unequal length
-        kernel.set_run(tab, -1, pos, up, (ctypes.c_uint8 * (len(gate) - 1))())
-    for s, start in ((len(tab.states), 0), (0, -1)):
-        with pytest.raises(LinextError):  # no such state, or no such step
-            kernel.set_run(tab, s, pos, up, gate, start)
-
-
 def test_packed_set_tables_stay_linear_in_the_moves():
     # A chain plus one free element at n = 120: a row of every landing per
     # slot, coin and gate would take 4 n int32 per state, 230 KB at the top
@@ -716,25 +641,25 @@ def test_packed_set_tables_stay_linear_in_the_moves():
     n = 120
     poset = canonicalize(close_transitively([(k, k + 1) for k in range(1, n - 1)], n))[0]
     for cap in (1, 2, n // 2, n):
-        tab = cftp._support_tables(poset, cap)
+        tab = band_support(poset, cap, cftp.SUPPORT_LIMIT)
         rows = len(tab.ent) // 3
         assert rows <= 2 * len(tab.states)
-        size = ctypes.sizeof(tab.off) + ctypes.sizeof(tab.ent)
+        size = tab.off.itemsize * len(tab.off) + tab.ent.itemsize * len(tab.ent)
         assert size <= 12 * rows + 4 * len(tab.states) + 4
 
 
 def test_threads_sharing_a_poset_draw_as_they_do_alone():
-    # Threads on one order, each on its own stream, at a cap where the set
-    # path runs in the kernel (which releases the interpreter lock) or in
-    # Python: each gets the draws and accounting it gets alone, so no call's
-    # scratch is another's.
-    grid = grid_poset(3, 4)
-    bp = BetaParam(8.7, grid.n)
-    assert cftp._support_tables(grid, bp.cap) is not None
+    # Threads on one order, each on its own stream, on the bounding chain,
+    # whose blocks run in the kernel (which releases the interpreter lock) or
+    # in Python: each gets the draws and accounting it gets alone, so no
+    # call's arrays are another's.
+    poset = antichain_poset(6)
+    bp = BetaParam(4.7, poset.n)
+    assert cftp._support_tables(poset, bp.cap) is None
 
     def draws(j):
         stream = BitStream(j, "threads")
-        return [(s, st.as_dict()) for s, st in (perfect_sample(bp, stream, grid)
+        return [(s, st.as_dict()) for s, st in (perfect_sample(bp, stream, poset)
                                                  for _ in range(150))]
 
     alone = [draws(j) for j in range(2)]
@@ -766,7 +691,7 @@ def test_kernel_loads_when_a_compiler_is_present(tmp_path):
     kernel = native.build(cache=tmp_path)
     assert kernel is not None
     assert native.build(cache=tmp_path, cc=str(tmp_path / "no-cc")).path == kernel.path
-    assert kernel._lib.draw_block is not None and kernel._lib.set_run is not None
+    assert kernel._lib.draw_block is not None
 
 
 def test_kernel_build_failures_fall_back(tmp_path, capfd, monkeypatch):

@@ -17,6 +17,7 @@ from linext import (
     tpa_runs,
     two_phase,
 )
+from linext.catalog import antichain_poset
 
 # -- tpa_runs -------------------------------------------------------------------
 
@@ -44,16 +45,17 @@ def test_run_law_mean(pairs4):
     assert abs(res.k / res.r - target) <= 3 * math.sqrt(target / runs)
 
 
-def test_parallel_equals_serial(pairs4):
-    q0 = pairs4.query_count
-    serial = tpa_runs(pairs4, 40, BitStream(4))
-    q1 = pairs4.query_count
-    parallel = tpa_runs(pairs4, 40, BitStream(4), parallel=3)
+def test_parallel_equals_serial():
+    poset = antichain_poset(6)  # 720 extensions: the bounding chain makes comparisons
+    q0 = poset.query_count
+    serial = tpa_runs(poset, 40, BitStream(4))
+    q1 = poset.query_count
+    parallel = tpa_runs(poset, 40, BitStream(4), parallel=3)
     assert serial.k == parallel.k
     assert serial.beta_traces == parallel.beta_traces
     assert serial.stats.as_dict() == parallel.stats.as_dict()
     # comparisons made in the workers reach the parent's counter once
-    assert pairs4.query_count - q1 == q1 - q0 == serial.stats.comparisons > 0
+    assert poset.query_count - q1 == q1 - q0 == serial.stats.comparisons > 0
 
 
 def test_parallel_workers_bounded_by_runs_and_cpus(pairs4, monkeypatch):
