@@ -1,4 +1,5 @@
-/* CFTP blocks in C, one function per Python loop in cftp.py.
+/* CFTP blocks and the ideal DP's layer pass in C, one function per Python
+   loop in cftp.py and exact.py.
 
    draw_block draws (pos, up, gate) as BitStream.uniform_int, next_bit and
    bernoulli do, reading bits least significant first from a little-endian
@@ -8,6 +9,8 @@
    Python; arrays are 0-based. */
 
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 typedef struct {
     const uint8_t *buf;
@@ -138,4 +141,175 @@ int64_t bound_replay(int64_t cap, const uint64_t *rows, int64_t w, int64_t t,
         sig[i] = a;
     }
     return comps;
+}
+
+/* One layer of the order-ideal DP, as exact._layer_loop. keys holds the m
+   ideals of a layer as rows of w words, bit v set when element v is placed;
+   below holds the row of each element's predecessors. For each source ideal
+   in order and each v in 1..hi in increasing order that is unplaced and has
+   every predecessor placed, the pair (source, v) makes the ideal source + v,
+   found by its full row in an open-addressing table; a new ideal takes the
+   next id. No row is stored until dp_take: ideal k is the source of pair
+   first[k] plus its element, so a layer holds 12 B per pair and 36 to 72 B
+   per ideal. */
+
+typedef struct {
+    uint64_t hash;
+    int64_t id;  /* -1 where empty */
+} slot_t;
+
+typedef struct {
+    const uint64_t *keys;
+    int64_t w, pairs, room, ideals, slots;
+    int32_t *pair;   /* per pair: source, element, id */
+    int32_t *first;  /* per ideal: the pair that made it first */
+    slot_t *table;   /* at most half full */
+} layer_t;
+
+/* dp_take frees a layer, first writing, when pairs is not NULL, its pairs as
+   three rows (sources, elements, ids) and its ideals' rows in id order; the
+   source rows must still be in place. */
+void dp_take(layer_t *L, int32_t *pairs, uint64_t *rows) {
+    if (pairs) {
+        for (int64_t k = 0; k < L->pairs; k++)
+            for (int64_t c = 0; c < 3; c++)
+                pairs[c * L->pairs + k] = L->pair[3 * k + c];
+        for (int64_t k = 0; k < L->ideals; k++) {
+            const int32_t *f = L->pair + 3 * L->first[k];
+            memcpy(rows + k * L->w, L->keys + f[0] * L->w, (size_t)L->w * 8);
+            rows[k * L->w + (f[1] >> 6)] |= 1ULL << (f[1] & 63);
+        }
+    }
+    free(L->pair);
+    free(L->first);
+    free(L->table);
+    free(L);
+}
+
+/* splitmix64's finalizer of word j of a row: a row hashes to the sum over its
+   words, so placing one element changes one term. The finalizer is a
+   bijection, so rows of one word are equal iff their hashes are. */
+static uint64_t word_hash(uint64_t word, int64_t j) {
+    uint64_t x = word + (uint64_t)j * 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
+static int grow(void *p, int64_t count, size_t size) {
+    void **q = p, *r = realloc(*q, (size_t)count * size);
+    if (r)
+        *q = r;
+    return r != NULL;
+}
+
+/* Double the table, and the room for ideals with it. */
+static int rehash(layer_t *L) {
+    int64_t slots = 2 * L->slots;
+    uint64_t mask = (uint64_t)slots - 1;
+    slot_t *old = L->table, *table = malloc((size_t)slots * sizeof *table);
+    if (!table || !grow(&L->first, slots / 2, sizeof *L->first)) {
+        free(table);
+        return 0;
+    }
+    for (int64_t i = 0; i < slots; i++)
+        table[i].id = -1;
+    for (int64_t k = 0; old && k < L->slots; k++) {
+        uint64_t i = old[k].hash & mask;
+        if (old[k].id < 0)
+            continue;
+        while (table[i].id >= 0)
+            i = (i + 1) & mask;
+        table[i] = old[k];
+    }
+    free(old);
+    L->table = table;
+    L->slots = slots;
+    return 1;
+}
+
+/* The id of the ideal made by pair k, whose row hashes to h; a new one is
+   made first by that pair. */
+static int32_t ideal_id(layer_t *L, int64_t k, uint64_t h) {
+    uint64_t mask = (uint64_t)L->slots - 1;
+    int64_t w = L->w, v = L->pair[3 * k + 1];
+    const uint64_t *row = L->keys + L->pair[3 * k] * w;
+    for (uint64_t i = h & mask;; i = (i + 1) & mask) {
+        slot_t *slot = &L->table[i];
+        if (slot->id < 0) {
+            slot->hash = h;
+            slot->id = L->ideals;
+            L->first[L->ideals] = (int32_t)k;
+            return (int32_t)L->ideals++;
+        }
+        if (slot->hash != h)
+            continue;
+        if (w == 1)
+            return (int32_t)slot->id;
+        const int32_t *f = L->pair + 3 * L->first[slot->id];
+        const uint64_t *other = L->keys + f[0] * w;
+        int64_t j = 0;
+        for (; j < w; j++)
+            if ((row[j] | (j == v >> 6 ? 1ULL << (v & 63) : 0))
+                != (other[j] | (j == f[1] >> 6 ? 1ULL << (f[1] & 63) : 0)))
+                break;
+        if (j == w)
+            return (int32_t)slot->id;
+    }
+}
+
+/* Build the layer after keys; stops after the source ideal that takes the
+   ideals past limit. sizes gets (pairs, ideals). Returns the layer for
+   dp_take, or NULL when memory runs out. */
+layer_t *dp_layer(int64_t w, const uint64_t *keys, int64_t m, const uint64_t *below,
+                  int64_t hi, int64_t limit, int64_t *sizes) {
+    layer_t *L = calloc(1, sizeof *L);
+    if (!L)
+        return NULL;
+    L->keys = keys;
+    L->w = w;
+    L->slots = 16;
+    L->room = 64;
+    while (L->slots < m)
+        L->slots *= 2;
+    if (!rehash(L) || !grow(&L->pair, L->room, 12))
+        goto fail;
+    for (int64_t s = 0; s < m && L->ideals <= limit; s++) {
+        const uint64_t *row = keys + s * w;
+        uint64_t h = 0;
+        for (int64_t j = 0; j < w; j++)
+            h += word_hash(row[j], j);
+        for (int64_t j = 0; j <= hi >> 6; j++) {
+            uint64_t open = ~row[j], rest = h - word_hash(row[j], j);
+            if (j == 0)
+                open &= ~1ULL;
+            if (j == hi >> 6 && (hi & 63) != 63)
+                open &= (2ULL << (hi & 63)) - 1;
+            for (; open; open &= open - 1) {
+                int64_t v = 64 * j + __builtin_ctzll(open), i = 0;
+                const uint64_t *need = below + v * w;
+                while (i < w && !(need[i] & ~row[i]))
+                    i++;
+                if (i < w)
+                    continue;  /* a predecessor of v is unplaced */
+                if (L->pairs == L->room) {
+                    L->room *= 2;  /* pair indices stay int32 */
+                    if (L->room > INT32_MAX || !grow(&L->pair, L->room, 12))
+                        goto fail;
+                }
+                if (2 * (L->ideals + 1) > L->slots && !rehash(L))
+                    goto fail;
+                int32_t *pair = L->pair + 3 * L->pairs;
+                pair[0] = (int32_t)s;
+                pair[1] = (int32_t)v;
+                pair[2] = ideal_id(L, L->pairs++, rest + word_hash(row[j] | 1ULL << (v & 63), j));
+            }
+        }
+    }
+    sizes[0] = L->pairs;
+    sizes[1] = L->ideals;
+    return L;
+fail:
+    dp_take(L, NULL, NULL);
+    return NULL;
 }

@@ -64,7 +64,7 @@ THETA = 0  # wildcard bound entry: no restriction at all
 MAX_STEPS = 10 ** 8  # most steps a draw's blocks may hold: about 1 GB at 10 B per step
 SUPPORT_LIMIT = 500  # most extensions drawn from their enumerated support; another limit changes draws
 
-_kernel = native.build()  # the C block loops, or None to run the Python ones
+_kernel = native.KERNEL  # the C block loops, or None to run the Python ones
 
 
 @dataclass

@@ -9,54 +9,43 @@ nothing else.
 
 The count and the normalizer are one layered DP over order ideals, whose cost
 follows the width of the order, not n: it is guarded by the ideals per layer.
-Each layer is a set of numpy arrays: the ideals as rows of W = n // 64 + 1
-little-endian uint64 words (bit v set when element v is placed), a 64-bit
-hash per ideal and a weight per ideal. One pass builds the next layer from
-chunks of source ideals taken in layer order. Within a chunk it lists every
-(ideal, addable element) pair in row-major order, groups the pairs by the
-hash of the ideal they make, and adds their weights with np.add.at, which
-adds in pair order. The next layer keeps its ideals in order of first
-occurrence, so every weight is summed in the same order as a loop over ideals
-and elements would sum it, and float results are bit-identical to that loop.
-Weights are int64 while no sum can pass 2^63 and Python ints after that; with
-a float penalty they are Python objects from the start, so an int and a float
-add exactly as Python adds them. With W = 1 the hash is the ideal's word
-itself. With W > 1 it is the sum of one random 64-bit fingerprint per placed
-element, every grouped ideal is checked word by word against the first one
-of its group, and a layer with two ideals on one hash is redone grouped by
-the full rows. The guard counts new ideals chunk by chunk and stops in the
-chunk that passes STATE_LIMIT, reporting the count after the source ideal
-that passed it.
+A layer is the ideals as rows of W = n // 64 + 1 little-endian uint64 words
+(bit v set when element v is placed) and a weight per ideal. One pass lists
+every (source ideal, addable element) pair in row-major order, gives each
+pair the id of the ideal it makes, new ideals taking ids in order of first
+occurrence, and returns the new ideals' rows in id order. The pass is one C
+function of the ``native`` kernel, whose open-addressing table is keyed by
+the full rows but holds only the pair that made each ideal first, or,
+without the kernel, ``_layer_loop``, its reference, a dict keyed by the
+rows. The weights are then added with np.add.at, which adds in pair order,
+so every weight is summed in the same order as a loop over ideals and
+elements would sum it, and float results are bit-identical to that loop.
+Weights are int64 while no sum can pass 2^63 and Python ints after that;
+with a float penalty they are Python objects from the start, so an int and a
+float add exactly as Python adds them. The guard stops the pass after the
+source ideal that takes the new ideals past STATE_LIMIT and reports their
+count.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import native
 from .chain import BetaParam, _sigma_step_inplace, weight
 from .errors import GuardError
-from .poset import MAX_ELEMENTS, Poset
+from .poset import Poset
 
 STATE_LIMIT = 10 ** 6  # most order ideals in one layer of the exact DP
 ENUMERATION_GUARD = 10 ** 6
 KERNEL_SUPPORT_GUARD = 10 ** 4
-CHUNK_WORDS = 1 << 20  # most key words one chunk of source ideals unpacks or gathers
-
 _WORD = np.dtype("<u8")
-_ONE = np.uint64(1)
-_FINGERPRINTS = np.frombuffer(random.Random(0).randbytes(8 * (MAX_ELEMENTS + 1)),
-                              dtype=np.uint64)  # one per element, for W > 1
-
-
-def _bit(elements: np.ndarray) -> np.ndarray:
-    """The single-bit word of each element within its own word."""
-    return np.left_shift(_ONE, (elements & 63).astype(np.uint64))
+_kernel = native.KERNEL  # the C layer pass, or None to run _layer_loop
 
 
 def _layered_sum(poset: Poset, cap: int, pen):
@@ -82,96 +71,67 @@ def _layered_sum(poset: Poset, cap: int, pen):
     width = n // 64 + 1
     below = np.frombuffer(b"".join(poset.below_mask(v).to_bytes(8 * width, "little")
                                    for v in range(n + 1)), dtype=_WORD).reshape(n + 1, width)
-    table = _bit(np.arange(n + 1)) if width == 1 else _FINGERPRINTS[:n + 1]
     keys = np.zeros((1, width), dtype=_WORD)
-    hashes = np.zeros(1, dtype=np.uint64)
     weights = np.array([1], dtype=np.int64 if isinstance(pen, int) else object)
     plain = isinstance(pen, int) and pen == 1  # no element needs the factor pen
     for p in range(n):
         if weights.dtype != object:  # a next sum adds at most p + 1 weights times pen
             if (p + 1) * max(pen, 1) * int(weights.max(initial=0)) >= 2 ** 63:
                 weights = weights.astype(object)
-        at_cap = 0 if plain else p + cap + 1
-        args = (keys, hashes, weights, below, table, min(n, p + cap + 1), at_cap, pen, p)
-        keys, hashes, weights = (_next_layer(*args, by_rows=False)
-                                 or _next_layer(*args, by_rows=True))
+        held, layer = (_layer_loop if _kernel is None else _kernel.dp_layer)(
+            keys, below, min(n, p + cap + 1), STATE_LIMIT)
+        if layer is None:
+            raise GuardError(f"n={n} too large: {held} ideals in layer {p + 1}, "
+                             f"over the limit {STATE_LIMIT}")
+        src, elem, ids, keys = layer
+        gained = weights[src]
+        if not plain:
+            at = elem == p + cap + 1
+            gained[at] = gained[at] * pen
+        weights = np.zeros(held, dtype=weights.dtype)
+        np.add.at(weights, ids, gained)
     return sum(weights.tolist())
 
 
-def _next_layer(keys, hashes, weights, below, table, hi, at_cap, pen, p, by_rows):
-    """Layer p + 1 as (keys, hashes, weights), with candidates 1..hi and the
-    factor pen on element at_cap (0 for none). Ideals are grouped by their
-    hash, or, with by_rows, by their full rows; None when W > 1 and two
-    different ideals share a hash."""
-    m, width = keys.shape
-    rows_dtype = np.dtype((np.void, 8 * width)) if by_rows else np.uint64
-    seen = np.empty(0, dtype=rows_dtype)  # sorted, one per ideal found so far
-    seen_id = np.empty(0, dtype=np.intp)
-    first_src = np.empty(0, dtype=np.intp)  # per new ideal: the pair that made it first
-    first_elem = np.empty(0, dtype=np.intp)
-    total = weights[:0]
-    window = np.frombuffer(((1 << hi + 1) - 2).to_bytes(8 * width, "little"), dtype=_WORD)
-    step = max(1, CHUNK_WORDS // ((hi - p) * width))  # at most hi - p unplaced per ideal
-    for a in range(0, m, step):
-        # the unplaced elements of the window: nonzero bytes first, then their bits
-        unplaced = (~keys[a:a + step] & window).view(np.uint8)[:, :hi // 8 + 1]
-        src, byte = np.nonzero(unplaced)
-        octet, bit = np.nonzero(np.unpackbits(unplaced[src, byte], bitorder="little")
-                                .reshape(-1, 8))
-        src = src[octet] + a
-        elem = byte[octet] * 8 + bit
-        ok = ~(below[elem] & ~keys[src]).any(axis=1)  # every predecessor placed
-        src, elem = src[ok], elem[ok]
-        if not len(src):  # every ideal of the chunk is a dead end under the band
-            continue
-        if by_rows:
-            made = keys[src]
-            made[np.arange(len(src)), elem >> 6] |= _bit(elem)
-            h = made.view(rows_dtype).ravel()
-        else:
-            h = hashes[src] + table[elem]
-        order = np.argsort(h)
-        h = h[order]
-        opens = np.concatenate(([True], h[1:] != h[:-1]))  # a new group starts here
-        starts = np.flatnonzero(opens)
-        group_h, group_first = h[starts], np.minimum.reduceat(order, starts)
-        pos = np.searchsorted(seen, group_h)
-        found = pos < len(seen)
-        found[found] = seen[pos[found]] == group_h[found]
-        ids = np.empty(len(starts), dtype=np.intp)
-        ids[found] = seen_id[pos[found]]
-        new = np.flatnonzero(~found)
-        by_first = new[np.argsort(group_first[new])]
-        ids[by_first] = len(first_src) + np.arange(len(new))
-        pair_id = np.empty(len(h), dtype=np.intp)
-        pair_id[order] = ids[np.cumsum(opens) - 1]
-        made_first = group_first[by_first]
-        held = len(first_src)
-        first_src = np.concatenate([first_src, src[made_first]])
-        first_elem = np.concatenate([first_elem, elem[made_first]])
-        if width > 1 and not by_rows:  # each pair's ideal must be its group's first one
-            rep_elem = first_elem[pair_id]
-            diff = keys[src] ^ keys[first_src[pair_id]]
-            pair = np.arange(len(src))
-            diff[pair, elem >> 6] ^= _bit(elem)
-            diff[pair, rep_elem >> 6] ^= _bit(rep_elem)
-            if diff.any():
-                return None
-        if len(first_src) > STATE_LIMIT:
-            trip = src[made_first[STATE_LIMIT - held]]  # the source ideal that passed it
-            held += np.searchsorted(src[made_first], trip, side="right")
-            raise GuardError(f"n={len(below) - 1} too large: {held} ideals in layer "
-                             f"{p + 1}, over the limit {STATE_LIMIT}")
-        seen = np.insert(seen, pos[new], group_h[new])
-        seen_id = np.insert(seen_id, pos[new], ids[new])
-        gained = weights[src]
-        at = elem == at_cap
-        gained[at] = gained[at] * pen
-        total = np.concatenate([total, np.zeros(len(new), dtype=weights.dtype)])
-        np.add.at(total, pair_id, gained)
-    nxt = keys[first_src]
-    nxt[np.arange(len(first_src)), first_elem >> 6] |= _bit(first_elem)
-    return nxt, hashes[first_src] + table[first_elem], total
+def _layer_loop(keys, below, hi, limit):
+    """The layer after keys, as (held, (src, elem, ids, rows)): for each pair
+    of a source ideal (in layer order) and an element v in 1..hi (in
+    increasing order) that is unplaced with every predecessor placed, its
+    source, v and the id of the ideal it makes, ids in order of first
+    occurrence, as int32; then the held ideals' rows in id order. Stops after
+    the source ideal that takes the held ideals past limit, with None for the
+    arrays. The ideals are keyed by their rows' bytes less trailing zeros:
+    unlike an int's, their hash does not fold bit v + 61 onto bit v, and an
+    ideal of low elements takes few bytes (a guard trip at n = 2000 holds
+    about 300 MB, not 420)."""
+    size = 8 * keys.shape[1]
+    raw = keys.tobytes()
+    need: dict[int, int] = {}  # v's bit and its predecessors', for the v met so far
+    window = (2 << hi) - 2
+    index: dict[bytes, int] = {}
+    held, add = 0, index.setdefault
+    pairs = array("i")
+    for s in range(len(keys)):
+        ideal = int.from_bytes(raw[s * size:(s + 1) * size], "little")
+        missing = ~ideal
+        rest = missing & window
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            req = need.get(v)
+            if req is None:
+                req = need[v] = int.from_bytes(below[v].tobytes(), "little") | low
+            if req & missing == low:
+                k = add((ideal | low).to_bytes(size, "little").rstrip(b"\0"), held)
+                if k == held:
+                    held += 1
+                pairs.extend((s, v, k))
+        if held > limit:
+            return held, None
+    rows = np.frombuffer(b"".join(key.ljust(size, b"\0") for key in index),
+                         dtype=_WORD).reshape(held, keys.shape[1])
+    return held, (*np.frombuffer(pairs, dtype=np.int32).reshape(-1, 3).T, rows)
 
 
 def count_exact(poset: Poset) -> int:

@@ -1,4 +1,5 @@
-"""The C kernel for CFTP blocks: built once, opened at import.
+"""The C kernel for CFTP blocks and the ideal DP's layers: built once, opened
+at import, shared by ``cftp`` and ``exact`` as ``KERNEL``.
 
 ``build`` compiles ``_kernel.c`` with the system C compiler into the package's
 ``__pycache__``, under a name keyed by the sha256 of the source, and returns a
@@ -8,11 +9,11 @@ file, or one built on another machine), and callers then run the Python loops.
 A cached kernel costs a hash, a stat and opening the object, well under 1 ms.
 
 A Kernel's methods take and return what ``cftp._draw_block``,
-``cftp._bound_forward`` and ``cftp._bound_replay`` do, with the block kept in
-ctypes arrays. The bits still come only from the stream's own words, through
-``BitStream.draw_steps``, so draws, counters and the generator state match the
-Python loops exactly. Each call allocates its own arrays, so calls may run in
-parallel threads.
+``cftp._bound_forward``, ``cftp._bound_replay`` and ``exact._layer_loop`` do,
+with a block kept in ctypes arrays and a DP layer in numpy arrays. The bits
+still come only from the stream's own words, through ``BitStream.draw_steps``,
+so draws, counters and the generator state match the Python loops exactly.
+Each call allocates its own arrays, so calls may run in parallel threads.
 """
 
 from __future__ import annotations
@@ -20,9 +21,12 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-from ctypes import POINTER, byref, c_char_p, c_double, c_int32, c_int64, c_uint8, c_uint64
+from ctypes import (POINTER, byref, c_char_p, c_double, c_int32, c_int64, c_uint8, c_uint64,
+                    c_void_p)
 from functools import lru_cache
 from pathlib import Path
+
+import numpy as np
 
 from .bitrng import BitStream
 from .chain import BetaParam
@@ -31,6 +35,7 @@ from .poset import Poset
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 CACHE = Path(__file__).with_name("__pycache__")
+_SIZES = c_int64 * 2  # a DP layer's pairs and ideals
 
 
 def build(source: Path = SOURCE, cache: Path = CACHE, cc: str = "cc") -> "Kernel | None":
@@ -72,8 +77,9 @@ def _rows(poset: Poset) -> tuple:
 
 
 class Kernel:
-    """The block functions of the shared object at path, for the bounding
-    chain; opening it raises OSError when the file is not a loadable object."""
+    """The functions of the shared object at path, for the bounding chain's
+    blocks and the ideal DP's layers; opening it raises OSError when the file
+    is not a loadable object."""
 
     def __init__(self, path: str):
         self.path = path
@@ -87,6 +93,13 @@ class Kernel:
                                      i32, u8, u8, i32, i32)
         for f in (lib.draw_block, lib.bound_forward, lib.bound_replay):
             f.restype = c_int64
+        # numpy arrays pass as addresses: data_as, like a ctypes array type
+        # made per call, leaves a reference cycle
+        lib.dp_layer.argtypes = (c_int64, c_void_p, c_int64, c_void_p, c_int64, c_int64,
+                                 _SIZES)
+        lib.dp_layer.restype = c_void_p
+        lib.dp_take.argtypes = (c_void_p, c_void_p, c_void_p)
+        lib.dp_take.restype = None
 
     def draw_block(self, t: int, stream: BitStream, n: int, pen: float) -> list:
         """As cftp._draw_block, into arrays [pos, up, gate]."""
@@ -121,3 +134,28 @@ class Kernel:
             raise LinextError("state or block arrays do not fit the order and the block")
         rows, w = _rows(poset)
         return sig, self._lib.bound_replay(bp.cap, rows, w, len(pos), pos, up, gate, right, sig)
+
+    def dp_layer(self, keys: np.ndarray, below: np.ndarray, hi: int, limit: int) -> tuple:
+        """As exact._layer_loop."""
+        m, w = keys.shape
+        if not (keys.dtype == below.dtype == np.uint64 and below.shape[1] == w
+                and 0 <= hi < len(below) <= 64 * w and keys.flags.c_contiguous
+                and below.flags.c_contiguous):
+            raise LinextError("ideal rows and predecessor rows do not fit each other")
+        sizes = _SIZES()
+        layer = self._lib.dp_layer(w, keys.ctypes.data, m, below.ctypes.data, hi, limit, sizes)
+        if not layer:
+            raise MemoryError("no memory for a layer of the ideal DP")
+        pairs, held = sizes
+        out = rows = None
+        try:
+            if held <= limit:
+                out = np.empty((3, pairs), dtype=np.int32)
+                rows = np.empty((held, w), dtype=np.uint64)
+        finally:  # keys stays referenced until here: dp_take reads its rows
+            self._lib.dp_take(layer, *((None, None) if rows is None
+                                       else (out.ctypes.data, rows.ctypes.data)))
+        return held, None if rows is None else (*out, rows)
+
+
+KERNEL = build()  # the C loops, or None to run the Python ones

@@ -17,6 +17,7 @@ import pytest
 from scipy.stats import chisquare
 
 import linext.cftp as cftp
+import linext.exact as exact
 import linext.native as native
 from linext import (
     THETA,
@@ -684,14 +685,15 @@ def test_threads_sharing_a_poset_draw_as_they_do_alone():
 
 def test_kernel_loads_when_a_compiler_is_present(tmp_path):
     # The fallback must not hide a broken build: with a compiler on the path
-    # the package's kernel exists, a build is cached per source and opens.
+    # the package's kernel exists, is shared by the sampler and the exact DP,
+    # and a build is cached per source and opens.
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on the path")
-    assert cftp._kernel is not None
+    assert cftp._kernel is not None and exact._kernel is cftp._kernel
     kernel = native.build(cache=tmp_path)
     assert kernel is not None
     assert native.build(cache=tmp_path, cc=str(tmp_path / "no-cc")).path == kernel.path
-    assert kernel._lib.draw_block is not None
+    assert kernel._lib.draw_block is not None and kernel._lib.dp_layer is not None
 
 
 def test_kernel_build_failures_fall_back(tmp_path, capfd, monkeypatch):

@@ -358,6 +358,18 @@ def test_bench_csv_columns():
     assert float(fields[5]) <= float(fields[6])
 
 
+def test_bench_names_the_sizes_drawn_from_their_support():
+    # antichain(4) has 24 extensions, so its draws come from the enumerated
+    # support with no chain step or comparison; antichain(8) runs the chain
+    code, out, err = run_cli(["bench", "--sizes", "4,8", "--samples", "2", "--seed", "3"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [(r[0], float(r[2]) == float(r[5]) == 0) for r in rows] == [("4", True), ("8", False)]
+    assert err.startswith("bench: relation-free order, 2 samples per size, seed=3; n=4 drawn "
+                          "from the enumerated support, not by the bounding chain that the "
+                          "bounds cover [wall ")
+
+
 def test_generated_seed_is_reported(chain_file):
     code, out, err = run_cli(["estimate", "--input", chain_file, "--epsilon", "0.5",
                               "--delta", "0.2"])

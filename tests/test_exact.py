@@ -15,6 +15,7 @@ import pytest
 from linext import (
     BetaParam,
     GuardError,
+    LinextError,
     chain_kernel,
     close_transitively,
     count_exact,
@@ -23,7 +24,7 @@ from linext import (
     stationarity_gap,
     weight,
 )
-from linext import catalog, exact
+from linext import catalog, exact, native
 from linext.catalog import antichain_poset, chain_poset, grid_poset, random_poset
 
 from conftest import SMALL_POSET_BUILDERS, brute_force_extensions, grid_hook_count, max_displacement
@@ -165,7 +166,7 @@ def test_count_forest_hook_formula():
         assert count_exact(poset) == hook
 
 
-# -- the array DP against the dict DP it replaced -------------------------------
+# -- the layer passes against the dict DP ----------------------------------------
 
 def _dict_layered_sum(poset, cap, pen):
     """Reference: the DP as one dict of ideal bitmasks per layer, summing each
@@ -207,9 +208,29 @@ def _dict_layered_sum(poset, cap, pen):
 _PENS = (1, 0.5, 0.75, 0.3)
 
 
+def _layer_passes():
+    """The C layer pass when the kernel was built, then the Python loop."""
+    return [k for k in (native.KERNEL,) if k is not None] + [None]
+
+
+def _each_layer_pass(dp, *args):
+    """dp(*args) with each layer pass, as a result or the GuardError message."""
+    out = []
+    for kernel in _layer_passes():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_kernel", kernel)
+            try:
+                out.append(dp(*args))
+            except GuardError as exc:
+                out.append(str(exc))
+    return out
+
+
 def _same_sum(poset, cap, pen):
-    got, ref = exact._layered_sum(poset, cap, pen), _dict_layered_sum(poset, cap, pen)
-    assert type(got) is type(ref) and got == ref, (poset, cap, pen, got, ref)
+    # identical ints and bit-identical floats, of the same type, both ways
+    ref = _dict_layered_sum(poset, cap, pen)
+    for got in _each_layer_pass(exact._layered_sum, poset, cap, pen):
+        assert type(got) is type(ref) and got == ref, (poset, cap, pen, got, ref)
 
 
 def _chain_union(lengths):
@@ -235,16 +256,6 @@ def test_dp_matches_dict_reference_at_every_cap():
                 _same_sum(poset, cap, pen)
 
 
-def test_dp_matches_dict_reference_across_chunks(monkeypatch):
-    # chunks of one or two source ideals: ideals found in earlier chunks of
-    # the layer keep their place and gain weight in the same order
-    monkeypatch.setattr(exact, "CHUNK_WORDS", 16)
-    for poset in _small_orders()[-10:] + [antichain_poset(8)]:
-        for cap in (1, 2, poset.n):
-            for pen in (1, 0.3):
-                _same_sum(poset, cap, pen)
-
-
 @pytest.mark.parametrize("poset", [
     antichain_poset(18), _chain_union([2] * 11), _chain_union([3] * 8), _chain_union([4] * 6),
     _chain_union([5, 5, 4, 4, 3, 3]), grid_poset(4, 6), grid_poset(3, 6),
@@ -259,31 +270,39 @@ def test_dp_matches_dict_reference_on_count_wide_shapes(poset):
     _same_sum(poset, poset.n, 1)
 
 
-def test_dp_promotes_past_int64():
-    # Z(1) of antichain(70) is 2^69: at most 70 ideals per layer, two key words
-    assert exact._layered_sum(antichain_poset(70), 1, 1) == 2 ** 69
-
-
-@pytest.mark.parametrize("chunk_words", [exact.CHUNK_WORDS, 64])
-def test_dp_guard_message_matches_dict_reference(monkeypatch, chunk_words):
-    monkeypatch.setattr(exact, "STATE_LIMIT", 100)
-    monkeypatch.setattr(exact, "CHUNK_WORDS", chunk_words)
-    poset = _bottom_middle_top(12)
-    messages = []
-    for dp in (exact._layered_sum, _dict_layered_sum):
-        with pytest.raises(GuardError) as exc:
-            dp(poset, poset.n, 1)
-        messages.append(str(exc.value))
-    assert messages[0] == messages[1]
-
-
-def test_dp_fingerprint_collisions_fall_back_to_rows(monkeypatch):
-    # with every fingerprint 0 each layer of two or more ideals collides and
-    # is grouped by its full rows instead, with the same sums
+def test_dp_matches_dict_reference_on_two_word_orders():
+    # n = 70 puts each ideal in two words, and the reference tags its int keys
     poset = random_poset(random.Random(4), 70, 0.1)
-    monkeypatch.setattr(exact, "_FINGERPRINTS", np.zeros_like(exact._FINGERPRINTS))
     for cap, pen in ((2, 1), (3, 0.3), (4, 1)):
         _same_sum(poset, cap, pen)
+    for pen in (1, 0.3):
+        _same_sum(antichain_poset(70), 1, pen)
+
+
+def test_dp_promotes_past_int64():
+    # Z(1) of antichain(70) is 2^69: at most 70 ideals per layer, two key words
+    for got in _each_layer_pass(exact._layered_sum, antichain_poset(70), 1, 1):
+        assert type(got) is int and got == 2 ** 69
+
+
+@pytest.mark.skipif(native.KERNEL is None, reason="no C kernel was built")
+def test_kernel_layer_pass_refuses_rows_that_do_not_fit():
+    # the pass reads the arrays through raw pointers, so a width or a window
+    # that does not fit them is refused before the call
+    keys = np.zeros((1, 1), dtype=np.uint64)
+    for below, hi in ((np.zeros((3, 2), dtype=np.uint64), 2), (np.zeros((3, 1), dtype=np.uint64), 3),
+                      (np.zeros((3, 1), dtype=np.int64), 2)):
+        with pytest.raises(LinextError, match="do not fit"):
+            native.KERNEL.dp_layer(keys, below, hi, 10)
+
+
+def test_dp_guard_message_matches_dict_reference(monkeypatch):
+    monkeypatch.setattr(exact, "STATE_LIMIT", 100)
+    poset = _bottom_middle_top(12)
+    messages = _each_layer_pass(exact._layered_sum, poset, poset.n, 1)
+    with pytest.raises(GuardError) as exc:
+        _dict_layered_sum(poset, poset.n, 1)
+    assert messages == [str(exc.value)] * len(messages)
 
 
 def test_z_small_cap_on_wide_order_follows_the_band():
@@ -315,8 +334,8 @@ os.wait()
 
 def test_count_guard_trip_memory_is_bounded():
     # layer 3 of bottom < antichain(1998) < top has C(1998, 2) ideals; the
-    # chunked pass stops at the chunk that passes the limit, holding about 40
-    # bytes per ideal found, not the whole layer's candidate rows
+    # pass stops after the source ideal that passes the limit, holding 12
+    # bytes per pair and at most 72 per ideal found, not the ideals' rows
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", _GUARD_CHILD], env=env, capture_output=True,
