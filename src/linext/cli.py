@@ -35,7 +35,7 @@ from .embed import lift
 from .errors import CoalescenceError, GuardError, LinextError, ParseError
 from .exact import chain_kernel, count_exact, partition_z, stationarity_gap
 from .poset import Poset, Relabeling, load_poset
-from .tpa import interval_tpa, poisson_diagnostics, product_estimator, two_phase
+from .tpa import MAX_RUNS, interval_tpa, poisson_diagnostics, product_estimator, two_phase
 
 _DIAG_BETAS = (0.25, 0.5, 1.0, 1.3, 2.0)
 
@@ -106,6 +106,12 @@ def _accounting(stats: CftpStats) -> dict:
     }
 
 
+def _check_draw_count(count: int) -> None:
+    """Refuse more than MAX_RUNS draws before the first one starts."""
+    if count > MAX_RUNS:
+        raise GuardError(f"{count} draws requested, over the limit {MAX_RUNS}")
+
+
 def _per_sample_bounds(n: int) -> dict:
     return {
         "bits_per_sample": sample_bits_bound(n),
@@ -153,6 +159,7 @@ def _cmd_estimate(args, report: dict) -> str:
 
 def _cmd_sample(args, report: dict) -> str:
     poset, relab = _load_input(args, report)
+    _check_draw_count(args.count)
     seed = _resolve_seed(args, report)
     bp = BetaParam(args.beta, poset.n)
     stream = BitStream(seed)
@@ -230,6 +237,7 @@ def _cmd_interval_demo(args, report: dict) -> str:
 
 def _cmd_bench(args, report: dict) -> str:
     """Writes CSV rows to stdout itself; the report only carries the seed."""
+    _check_draw_count(args.samples)
     seed = _resolve_seed(args, report)
     lines = ["n,beta,mean_steps,mean_bits,bound_bits,mean_comparisons,bound_comparisons"]
     support = []  # sizes whose draws took no chain step: drawn from the enumerated support

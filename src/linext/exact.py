@@ -1,11 +1,6 @@
 """Exact ground truth: extension counts, every extension within a displacement
-band, the exact weight normalizer, and a band's chain-step rows, whose sparse
-kernel the stationarity check scores.
-
-The rows hold, per state, one int32 row for each slot where it descends or
-moves with the gate bit up, with the outcome of ``chain._sigma_step_inplace``
-under each gate bit, so their reader does not decide the gate; they hold
-nothing else.
+band, the exact weight normalizer, and the chain's sparse kernel on a band,
+built from its own step, which the stationarity check scores.
 
 The count and the normalizer are one layered DP over order ideals, whose cost
 follows the width of the order, not n: it is guarded by the ideals per layer.
@@ -32,7 +27,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -183,48 +177,6 @@ def partition_z(poset: Poset, bp: BetaParam) -> float:
     return float(_layered_sum(poset, bp.cap, bp.pen if bp.pen < 1.0 else 1))
 
 
-class Support(NamedTuple):
-    """The extensions with every displacement at most cap, indexed in
-    enumeration order, with the chain's moves as int32 rows over those
-    indices. State s has rows off[s]..off[s+1]-1 of ent, in slot order: one
-    (2 i + d, land0, land1) per slot i where it descends (d = 1) or moves with
-    the gate bit up (d = 0), land_g being where it goes with gate bit g. A
-    state with no row at slot i stays there under either coin."""
-
-    states: tuple  # the extensions with displacement at most cap
-    off: array  # len(states) + 1 row offsets
-    ent: array  # 3 int32 per row
-
-
-def band_support(poset: Poset, cap: int, guard: int) -> Support:
-    """The support with displacement at most cap and its step rows; raises
-    GuardError past guard states. An ascending pair takes the chain's own step
-    with the gate up, then down, and has a row if the first one moves. A
-    descending pair swaps back under both gate bits: the mover ends below the
-    cap, so the swap back is in the support."""
-    n = poset.n
-    states = tuple(enumerate_extensions(poset, guard, cap))
-    index = {s: k for k, s in enumerate(states)}
-    above = poset.raw_masks
-    off, ent = [0], []
-    for k, s in enumerate(states):
-        for i, a, b in zip(range(1, n), s, s[1:]):
-            sig = list(s)
-            if a > b:
-                sig[i - 1:i + 1] = b, a
-                j = index[tuple(sig)]
-                ent += (2 * i + 1, j, j)
-                continue
-            _sigma_step_inplace(sig, i, 1, 1, cap, above)
-            if sig[i] != b:
-                j = index[tuple(sig)]
-                sig = list(s)
-                _sigma_step_inplace(sig, i, 1, 0, cap, above)
-                ent += (2 * i, k if sig[i] == b else j, j)
-        off.append(len(ent) // 3)
-    return Support(states, array("i", off), array("i", ent))
-
-
 @dataclass
 class KernelMatrix:
     """The chain's kernel on its support, sparse: support[src[k]] moves to
@@ -237,23 +189,42 @@ class KernelMatrix:
 
 
 def chain_kernel(poset: Poset, bp: BetaParam) -> KernelMatrix:
-    """The chain's transitions, read off the band's rows: a row's gate-up
-    landing has probability 0.5 / (n - 1), times pen when the gate-down
-    landing stays, listed by slot, then coin, then the state that swaps (coin
-    1) or the one it swaps back to (coin 0). A support of more than
-    KERNEL_SUPPORT_GUARD states, counted by the ideal DP at bp.cap, is refused
-    before any extension is enumerated."""
+    """The chain's transitions, from its own step on every state of the band.
+    At each slot a descending pair swaps back under either gate bit, since
+    the mover ends below the cap; an ascending pair takes
+    ``chain._sigma_step_inplace`` with the gate up, then down, and moves if
+    the first one does. A move has probability 0.5 / (n - 1), times pen when
+    it needs the gate up. Transitions are listed by slot, swap backs first,
+    then by the pair's ascending state: the source of a move, the
+    destination of a swap back. A support of more than KERNEL_SUPPORT_GUARD
+    states, counted by the ideal DP at bp.cap, is refused before any
+    extension is enumerated."""
     size = _layered_sum(poset, bp.cap, 1)
     if size > KERNEL_SUPPORT_GUARD:
         raise GuardError(f"support size {size} exceeds {KERNEL_SUPPORT_GUARD}")
-    tab = band_support(poset, bp.cap, KERNEL_SUPPORT_GUARD)
-    m = max(poset.n - 1, 1)  # one element has no slot and no rows
-    rows = np.frombuffer(tab.ent, dtype=np.int32).reshape(-1, 3).astype(np.intp)
-    src = np.repeat(np.arange(len(tab.states)), np.diff(np.frombuffer(tab.off, dtype=np.int32)))
-    d, down, dst = rows[:, 0] & 1, rows[:, 1], rows[:, 2]
-    order = np.lexsort((np.where(d, dst, src), 1 - d, rows[:, 0] >> 1))
-    prob = np.where(down != src, 0.5 / m, 0.5 * bp.pen / m)
-    return KernelMatrix(list(tab.states), src[order], dst[order], prob[order])
+    n, cap, above = poset.n, bp.cap, poset.raw_masks
+    states = enumerate_extensions(poset, KERNEL_SUPPORT_GUARD, cap)
+    index = {s: k for k, s in enumerate(states)}
+    moves = []  # six per move: slot, 0 for a swap back, ascending state, src, dst, gated
+    for k, s in enumerate(states):
+        for i, a, b in zip(range(1, n), s, s[1:]):
+            sig = list(s)
+            if a > b:
+                sig[i - 1:i + 1] = b, a
+                j = index[tuple(sig)]
+                moves += (i, 0, j, k, j, 0)
+                continue
+            _sigma_step_inplace(sig, i, 1, 1, cap, above)
+            if sig[i] != b:
+                j = index[tuple(sig)]
+                sig = list(s)
+                _sigma_step_inplace(sig, i, 1, 0, cap, above)
+                moves += (i, 1, k, k, j, sig[i] == b)
+    slot, kind, asc, src, dst, gated = np.array(moves, dtype=np.intp).reshape(-1, 6).T
+    order = np.lexsort((asc, kind, slot))
+    m = max(n - 1, 1)  # one element has no slot and no moves
+    prob = np.where(gated, 0.5 * bp.pen / m, 0.5 / m)
+    return KernelMatrix(states, src[order], dst[order], prob[order])
 
 
 def stationarity_gap(kernel: KernelMatrix, poset: Poset, bp: BetaParam) -> float:

@@ -28,8 +28,6 @@ from linext import (
     StepDraw,
     bounding_chain_step,
     bounds,
-    canonicalize,
-    chain_kernel,
     chain_step,
     close_transitively,
     enumerate_extensions,
@@ -48,7 +46,6 @@ from linext.catalog import (
     two_pairs_poset,
     zigzag_poset,
 )
-from linext.exact import band_support
 
 from conftest import SMALL_POSET_BUILDERS, max_displacement
 
@@ -171,91 +168,6 @@ def test_trajectory_invariants_random(pairs4):
             if step > coalesced_at + 50:
                 break
     assert coalesced_at is not None
-
-
-# -- the chain's sparse kernel and the band's rows ----------------------------------
-
-def _literal_kernel(poset, bp):
-    """Reference kernel: one chain_step on every (i, c1, c2), each weighted by
-    its probability, as a dense matrix over the support."""
-    support = enumerate_extensions(poset, cap=bp.cap)
-    idx = {s: j for j, s in enumerate(support)}
-    n = poset.n
-    probs = np.zeros((len(support), len(support)))
-    coin2 = [(1, bp.pen)] if bp.pen == 1.0 else [(0, 1.0 - bp.pen), (1, bp.pen)]
-    for s in support:
-        for i in range(1, n):
-            for c1, p1 in ((0, 0.5), (1, 0.5)):
-                for c2, p2 in coin2:
-                    nxt = chain_step(s, bp, StepDraw(i, c1, c2), poset)
-                    probs[idx[s], idx[nxt]] += p1 * p2 / (n - 1)
-    return support, probs
-
-
-@pytest.mark.parametrize("builder", SMALL_POSET_BUILDERS + [
-    lambda: chain_poset(2), lambda: chain_poset(4), lambda: grid_poset(2, 3)])
-def test_keyed_step_marginal_is_the_chain_kernel(builder):
-    # the sparse kernel read off the band's rows is the literal step's
-    # marginal off the diagonal, and its implied diagonal is the rest of the row
-    poset = builder()
-    n = poset.n
-    for beta in (0.25, 0.5, 1.0, 1.3, 2.0, float(n)):
-        if beta > n:
-            continue
-        bp = BetaParam(beta, n)
-        support, probs = _literal_kernel(poset, bp)
-        kernel = chain_kernel(poset, bp)
-        assert kernel.support == support
-        dense = np.zeros_like(probs)
-        dense[kernel.src, kernel.dst] = kernel.prob
-        off = ~np.eye(len(support), dtype=bool)
-        assert np.array_equal(dense[off], probs[off])
-        assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        assert np.allclose(1.0 - dense.sum(axis=1), probs.diagonal(), rtol=0, atol=1e-12)
-
-
-def _rows(tab, k):
-    """Support index k's rows as (slot, d, land0, land1)."""
-    ent = tab.ent
-    return [(ent[e] >> 1, ent[e] & 1, ent[e + 1], ent[e + 2])
-            for e in range(3 * tab.off[k], 3 * tab.off[k + 1], 3)]
-
-
-def _check_swap_back_keys(tab, n):
-    """A state has a d = 1 row at exactly the slots where its pair descends,
-    and both gate bits share that row's landing: a swap back is never gated."""
-    for k, s in enumerate(tab.states):
-        rows = _rows(tab, k)
-        assert [i for i, d, _, _ in rows if d] == [i for i in range(1, n) if s[i - 1] > s[i]]
-        assert all(land0 == land1 for _, d, land0, land1 in rows if d)  # no gate on a swap back
-
-
-@pytest.mark.parametrize("builder", SMALL_POSET_BUILDERS + [
-    lambda: grid_poset(2, 3), lambda: grid_poset(3, 4)])
-def test_swap_back_keys_are_the_descents(builder):
-    poset = builder()
-    for cap in range(poset.n + 1):
-        _check_swap_back_keys(band_support(poset, cap, cftp.SUPPORT_LIMIT), poset.n)
-
-
-def test_tables_store_only_descents_and_moves():
-    # a 300-chain plus one free element: 301 extensions, each with at most two
-    # incomparable adjacent pairs, so the rows stay near |support| (a move or
-    # a swap back per free pair) rather than (n - 1) |support|
-    n = 301
-    poset = canonicalize(close_transitively([(k, k + 1) for k in range(1, n - 1)], n))[0]
-    tab = band_support(poset, n, cftp.SUPPORT_LIMIT)
-    assert len(tab.states) == n
-    free = sum(1 for s in tab.states for i in range(1, n)
-               if not poset.less(s[i - 1], s[i]) and not poset.less(s[i], s[i - 1]))
-    assert free == 2 * (n - 1)
-    assert len(tab.ent) // 3 <= 1.5 * free
-    _check_swap_back_keys(tab, n)
-    for k in range(n):
-        rows = _rows(tab, k)
-        assert [i for i, *_ in rows] == sorted({i for i, *_ in rows})  # one per slot, in order
-        for _, _, land0, land1 in rows:
-            assert land0 in (k, land1)  # closing the gate only removes moves
 
 
 # -- generate / perfect_sample --------------------------------------------------------
@@ -632,21 +544,6 @@ def test_kernel_blocks_match_the_python_loops():
                     assert (list(got), got_probes) == want
     with pytest.raises(LinextError):  # a state that does not fit the order
         kernel.bound_replay(poset, bp, (ctypes.c_int32 * (n + 1))(), *arrays)
-
-
-def test_packed_set_tables_stay_linear_in_the_moves():
-    # A chain plus one free element at n = 120: a row of every landing per
-    # slot, coin and gate would take 4 n int32 per state, 230 KB at the top
-    # cap, where the rows keep to 12 B per row and 4 B per state, with a row
-    # only at the (at most two) slots where the free element meets the chain.
-    n = 120
-    poset = canonicalize(close_transitively([(k, k + 1) for k in range(1, n - 1)], n))[0]
-    for cap in (1, 2, n // 2, n):
-        tab = band_support(poset, cap, cftp.SUPPORT_LIMIT)
-        rows = len(tab.ent) // 3
-        assert rows <= 2 * len(tab.states)
-        size = tab.off.itemsize * len(tab.off) + tab.ent.itemsize * len(tab.ent)
-        assert size <= 12 * rows + 4 * len(tab.states) + 4
 
 
 def test_threads_sharing_a_poset_draw_as_they_do_alone():

@@ -264,7 +264,8 @@ def test_chain_diag_pinned_gaps(tmp_path):
     # Each gap sums float flows over the kernel's transitions, so listing them
     # in another order moves it in the last bits (unordered rows give 2.7e-20
     # on the grid at 0.25 and 3.5e-18 on antichain(6) at 0.25); these are the
-    # figures of the order chain_kernel keeps: slot, coin, then state.
+    # figures of the order chain_kernel keeps: by slot, swap backs first,
+    # then the pair's ascending state.
     cases = [(grid_poset(3, 4), "0.25,2.3", [0.0, 5.421010862427522e-20]),
              (antichain_poset(6), "0.25,0.5,2.5", [0.0, 0.0, 0.0]),
              (antichain_poset(5), "1.3,1.7", [1.734723475976807e-18, 8.673617379884035e-19])]
@@ -447,6 +448,22 @@ def test_exit_code_2_on_bench_samples_below_one(samples, message, capsys):
         cli.main(["bench", "--sizes", "4", "--samples", samples, "--seed", "1"])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--input", "PAIRS", "--beta", "1", "--count", "1000000000000", "--seed", "1"],
+    ["bench", "--sizes", "4", "--samples", "1000000000000", "--seed", "1"],
+], ids=["sample-count-10^12", "bench-samples-10^12"])
+def test_exit_code_3_on_too_many_draws(pairs_file, argv):
+    # more than tpa.MAX_RUNS draws are refused before the first one, instead
+    # of keeping every draw's report entry or looping for ever
+    argv = [pairs_file if a == "PAIRS" else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "over the limit" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,7 +16,10 @@ from linext import (
     BetaParam,
     GuardError,
     LinextError,
+    StepDraw,
+    canonicalize,
     chain_kernel,
+    chain_step,
     close_transitively,
     count_exact,
     enumerate_extensions,
@@ -484,6 +487,72 @@ def test_kernel_chain_is_identity():
     kernel = chain_kernel(chain_poset(3), BetaParam(1.3, 3))
     assert kernel.support == [(1, 2, 3)]
     assert len(kernel.src) == len(kernel.dst) == len(kernel.prob) == 0
+
+
+def test_kernel_lists_moves_by_slot_swap_backs_first_then_ascending_state(pairs4, grid23):
+    # stationarity_gap sums its flows in the kernel's order, so the order is
+    # pinned: by slot, swap backs first, then the pair's ascending state
+    move, gated = 0.16666666666666666, 0.04999999999999997  # 0.5 / 3, times pen 0.3
+    kernel = chain_kernel(pairs4, BetaParam(1.3, 4))
+    assert list(zip(kernel.src.tolist(), kernel.dst.tolist())) == [
+        (3, 0), (4, 1), (0, 3), (1, 4), (2, 0), (5, 4), (0, 2), (4, 5), (1, 0), (4, 3),
+        (0, 1), (3, 4)]
+    assert kernel.prob.tolist() == [move] * 7 + [gated] + [move] * 4
+    kernel = chain_kernel(grid23, BetaParam(0.5, 6))
+    assert list(zip(kernel.src.tolist(), kernel.dst.tolist())) == [(1, 0), (0, 1), (2, 1), (1, 2)]
+    assert kernel.prob.tolist() == [0.1, 0.05, 0.1, 0.05]
+
+
+def _literal_kernel(poset, bp):
+    """Reference kernel: one chain_step on every (i, c1, c2), each weighted by
+    its probability, as a dense matrix over the support."""
+    support = enumerate_extensions(poset, cap=bp.cap)
+    idx = {s: j for j, s in enumerate(support)}
+    n = poset.n
+    probs = np.zeros((len(support), len(support)))
+    coin2 = [(1, bp.pen)] if bp.pen == 1.0 else [(0, 1.0 - bp.pen), (1, bp.pen)]
+    for s in support:
+        for i in range(1, n):
+            for c1, p1 in ((0, 0.5), (1, 0.5)):
+                for c2, p2 in coin2:
+                    nxt = chain_step(s, bp, StepDraw(i, c1, c2), poset)
+                    probs[idx[s], idx[nxt]] += p1 * p2 / (n - 1)
+    return support, probs
+
+
+@pytest.mark.parametrize("builder", SMALL_POSET_BUILDERS + [
+    lambda: chain_poset(2), lambda: chain_poset(4), lambda: grid_poset(2, 3),
+    lambda: grid_poset(3, 4)])
+def test_chain_kernel_is_the_literal_steps_marginal(builder):
+    # chain_kernel is chain_step's marginal over every slot and coin off the
+    # diagonal, and its implied diagonal is the rest of the row: so at every
+    # cap, with pen < 1, a swap back takes no gate and a move the gate stops
+    # is gated
+    poset = builder()
+    n = poset.n
+    for beta in (0.25, 0.5, 1.0, 1.3, 2.0, *(c - 0.5 for c in range(3, n + 1)), float(n)):
+        if beta > n:
+            continue
+        bp = BetaParam(beta, n)
+        support, probs = _literal_kernel(poset, bp)
+        kernel = chain_kernel(poset, bp)
+        assert kernel.support == support
+        dense = np.zeros_like(probs)
+        dense[kernel.src, kernel.dst] = kernel.prob
+        off = ~np.eye(len(support), dtype=bool)
+        assert np.array_equal(dense[off], probs[off])
+        assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(1.0 - dense.sum(axis=1), probs.diagonal(), rtol=0, atol=1e-12)
+
+
+def test_kernel_keeps_only_the_free_pairs_moves():
+    # a 300-chain plus one free element: 301 extensions, each with at most two
+    # incomparable adjacent pairs, so at most two transitions leave a state,
+    # not n - 1
+    n = 301
+    poset = canonicalize(close_transitively([(k, k + 1) for k in range(1, n - 1)], n))[0]
+    kernel = chain_kernel(poset, BetaParam(float(n), n))
+    assert len(kernel.support) == n and np.bincount(kernel.src, minlength=n).max() <= 2
 
 
 @pytest.mark.parametrize("builder", SMALL_POSET_BUILDERS)
