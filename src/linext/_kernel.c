@@ -8,6 +8,7 @@
    is set iff a precedes b. Values, positions and slots are 1-based as in
    Python; arrays are 0-based. */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -144,14 +145,28 @@ int64_t bound_replay(int64_t cap, const uint64_t *rows, int64_t w, int64_t t,
 }
 
 /* One layer of the order-ideal DP, as exact._layer_loop. keys holds the m
-   ideals of a layer as rows of w words, bit v set when element v is placed;
-   below holds the row of each element's predecessors. For each source ideal
-   in order and each v in 1..hi in increasing order that is unplaced and has
-   every predecessor placed, the pair (source, v) makes the ideal source + v,
-   found by its full row in an open-addressing table; a new ideal takes the
-   next id. No row is stored until dp_take: ideal k is the source of pair
-   first[k] plus its element, so a layer holds 12 B per pair and 36 to 72 B
-   per ideal. */
+   ideals of a layer as rows of w words, bit v set when element v is placed,
+   and weights their weights in rows of kin words; below holds the row of
+   each element's predecessors. For each source ideal in order and each v in
+   1..hi in increasing order that is unplaced and has every predecessor
+   placed, the pair (source, v) makes the ideal source + v, found by its full
+   row in an open-addressing table; a new ideal takes the next id and the
+   weight 0, and the pair's term, the source's weight, times pen when v is
+   at, is added to it there and then. No row is stored until dp_take: ideal
+   k is the source of the pair that made it first plus its element, so with
+   one-word weights a layer holds 48 to 96 B per ideal: its table slot, its
+   first pair and its weight.
+
+   A weight is an exact int or a double, as Python would hold it. An int is
+   k little-endian words below 2^(64 k - 1). A double, which is never
+   negative (pen >= 0), is held in the last word with its sign bit, REAL,
+   set. An ideal's weight stays an int while every term is an int; a double
+   term makes it a double, and from then on every term is rounded to a
+   double and added, as Python adds an int and a float. An ideal takes at
+   most hi terms, so k is the fewest words that hold hi times the largest
+   int of the source layer below the top bit. */
+
+#define REAL (1ULL << 63)
 
 typedef struct {
     uint64_t hash;
@@ -159,31 +174,89 @@ typedef struct {
 } slot_t;
 
 typedef struct {
-    const uint64_t *keys;
-    int64_t w, pairs, room, ideals, slots;
-    int32_t *pair;   /* per pair: source, element, id */
-    int32_t *first;  /* per ideal: the pair that made it first */
+    int64_t v;
+    uint64_t hash;
+} next_t;  /* an element a source ideal can add, and the hash of the ideal it makes */
+
+typedef struct {
+    const uint64_t *keys, *in;
+    int64_t w, kin, k, ideals, slots, overflow;
+    int32_t *first;  /* per ideal: the source and element that made it first */
+    uint64_t *sum;   /* per ideal: its weight in k words */
     slot_t *table;   /* at most half full */
 } layer_t;
 
-/* dp_take frees a layer, first writing, when pairs is not NULL, its pairs as
-   three rows (sources, elements, ids) and its ideals' rows in id order; the
-   source rows must still be in place. */
-void dp_take(layer_t *L, int32_t *pairs, uint64_t *rows) {
-    if (pairs) {
-        for (int64_t k = 0; k < L->pairs; k++)
-            for (int64_t c = 0; c < 3; c++)
-                pairs[c * L->pairs + k] = L->pair[3 * k + c];
+/* dp_take frees a layer, first writing, when rows is not NULL, its ideals'
+   rows and weights in id order; the source rows must still be in place. */
+void dp_take(layer_t *L, uint64_t *rows, uint64_t *weights) {
+    if (rows) {
         for (int64_t k = 0; k < L->ideals; k++) {
-            const int32_t *f = L->pair + 3 * L->first[k];
+            const int32_t *f = L->first + 2 * k;
             memcpy(rows + k * L->w, L->keys + f[0] * L->w, (size_t)L->w * 8);
             rows[k * L->w + (f[1] >> 6)] |= 1ULL << (f[1] & 63);
         }
+        memcpy(weights, L->sum, (size_t)(L->ideals * L->k) * 8);
     }
-    free(L->pair);
     free(L->first);
+    free(L->sum);
     free(L->table);
     free(L);
+}
+
+static int64_t bit_length(uint64_t x) {
+    return x ? 64 - __builtin_clzll(x) : 0;
+}
+
+static double real(uint64_t word) {
+    double d;
+    word &= ~REAL;
+    memcpy(&d, &word, 8);
+    return d;
+}
+
+/* The int in words x[0..k) as a double, rounded to nearest with ties to
+   even as Python rounds it; *overflow is set when it is past the largest
+   double, where Python raises OverflowError. */
+static double to_double(const uint64_t *x, int64_t k, int64_t *overflow) {
+    int64_t j = k - 1;
+    while (j > 0 && !x[j])
+        j--;
+    if (j == 0)
+        return (double)x[0];
+    int lead = __builtin_clzll(x[j]);
+    uint64_t top = x[j] << lead, rest = x[j - 1] << lead;
+    if (lead)
+        top |= x[j - 1] >> (64 - lead);
+    for (int64_t i = 0; i < j - 1; i++)
+        rest |= x[i];
+    /* the bits below top's 64 only break ties, so one sticky bit stands
+       for them */
+    double d = ldexp((double)(top | (rest != 0)), (int)(64 * j - lead));
+    if (isinf(d))
+        *overflow = 1;
+    return d;
+}
+
+/* Add source s's weight, times pen when scaled, into the weight acc. */
+static void add(layer_t *L, uint64_t *acc, int64_t s, int scaled, double pen) {
+    const uint64_t *src = L->in + s * L->kin;
+    int64_t k = L->k, kin = L->kin;
+    if (!scaled && !((src[kin - 1] | acc[k - 1]) & REAL)) {
+        unsigned __int128 carry = 0;  /* an int term into an int: k fits the sum */
+        for (int64_t i = 0; i < k; i++) {
+            carry += (unsigned __int128)acc[i] + (i < kin ? src[i] : 0);
+            acc[i] = (uint64_t)carry;
+            carry >>= 64;
+        }
+        return;
+    }
+    double t = src[kin - 1] & REAL ? real(src[kin - 1]) : to_double(src, kin, &L->overflow);
+    if (scaled)
+        t *= pen;
+    t += acc[k - 1] & REAL ? real(acc[k - 1]) : to_double(acc, k, &L->overflow);
+    memset(acc, 0, (size_t)(k - 1) * 8);
+    memcpy(&acc[k - 1], &t, 8);
+    acc[k - 1] |= REAL;
 }
 
 /* splitmix64's finalizer of word j of a row: a row hashes to the sum over its
@@ -208,7 +281,8 @@ static int rehash(layer_t *L) {
     int64_t slots = 2 * L->slots;
     uint64_t mask = (uint64_t)slots - 1;
     slot_t *old = L->table, *table = malloc((size_t)slots * sizeof *table);
-    if (!table || !grow(&L->first, slots / 2, sizeof *L->first)) {
+    if (!table || !grow(&L->first, slots, sizeof *L->first)
+        || !grow(&L->sum, slots / 2 * L->k, sizeof *L->sum)) {
         free(table);
         return 0;
     }
@@ -228,25 +302,28 @@ static int rehash(layer_t *L) {
     return 1;
 }
 
-/* The id of the ideal made by pair k, whose row hashes to h; a new one is
-   made first by that pair. */
-static int32_t ideal_id(layer_t *L, int64_t k, uint64_t h) {
+/* The weight of the ideal source s + v, whose row hashes to h; a new one is
+   made first by that pair, with the weight 0. */
+static uint64_t *ideal_sum(layer_t *L, int64_t s, int64_t v, uint64_t h) {
     uint64_t mask = (uint64_t)L->slots - 1;
-    int64_t w = L->w, v = L->pair[3 * k + 1];
-    const uint64_t *row = L->keys + L->pair[3 * k] * w;
+    int64_t w = L->w;
+    const uint64_t *row = L->keys + s * w;
     for (uint64_t i = h & mask;; i = (i + 1) & mask) {
         slot_t *slot = &L->table[i];
         if (slot->id < 0) {
+            uint64_t *acc = L->sum + L->ideals * L->k;
             slot->hash = h;
             slot->id = L->ideals;
-            L->first[L->ideals] = (int32_t)k;
-            return (int32_t)L->ideals++;
+            L->first[2 * L->ideals] = (int32_t)s;
+            L->first[2 * L->ideals++ + 1] = (int32_t)v;
+            memset(acc, 0, (size_t)L->k * 8);
+            return acc;
         }
         if (slot->hash != h)
             continue;
         if (w == 1)
-            return (int32_t)slot->id;
-        const int32_t *f = L->pair + 3 * L->first[slot->id];
+            return L->sum + slot->id * L->k;
+        const int32_t *f = L->first + 2 * slot->id;
         const uint64_t *other = L->keys + f[0] * w;
         int64_t j = 0;
         for (; j < w; j++)
@@ -254,29 +331,48 @@ static int32_t ideal_id(layer_t *L, int64_t k, uint64_t h) {
                 != (other[j] | (j == f[1] >> 6 ? 1ULL << (f[1] & 63) : 0)))
                 break;
         if (j == w)
-            return (int32_t)slot->id;
+            return L->sum + slot->id * L->k;
     }
 }
 
 /* Build the layer after keys; stops after the source ideal that takes the
-   ideals past limit. sizes gets (pairs, ideals). Returns the layer for
-   dp_take, or NULL when memory runs out. */
-layer_t *dp_layer(int64_t w, const uint64_t *keys, int64_t m, const uint64_t *below,
-                  int64_t hi, int64_t limit, int64_t *sizes) {
+   ideals past limit, or that rounds an int past the largest double. sizes
+   gets (ideals, k, overflow). Returns the layer for dp_take, or NULL when
+   memory runs out. A source's addable elements are listed, and their table
+   slots prefetched, before any is looked up, so the lookups' cache misses
+   overlap. */
+layer_t *dp_layer(int64_t w, const uint64_t *keys, int64_t m, const uint64_t *weights,
+                  int64_t kin, const uint64_t *below, int64_t hi, int64_t at, double pen,
+                  int64_t limit, int64_t *sizes) {
     layer_t *L = calloc(1, sizeof *L);
+    next_t *next = NULL;
+    int64_t bits = 0;
     if (!L)
         return NULL;
+    for (int64_t s = 0; s < m; s++) {
+        const uint64_t *x = weights + s * kin;
+        int64_t j = kin - 1;
+        if (x[j] & REAL)
+            continue;
+        while (j > 0 && !x[j])
+            j--;
+        if (64 * j + bit_length(x[j]) > bits)
+            bits = 64 * j + bit_length(x[j]);
+    }
     L->keys = keys;
+    L->in = weights;
     L->w = w;
+    L->kin = kin;
+    L->k = (bits + bit_length((uint64_t)hi)) / 64 + 1;
     L->slots = 16;
-    L->room = 64;
     while (L->slots < m)
         L->slots *= 2;
-    if (!rehash(L) || !grow(&L->pair, L->room, 12))
+    if (!rehash(L) || !(next = malloc((size_t)(hi + 1) * sizeof *next)))
         goto fail;
-    for (int64_t s = 0; s < m && L->ideals <= limit; s++) {
+    for (int64_t s = 0; s < m && L->ideals <= limit && !L->overflow; s++) {
         const uint64_t *row = keys + s * w;
         uint64_t h = 0;
+        int64_t count = 0;
         for (int64_t j = 0; j < w; j++)
             h += word_hash(row[j], j);
         for (int64_t j = 0; j <= hi >> 6; j++) {
@@ -292,24 +388,24 @@ layer_t *dp_layer(int64_t w, const uint64_t *keys, int64_t m, const uint64_t *be
                     i++;
                 if (i < w)
                     continue;  /* a predecessor of v is unplaced */
-                if (L->pairs == L->room) {
-                    L->room *= 2;  /* pair indices stay int32 */
-                    if (L->room > INT32_MAX || !grow(&L->pair, L->room, 12))
-                        goto fail;
-                }
-                if (2 * (L->ideals + 1) > L->slots && !rehash(L))
-                    goto fail;
-                int32_t *pair = L->pair + 3 * L->pairs;
-                pair[0] = (int32_t)s;
-                pair[1] = (int32_t)v;
-                pair[2] = ideal_id(L, L->pairs++, rest + word_hash(row[j] | 1ULL << (v & 63), j));
+                next[count].v = v;
+                next[count].hash = rest + word_hash(row[j] | 1ULL << (v & 63), j);
+                __builtin_prefetch(&L->table[next[count++].hash & (uint64_t)(L->slots - 1)]);
             }
         }
+        for (int64_t c = 0; c < count; c++) {
+            if (2 * (L->ideals + 1) > L->slots && !rehash(L))
+                goto fail;
+            add(L, ideal_sum(L, s, next[c].v, next[c].hash), s, next[c].v == at, pen);
+        }
     }
-    sizes[0] = L->pairs;
-    sizes[1] = L->ideals;
+    free(next);
+    sizes[0] = L->ideals;
+    sizes[1] = L->k;
+    sizes[2] = L->overflow;
     return L;
 fail:
+    free(next);
     dp_take(L, NULL, NULL);
     return NULL;
 }

@@ -5,40 +5,45 @@ built from its own step, which the stationarity check scores.
 The count and the normalizer are one layered DP over order ideals, whose cost
 follows the width of the order, not n: it is guarded by the ideals per layer.
 A layer is the ideals as rows of W = n // 64 + 1 little-endian uint64 words
-(bit v set when element v is placed) and a weight per ideal. One pass lists
+(bit v set when element v is placed) and a weight per ideal. One pass meets
 every (source ideal, addable element) pair in row-major order, gives each
-pair the id of the ideal it makes, new ideals taking ids in order of first
-occurrence, and returns the new ideals' rows in id order. The pass is one C
-function of the ``native`` kernel, whose open-addressing table is keyed by
-the full rows but holds only the pair that made each ideal first, or,
-without the kernel, ``_layer_loop``, its reference, a dict keyed by the
-rows. The weights are then added with np.add.at, which adds in pair order,
-so every weight is summed in the same order as a loop over ideals and
-elements would sum it, and float results are bit-identical to that loop.
-Weights are int64 while no sum can pass 2^63 and Python ints after that;
-with a float penalty they are Python objects from the start, so an int and a
-float add exactly as Python adds them. The guard stops the pass after the
-source ideal that takes the new ideals past STATE_LIMIT and reports their
-count.
+pair the ideal it makes, new ideals taking ids in order of first occurrence
+and the weight 0, and adds the pair's term to that ideal's weight there and
+then, so every weight is summed in the same order as a loop over ideals and
+elements would sum it. It returns the new ideals' rows and weights in id
+order. The pass is one C function of the ``native`` kernel, whose
+open-addressing table is keyed by the full rows but holds only the pair that
+made each ideal first, or, without the kernel, ``_layer_loop``, its
+reference, a dict keyed by the rows.
+
+A weight is what Python would hold: an exact int while every term added to
+it is an int, and a float from its first float term on, later int terms
+rounded as Python rounds an int added to a float. A layer's weights are rows
+of k uint64 words. An int is the k words little-endian, below 2^(64 k - 1);
+a float x >= 0 is held as -x in the last word, whose sign bit, which no int
+sets, marks it. A weight takes at most hi terms, so k holds hi times the
+largest int of the source layer. The guard stops the pass after the source
+ideal that takes the new ideals past STATE_LIMIT and reports their count.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import native
 from .chain import BetaParam, _sigma_step_inplace, weight
-from .errors import GuardError
+from .errors import GuardError, LinextError
 from .poset import Poset
 
 STATE_LIMIT = 10 ** 6  # most order ideals in one layer of the exact DP
 ENUMERATION_GUARD = 10 ** 6
 KERNEL_SUPPORT_GUARD = 10 ** 4
 _WORD = np.dtype("<u8")
+_DOUBLE = struct.Struct("<d")
 _kernel = native.KERNEL  # the C layer pass, or None to run _layer_loop
 
 
@@ -48,12 +53,15 @@ def _layered_sum(poset: Poset, cap: int, pen):
     Layer p holds each ideal I with |I| = p and the weight of the prefixes that
     place it. Element v may go at position p + 1 when its predecessors are in
     I, with factor 1 when v < p + 1 + cap, pen when equal, none beyond, so the
-    candidates are the unplaced elements in 1..p + cap + 1. The weights take
-    pen's type, so an int pen gives exact ints. GuardError fires once the layer
-    being built holds more than STATE_LIMIT ideals, and, with no band
-    (cap >= n), before any layer when w minimal or w maximal elements put
-    C(w, w // 2) ideals into one layer: those subsets of the minimal elements,
-    or the other elements plus those subsets of the maximal ones."""
+    candidates are the unplaced elements in 1..p + cap + 1. pen is the int 1,
+    which scales nothing and gives exact ints, or a float >= 0. GuardError
+    fires once the layer being built holds more than STATE_LIMIT ideals, and,
+    with no band (cap >= n), before any layer when w minimal or w maximal
+    elements put C(w, w // 2) ideals into one layer: those subsets of the
+    minimal elements, or the other elements plus those subsets of the maximal
+    ones."""
+    if not (pen == 1 if isinstance(pen, int) else pen >= 0):
+        raise LinextError(f"pen must be the int 1 or a float >= 0, not {pen!r}")
     n = poset.n
     if cap >= n:
         w = max(sum(not poset.below_mask(v) for v in range(1, n + 1)),
@@ -66,46 +74,55 @@ def _layered_sum(poset: Poset, cap: int, pen):
     below = np.frombuffer(b"".join(poset.below_mask(v).to_bytes(8 * width, "little")
                                    for v in range(n + 1)), dtype=_WORD).reshape(n + 1, width)
     keys = np.zeros((1, width), dtype=_WORD)
-    weights = np.array([1], dtype=np.int64 if isinstance(pen, int) else object)
-    plain = isinstance(pen, int) and pen == 1  # no element needs the factor pen
+    weights = np.ones((1, 1), dtype=_WORD)
+    scaled = not isinstance(pen, int)  # the int 1 scales nothing: no element is at
     for p in range(n):
-        if weights.dtype != object:  # a next sum adds at most p + 1 weights times pen
-            if (p + 1) * max(pen, 1) * int(weights.max(initial=0)) >= 2 ** 63:
-                weights = weights.astype(object)
         held, layer = (_layer_loop if _kernel is None else _kernel.dp_layer)(
-            keys, below, min(n, p + cap + 1), STATE_LIMIT)
+            keys, weights, below, min(n, p + cap + 1), p + cap + 1 if scaled else 0, pen,
+            STATE_LIMIT)
         if layer is None:
             raise GuardError(f"n={n} too large: {held} ideals in layer {p + 1}, "
                              f"over the limit {STATE_LIMIT}")
-        src, elem, ids, keys = layer
-        gained = weights[src]
-        if not plain:
-            at = elem == p + cap + 1
-            gained[at] = gained[at] * pen
-        weights = np.zeros(held, dtype=weights.dtype)
-        np.add.at(weights, ids, gained)
-    return sum(weights.tolist())
+        keys, weights = layer
+    return sum(_numbers(weights))
 
 
-def _layer_loop(keys, below, hi, limit):
-    """The layer after keys, as (held, (src, elem, ids, rows)): for each pair
-    of a source ideal (in layer order) and an element v in 1..hi (in
-    increasing order) that is unplaced with every predecessor placed, its
-    source, v and the id of the ideal it makes, ids in order of first
-    occurrence, as int32; then the held ideals' rows in id order. Stops after
-    the source ideal that takes the held ideals past limit, with None for the
-    arrays. The ideals are keyed by their rows' bytes less trailing zeros:
-    unlike an int's, their hash does not fold bit v + 61 onto bit v, and an
-    ideal of low elements takes few bytes (a guard trip at n = 2000 holds
-    about 300 MB, not 420)."""
+def _numbers(weights: np.ndarray) -> list:
+    """A layer's weights as Python ints and floats."""
+    size = 8 * weights.shape[1]
+    raw = weights.tobytes()
+    return [-_DOUBLE.unpack_from(raw, end - 8)[0] if raw[end - 1] & 0x80
+            else int.from_bytes(raw[end - size:end], "little")
+            for end in range(size, len(raw) + 1, size)]
+
+
+def _words(numbers: list, k: int) -> np.ndarray:
+    """Python ints and floats as a layer's weights of k words."""
+    size = 8 * k
+    return np.frombuffer(b"".join(x.to_bytes(size, "little") if type(x) is int
+                                  else bytes(size - 8) + _DOUBLE.pack(-x) for x in numbers),
+                         dtype=_WORD).reshape(len(numbers), k)
+
+
+def _layer_loop(keys, weights, below, hi, at, pen, limit):
+    """The layer after keys, as (held, (rows, weights)): each pair of a source
+    ideal (in layer order) and an element v in 1..hi (in increasing order)
+    that is unplaced with every predecessor placed adds the source's weight,
+    times pen when v is at, to the ideal it makes, a new ideal taking the next
+    id and the weight 0; then the held ideals' rows and weights in id order.
+    Stops after the source ideal that takes the held ideals past limit, with
+    None for the arrays. The ideals are keyed by their rows' bytes less
+    trailing zeros: unlike an int's, their hash does not fold bit v + 61 onto
+    bit v, and an ideal of low elements takes few bytes (a guard trip at
+    n = 2000 peaks at about 260 MB)."""
     size = 8 * keys.shape[1]
-    raw = keys.tobytes()
+    raw, raw_below = keys.tobytes(), below.tobytes()
     need: dict[int, int] = {}  # v's bit and its predecessors', for the v met so far
     window = (2 << hi) - 2
-    index: dict[bytes, int] = {}
-    held, add = 0, index.setdefault
-    pairs = array("i")
-    for s in range(len(keys)):
+    sums: dict[bytes, int | float] = {}  # the ideals in order of first occurrence
+    get = sums.get
+    sources = _numbers(weights)
+    for s, x in enumerate(sources):
         ideal = int.from_bytes(raw[s * size:(s + 1) * size], "little")
         missing = ~ideal
         rest = missing & window
@@ -115,17 +132,16 @@ def _layer_loop(keys, below, hi, limit):
             v = low.bit_length() - 1
             req = need.get(v)
             if req is None:
-                req = need[v] = int.from_bytes(below[v].tobytes(), "little") | low
+                req = need[v] = int.from_bytes(raw_below[v * size:(v + 1) * size], "little") | low
             if req & missing == low:
-                k = add((ideal | low).to_bytes(size, "little").rstrip(b"\0"), held)
-                if k == held:
-                    held += 1
-                pairs.extend((s, v, k))
-        if held > limit:
-            return held, None
-    rows = np.frombuffer(b"".join(key.ljust(size, b"\0") for key in index),
-                         dtype=_WORD).reshape(held, keys.shape[1])
-    return held, (*np.frombuffer(pairs, dtype=np.int32).reshape(-1, 3).T, rows)
+                key = (ideal | low).to_bytes(size, "little").rstrip(b"\0")
+                sums[key] = get(key, 0) + (x * pen if v == at else x)
+        if len(sums) > limit:
+            return len(sums), None
+    bits = max((x.bit_length() for x in sources if type(x) is int), default=0)
+    rows = np.frombuffer(b"".join(key.ljust(size, b"\0") for key in sums),
+                         dtype=_WORD).reshape(len(sums), keys.shape[1])
+    return len(sums), (rows, _words(list(sums.values()), (bits + hi.bit_length()) // 64 + 1))
 
 
 def count_exact(poset: Poset) -> int:

@@ -1,7 +1,8 @@
 """The C kernel for CFTP blocks and the ideal DP's layers: built once, opened
 at import, shared by ``cftp`` and ``exact`` as ``KERNEL``.
 
-``build`` compiles ``_kernel.c`` with the system C compiler into the package's
+``build`` compiles ``_kernel.c`` with the system C compiler, with no fused
+multiply-add (the DP's float sums round as Python's do), into the package's
 ``__pycache__``, under a name keyed by the sha256 of the source, and returns a
 ``Kernel``; it returns None when there is no compiler, the compile fails, the
 directory cannot be written or the shared object cannot be opened (a truncated
@@ -10,7 +11,8 @@ A cached kernel costs a hash, a stat and opening the object, well under 1 ms.
 
 A Kernel's methods take and return what ``cftp._draw_block``,
 ``cftp._bound_forward``, ``cftp._bound_replay`` and ``exact._layer_loop`` do,
-with a block kept in ctypes arrays and a DP layer in numpy arrays. The bits
+with a block kept in ctypes arrays and a DP layer in numpy arrays of uint64
+words: its ideals' rows and their weights, which the pass sums itself. The bits
 still come only from the stream's own words, through ``BitStream.draw_steps``,
 so draws, counters and the generator state match the Python loops exactly.
 Each call allocates its own arrays, so calls may run in parallel threads.
@@ -35,7 +37,7 @@ from .poset import Poset
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 CACHE = Path(__file__).with_name("__pycache__")
-_SIZES = c_int64 * 2  # a DP layer's pairs and ideals
+_SIZES = c_int64 * 3  # a DP layer's ideals, words per weight, and 1 if an int passed a double
 
 
 def build(source: Path = SOURCE, cache: Path = CACHE, cc: str = "cc") -> "Kernel | None":
@@ -58,8 +60,8 @@ def _compile(cc: str, source: Path, path: Path) -> None:
     path.parent.mkdir(exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        subprocess.run([cc, "-O2", "-shared", "-fPIC", "-o", str(tmp), str(source)],
-                       check=True, capture_output=True, timeout=120)
+        subprocess.run([cc, "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-o", str(tmp),
+                        str(source)], check=True, capture_output=True, timeout=120)
         os.replace(tmp, path)
     except subprocess.SubprocessError as exc:
         raise OSError(f"{cc} could not build {source}") from exc
@@ -95,8 +97,8 @@ class Kernel:
             f.restype = c_int64
         # numpy arrays pass as addresses: data_as, like a ctypes array type
         # made per call, leaves a reference cycle
-        lib.dp_layer.argtypes = (c_int64, c_void_p, c_int64, c_void_p, c_int64, c_int64,
-                                 _SIZES)
+        lib.dp_layer.argtypes = (c_int64, c_void_p, c_int64, c_void_p, c_int64, c_void_p,
+                                 c_int64, c_int64, c_double, c_int64, _SIZES)
         lib.dp_layer.restype = c_void_p
         lib.dp_take.argtypes = (c_void_p, c_void_p, c_void_p)
         lib.dp_take.restype = None
@@ -135,27 +137,35 @@ class Kernel:
         rows, w = _rows(poset)
         return sig, self._lib.bound_replay(bp.cap, rows, w, len(pos), pos, up, gate, right, sig)
 
-    def dp_layer(self, keys: np.ndarray, below: np.ndarray, hi: int, limit: int) -> tuple:
+    def dp_layer(self, keys: np.ndarray, weights: np.ndarray, below: np.ndarray, hi: int,
+                 at: int, pen: float, limit: int) -> tuple:
         """As exact._layer_loop."""
         m, w = keys.shape
         if not (keys.dtype == below.dtype == np.uint64 and below.shape[1] == w
                 and 0 <= hi < len(below) <= 64 * w and keys.flags.c_contiguous
                 and below.flags.c_contiguous):
             raise LinextError("ideal rows and predecessor rows do not fit each other")
+        if not (weights.dtype == np.uint64 and weights.ndim == 2 and len(weights) == m
+                and weights.shape[1] > 0 and weights.flags.c_contiguous):
+            raise LinextError("weights do not fit the ideal rows")
         sizes = _SIZES()
-        layer = self._lib.dp_layer(w, keys.ctypes.data, m, below.ctypes.data, hi, limit, sizes)
+        layer = self._lib.dp_layer(w, keys.ctypes.data, m, weights.ctypes.data,
+                                   weights.shape[1], below.ctypes.data, hi, at, pen, limit,
+                                   sizes)
         if not layer:
             raise MemoryError("no memory for a layer of the ideal DP")
-        pairs, held = sizes
-        out = rows = None
+        held, k, overflow = sizes
+        rows = sums = None
         try:
+            if overflow:
+                raise OverflowError("int too large to convert to float")
             if held <= limit:
-                out = np.empty((3, pairs), dtype=np.int32)
                 rows = np.empty((held, w), dtype=np.uint64)
+                sums = np.empty((held, k), dtype=np.uint64)
         finally:  # keys stays referenced until here: dp_take reads its rows
-            self._lib.dp_take(layer, *((None, None) if rows is None
-                                       else (out.ctypes.data, rows.ctypes.data)))
-        return held, None if rows is None else (*out, rows)
+            self._lib.dp_take(layer, *((None, None) if sums is None
+                                       else (rows.ctypes.data, sums.ctypes.data)))
+        return held, None if rows is None else (rows, sums)
 
 
 KERNEL = build()  # the C loops, or None to run the Python ones

@@ -613,7 +613,8 @@ def test_kernel_build_failures_fall_back(tmp_path, capfd, monkeypatch):
               native.build(broken, tmp_path / "b")]
     builds += [native.build(cache=d) for d in unwritable]
     truncating_cc = tmp_path / "truncating-cc"
-    truncating_cc.write_text('#!/bin/sh\nprintf "\\177ELF" > "$5"\n')
+    truncating_cc.write_text('#!/bin/sh\nwhile [ "$1" != -o ]; do shift; done\n'
+                             'printf "\\177ELF" > "$2"\n')
     truncating_cc.chmod(0o755)
     builds.append(native.build(cache=tmp_path / "c", cc=str(truncating_cc)))
     readonly.chmod(0o755)

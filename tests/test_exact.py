@@ -288,15 +288,77 @@ def test_dp_promotes_past_int64():
         assert type(got) is int and got == 2 ** 69
 
 
+def test_dp_counts_in_three_words():
+    # C(140, 70) is about 2^136: the count of two chains of 70 needs three words
+    two_chains = _chain_union([70, 70])
+    for got in _each_layer_pass(count_exact, two_chains):
+        assert type(got) is int and got == math.comb(140, 70)
+
+
+def test_dp_mixes_multi_word_ints_and_floats_as_python_does():
+    # two chains of 70 beside element 141, at cap 71: only 141 at position 70
+    # takes pen, so the ideals of layer 69 hold ints past 2^64, which become
+    # floats there and meet the int sums of the paths that place 141 later,
+    # up to three words; on antichain(70) at cap 2 every ideal takes a term of
+    # pen within a few layers, so its ints stay small
+    _same_sum(_chain_union([70, 70, 1]), 71, 0.3)
+    _same_sum(antichain_poset(70), 2, 0.3)
+
+
+@pytest.mark.parametrize("x", [
+    2 ** 53 + 1, 2 ** 64 + 2 ** 11, 2 ** 64 + 2 ** 11 + 1, 2 ** 64 + 3 * 2 ** 11,
+    2 ** 130 + 2 ** 77, 2 ** 130 + 2 ** 77 + 1, 3 ** 600,
+    2 ** 1024 - 2 ** 970, 2 ** 1024 - 2 ** 970 - 1,  # halfway past, and below, the largest double
+])
+def test_layer_passes_round_an_int_times_pen_as_python_does(x):
+    # one source ideal of weight x and one element at the factor: the new
+    # weight is x * pen, the int rounded to nearest, ties to even, as Python
+    # rounds it, and an int past the largest double raises as Python does
+    keys, below = np.zeros((1, 1), dtype=np.uint64), np.zeros((2, 1), dtype=np.uint64)
+    weights = exact._words([x], x.bit_length() // 64 + 1)
+    for kernel in _layer_passes():
+        dp_layer = exact._layer_loop if kernel is None else kernel.dp_layer
+        try:
+            want = x * 0.75
+        except OverflowError as exc:
+            with pytest.raises(OverflowError, match=str(exc)):
+                dp_layer(keys, weights, below, 1, 1, 0.75, 10)
+            continue
+        held, (rows, sums) = dp_layer(keys, weights, below, 1, 1, 0.75, 10)
+        assert held == 1 and rows.tolist() == [[2]]
+        got, = exact._numbers(sums)
+        assert type(got) is float and got == want
+
+
+def test_dp_refuses_a_pen_that_is_not_one_or_a_float_at_least_zero():
+    # a float weight is held with its sign bit as its mark, so pen must not
+    # make it negative, and the pass scales no term by an int pen
+    for pen in (2, 0, -0.5):
+        with pytest.raises(LinextError, match="pen must be"):
+            exact._layered_sum(antichain_poset(3), 1, pen)
+
+
 @pytest.mark.skipif(native.KERNEL is None, reason="no C kernel was built")
 def test_kernel_layer_pass_refuses_rows_that_do_not_fit():
     # the pass reads the arrays through raw pointers, so a width or a window
     # that does not fit them is refused before the call
-    keys = np.zeros((1, 1), dtype=np.uint64)
+    keys, weights = np.zeros((1, 1), dtype=np.uint64), np.ones((1, 1), dtype=np.uint64)
     for below, hi in ((np.zeros((3, 2), dtype=np.uint64), 2), (np.zeros((3, 1), dtype=np.uint64), 3),
                       (np.zeros((3, 1), dtype=np.int64), 2)):
         with pytest.raises(LinextError, match="do not fit"):
-            native.KERNEL.dp_layer(keys, below, hi, 10)
+            native.KERNEL.dp_layer(keys, weights, below, hi, 0, 1.0, 10)
+
+
+@pytest.mark.skipif(native.KERNEL is None, reason="no C kernel was built")
+def test_kernel_layer_pass_refuses_weights_that_do_not_fit():
+    # one weight row per ideal row, of uint64 words, at least one of them
+    keys, below = np.zeros((2, 1), dtype=np.uint64), np.zeros((3, 1), dtype=np.uint64)
+    for weights in (np.ones((1, 1), dtype=np.uint64), np.ones((3, 1), dtype=np.uint64),
+                    np.ones((2, 1), dtype=np.int64), np.ones((2, 1), dtype=np.float64),
+                    np.ones((2, 0), dtype=np.uint64), np.ones(2, dtype=np.uint64),
+                    np.ones((2, 2), dtype=np.uint64)[:, :1]):
+        with pytest.raises(LinextError, match="weights do not fit"):
+            native.KERNEL.dp_layer(keys, weights, below, 2, 0, 1.0, 10)
 
 
 def test_dp_guard_message_matches_dict_reference(monkeypatch):
@@ -337,8 +399,9 @@ os.wait()
 
 def test_count_guard_trip_memory_is_bounded():
     # layer 3 of bottom < antichain(1998) < top has C(1998, 2) ideals; the
-    # pass stops after the source ideal that passes the limit, holding 12
-    # bytes per pair and at most 72 per ideal found, not the ideals' rows
+    # pass stops after the source ideal that passes the limit, holding at
+    # most 96 bytes per ideal found (table slot, first pair, one-word
+    # weight), not the ideals' rows
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", _GUARD_CHILD], env=env, capture_output=True,
