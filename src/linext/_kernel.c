@@ -3,7 +3,11 @@
 
    draw_block draws (pos, up, gate) as BitStream.uniform_int, next_bit and
    bernoulli do, reading bits least significant first from a little-endian
-   byte buffer. bound_forward and bound_replay are _bound_forward and
+   byte buffer. uniform, bit and coin read them one at a time; a block given
+   step_table's table instead looks up the step its next TABLE_BITS bits
+   start, with the bits it reads, and leaves to those three only the steps
+   that read more and the buffer's last bits. Either way a step reads the
+   same bits. bound_forward and bound_replay are _bound_forward and
    _bound_replay. The order is given as rows of w 64-bit words: bit b of row a
    is set iff a precedes b. Values, positions and slots are 1-based as in
    Python; arrays are 0-based. */
@@ -61,15 +65,126 @@ static int coin(bits_t *s, double x) {
     }
 }
 
-/* Fill steps k..t-1 from the nbits bits of buf. Stops early, at the start of
-   the step that would read past the buffer. Returns the next step to draw;
-   *used is the bits read by the steps drawn. */
+#define TABLE_BITS 12
+#define ENTRIES (1 << TABLE_BITS)
+
+const int64_t step_entries = ENTRIES;  /* the entries of a step table */
+
+typedef struct {
+    uint32_t *table;
+    int64_t m, filled;
+    int coins;  /* the outcomes of bernoulli(pen) within TABLE_BITS bits, shortest first */
+    uint32_t coin_bits[TABLE_BITS], coin_len[TABLE_BITS], coin_gate[TABLE_BITS];
+} build_t;
+
+/* The steps whose uniform_int(m) reads the d bits prefix and draws i: each
+   up bit, then each outcome of the coin, fills the entries that begin with
+   its bits. */
+static void put_steps(build_t *B, uint32_t prefix, int d, int64_t i) {
+    for (uint32_t u = 0; u < 2; u++) {
+        for (int j = 0; j < B->coins && d + 1 + (int)B->coin_len[j] <= TABLE_BITS; j++) {
+            uint32_t b = (uint32_t)d + 1 + B->coin_len[j];
+            uint32_t e = (uint32_t)i | u << 16 | B->coin_gate[j] << 17 | b << 24;
+            B->filled += ENTRIES >> b;
+            for (uint32_t x = prefix | u << d | B->coin_bits[j] << (d + 1);
+                 x < ENTRIES; x += 1u << b)
+                B->table[x] = e;
+        }
+    }
+}
+
+/* uniform's outcome tree below the node of d bits prefix, where it holds
+   (v, c). */
+static void walk(build_t *B, int64_t v, int64_t c, uint32_t prefix, int d) {
+    if (d + 2 > TABLE_BITS)
+        return;  /* a step read here reads more than TABLE_BITS bits */
+    for (uint32_t b = 0; b < 2; b++) {
+        int64_t v2 = v + v, c2 = c + c + b;
+        if (v2 >= B->m) {
+            if (c2 < B->m) {
+                put_steps(B, prefix | b << d, d + 1, c2 + 1);
+                continue;
+            }
+            v2 -= B->m;
+            c2 -= B->m;
+        }
+        walk(B, v2, c2, prefix | b << d, d + 1);
+    }
+}
+
+/* Write the step table of (m, pen) for draw_block: entry x is the step that
+   the TABLE_BITS bits of x, least significant first, start, as
+   pos | up << 16 | gate << 17 | bits << 24, bits being the bits it reads, or
+   0 when it reads more. The serial decoder's outcome tree is walked once,
+   each leaf of b bits filling its entries at stride 2^b. Returns the entries
+   filled. */
+int64_t step_table(int64_t m, double pen, uint32_t *table) {
+    build_t B = {table, m, 0, 0, {0}, {0}, {0}};
+    memset(table, 0, ENTRIES * sizeof *table);
+    if (pen == 1.0) {
+        B.coin_gate[B.coins++] = 1;
+    } else {
+        uint32_t bits = 0;
+        double x = pen;
+        for (uint32_t e = 1; e < TABLE_BITS; e++) {
+            if (x >= 0.5) {
+                B.coin_bits[B.coins] = bits;
+                B.coin_len[B.coins] = e;
+                B.coin_gate[B.coins++] = 1;
+                bits |= 1u << (e - 1);
+                x = x + x - 1.0;
+                if (x == 0.0) {
+                    B.coin_bits[B.coins] = bits;
+                    B.coin_len[B.coins++] = e;
+                    break;
+                }
+            } else {
+                B.coin_bits[B.coins] = bits | 1u << (e - 1);
+                B.coin_len[B.coins++] = e;
+                x = x + x;
+            }
+        }
+    }
+    if (m == 1)
+        put_steps(&B, 0, 0, 1);
+    else
+        walk(&B, 1, 0, 0, 0);
+    return B.filled;
+}
+
+/* Fill steps k..t-1 from the nbits bits of buf, by table lookup when table is
+   not NULL. Stops early, at the start of the step that would read past the
+   buffer. Returns the next step to draw; *used is the bits read by the steps
+   drawn. */
 int64_t draw_block(const uint8_t *buf, int64_t nbits, int64_t *used, int64_t m,
-                   double pen, int64_t k, int64_t t, int32_t *pos, uint8_t *up,
-                   uint8_t *gate) {
+                   double pen, const uint32_t *table, int64_t k, int64_t t, int32_t *pos,
+                   uint8_t *up, uint8_t *gate) {
     bits_t s = {buf, nbits, 0};
+    uint64_t w = 0;  /* with table: the next have bits, from s.at on */
+    int64_t have = 0;
     for (; k < t; k++) {
         int64_t start = s.at;
+        if (table) {
+            if (have < TABLE_BITS && s.len - start >= 64) {  /* bytes p..p + 7 are in buf */
+                memcpy(&w, buf + (start >> 3), 8);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+                w = __builtin_bswap64(w);
+#endif
+                w >>= start & 7;
+                have = 64 - (start & 7);
+            }
+            uint32_t e = have >= TABLE_BITS ? table[w & (ENTRIES - 1)] : 0;
+            if (e) {
+                s.at += e >> 24;
+                w >>= e >> 24;
+                have -= e >> 24;
+                pos[k] = (int32_t)(e & 0xffff);
+                up[k] = (e >> 16) & 1;
+                gate[k] = (e >> 17) & 1;
+                continue;
+            }
+            have = 0;  /* the bits read one at a time below pass w by */
+        }
         int64_t i = uniform(&s, m);
         int g = 1;
         if (!i || s.at == s.len) {

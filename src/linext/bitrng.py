@@ -162,8 +162,11 @@ class BitStream:
         fill(buf, nbits, k) draws steps k.. from the first nbits bits of the
         little-endian bytes buf, least significant bit first, and stops at the
         start of a step that would read past them; it returns the next step
-        and the bits it read. buf holds the buffered bits plus only words the
-        steps are certain to consume: each step reads at least
+        and the bits it read. The C filler decodes a step bit by bit, or, in a
+        block of at least 4096 steps, by looking its next 12 bits up in a
+        table of the steps they start; either way it reads the bits these
+        calls would. buf holds the buffered bits plus only words the steps
+        are certain to consume: each step reads at least
         (m - 1).bit_length() + 1 + [pen < 1] bits.
         """
         per_step = (m - 1).bit_length() + 1 + (pen != 1.0)

@@ -15,7 +15,12 @@ with a block kept in ctypes arrays and a DP layer in numpy arrays of uint64
 words: its ideals' rows and their weights, which the pass sums itself. The bits
 still come only from the stream's own words, through ``BitStream.draw_steps``,
 so draws, counters and the generator state match the Python loops exactly.
-Each call allocates its own arrays, so calls may run in parallel threads.
+A block of at least 4096 steps (the C ``step_entries``) decodes a step by one
+lookup of its next 12 bits in a table that ``step_table`` builds once for the
+block; the steps that read more than 12 bits, the last steps of a buffer and
+shorter blocks are decoded bit by bit. Either way a step reads the same bits.
+Each call allocates its own arrays, the table included, so calls may run in
+parallel threads.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-from ctypes import (POINTER, byref, c_char_p, c_double, c_int32, c_int64, c_uint8, c_uint64,
-                    c_void_p)
+from ctypes import (POINTER, byref, c_char_p, c_double, c_int32, c_int64, c_uint8, c_uint32,
+                    c_uint64, c_void_p)
 from functools import lru_cache
 from pathlib import Path
 
@@ -37,6 +42,7 @@ from .poset import Poset
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 CACHE = Path(__file__).with_name("__pycache__")
+FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")  # the compiler flags of a build
 _SIZES = c_int64 * 3  # a DP layer's ideals, words per weight, and 1 if an int passed a double
 
 
@@ -60,8 +66,8 @@ def _compile(cc: str, source: Path, path: Path) -> None:
     path.parent.mkdir(exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        subprocess.run([cc, "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-o", str(tmp),
-                        str(source)], check=True, capture_output=True, timeout=120)
+        subprocess.run([cc, *FLAGS, "-o", str(tmp), str(source)], check=True,
+                       capture_output=True, timeout=120)
         os.replace(tmp, path)
     except subprocess.SubprocessError as exc:
         raise OSError(f"{cc} could not build {source}") from exc
@@ -87,13 +93,15 @@ class Kernel:
         self.path = path
         self._lib = lib = ctypes.CDLL(path)
         i32, u8, i64 = POINTER(c_int32), POINTER(c_uint8), POINTER(c_int64)
-        lib.draw_block.argtypes = (c_char_p, c_int64, i64, c_int64, c_double, c_int64,
-                                   c_int64, i32, u8, u8)
+        self._table = c_uint32 * c_int64.in_dll(lib, "step_entries").value  # a step table's type
+        lib.step_table.argtypes = (c_int64, c_double, self._table)
+        lib.draw_block.argtypes = (c_char_p, c_int64, i64, c_int64, c_double,
+                                   POINTER(c_uint32), c_int64, c_int64, i32, u8, u8)
         lib.bound_forward.argtypes = (c_int64, c_int64, POINTER(c_uint64), c_int64, c_int64,
                                       i32, u8, u8, i32, i32, i64)
         lib.bound_replay.argtypes = (c_int64, POINTER(c_uint64), c_int64, c_int64,
                                      i32, u8, u8, i32, i32)
-        for f in (lib.draw_block, lib.bound_forward, lib.bound_replay):
+        for f in (lib.step_table, lib.draw_block, lib.bound_forward, lib.bound_replay):
             f.restype = c_int64
         # numpy arrays pass as addresses: data_as, like a ctypes array type
         # made per call, leaves a reference cycle
@@ -104,13 +112,20 @@ class Kernel:
         lib.dp_take.restype = None
 
     def draw_block(self, t: int, stream: BitStream, n: int, pen: float) -> list:
-        """As cftp._draw_block, into arrays [pos, up, gate]."""
+        """As cftp._draw_block, into arrays [pos, up, gate]. A block of at
+        least as many steps as a step table has entries decodes by table,
+        built once for the block; a shorter one bit by bit."""
         draw = self._lib.draw_block
         pos, up, gate = (c_int32 * t)(), (c_uint8 * t)(), (c_uint8 * t)()
         used = c_int64()
+        table = None
+        if t >= self._table._length_:
+            table = self._table()
+            if not self._lib.step_table(n - 1, pen, table):
+                table = None
 
         def fill(buf: bytes, nbits: int, k: int) -> tuple[int, int]:
-            k = draw(buf, nbits, byref(used), n - 1, pen, k, t, pos, up, gate)
+            k = draw(buf, nbits, byref(used), n - 1, pen, table, k, t, pos, up, gate)
             return k, used.value
 
         stream.draw_steps(fill, t, n - 1, pen)

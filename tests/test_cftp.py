@@ -6,6 +6,7 @@ import math
 import os
 import random
 import shutil
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -546,38 +547,119 @@ def test_kernel_blocks_match_the_python_loops():
         kernel.bound_replay(poset, bp, (ctypes.c_int32 * (n + 1))(), *arrays)
 
 
+@pytest.mark.skipif(cftp._kernel is None, reason="no C kernel was built")
+def test_kernel_table_blocks_match_the_python_loop():
+    # Blocks of at least a step table's entries decode by table lookup. From
+    # a stream advanced 0..300 bits, the kernel draws the same steps from the
+    # same bits and leaves the stream where the Python loop does, for m = n - 1
+    # with no bits (1), a power of two, rejection after the first chunk, a
+    # step of exactly 12 bits (2047 at pen 1) and chunks of 12 and 13 bits,
+    # and for pens whose expansions run past the table's bits.
+    kernel = cftp._kernel
+    assert kernel._table._length_ <= 4096
+    case = 0
+    for t in (4096, 5003):
+        for m in (1, 31, 32, 39, 2047, 4095, 4096, 5000):
+            for pen in (1.0, 0.5, 0.75, 0.3, 1 - 2 ** -53, 2 ** -20, 1e-300):
+                case += 1
+                ref, nat = BitStream(case, "table"), BitStream(case, "table")
+                for stream in (ref, nat):
+                    for _ in range(case * 37 % 301):
+                        stream.next_bit()
+                block = cftp._draw_block(t, ref, m + 1, pen)
+                arrays = kernel.draw_block(t, nat, m + 1, pen)
+                assert [list(a) for a in arrays] == [list(a) for a in block], (t, m, pen)
+                assert _stream_state(nat) == _stream_state(ref)
+
+
+_PAST_THE_BITS = """
+import ctypes, mmap, random, sys
+sys.path.insert(0, sys.argv[1])
+from linext.native import KERNEL
+from ctypes import byref, c_char_p, c_int32, c_int64, c_uint8, c_size_t, c_void_p
+
+page = mmap.PAGESIZE
+mem = mmap.mmap(-1, 2 * page)
+end = ctypes.addressof(ctypes.c_char.from_buffer(mem)) + page
+mprotect = ctypes.CDLL(None).mprotect
+mprotect.argtypes = (c_void_p, c_size_t, ctypes.c_int)
+assert mprotect(end, page, 0) == 0  # PROT_NONE: any read of that page faults
+data = random.Random(7).randbytes(600)
+for pen in (1.0, 0.3):
+    table = KERNEL._table()
+    assert KERNEL._lib.step_table(39, pen, table)
+    for last in range(1, 9):
+        nbits = 8 * (len(data) - 1) + last
+        ctypes.memmove(end - len(data), data, len(data))
+        buf = ctypes.cast(end - len(data), c_char_p)
+        t, used = nbits, c_int64()
+        runs = []
+        for tab in (table, None):
+            pos, up, gate = (c_int32 * t)(), (c_uint8 * t)(), (c_uint8 * t)()
+            k = KERNEL._lib.draw_block(buf, nbits, byref(used), 39, pen, tab, 0, t, pos, up,
+                                       gate)
+            runs.append((k, used.value, list(pos[:k]), list(up[:k]), list(gate[:k])))
+        assert runs[0] == runs[1] and nbits - runs[0][1] < 64
+"""
+
+
+@pytest.mark.skipif(cftp._kernel is None, reason="no C kernel was built")
+def test_kernel_reads_no_byte_past_the_bits():
+    # A decoder that reads the buffer a word at a time can read past its end
+    # unseen. Here the buffer ends where a page that faults on any access
+    # begins, with its last bit at each place in the last byte, so such a
+    # read kills the child; the table and the serial decoder draw the same
+    # steps from it.
+    src = os.path.dirname(os.path.dirname(native.__file__))
+    run = subprocess.run([sys.executable, "-c", _PAST_THE_BITS, src], capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def test_kernel_compiles_without_warnings(tmp_path):
+    # The kernel's source builds with the package's flags and every common
+    # warning made an error.
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on the path")
+    run = subprocess.run(["cc", *native.FLAGS, "-Wall", "-Wextra", "-Werror", "-o",
+                          str(tmp_path / "kernel.so"), str(native.SOURCE)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
 def test_threads_sharing_a_poset_draw_as_they_do_alone():
     # Threads on one order, each on its own stream, on the bounding chain,
     # whose blocks run in the kernel (which releases the interpreter lock) or
     # in Python: each gets the draws and accounting it gets alone, so no
-    # call's arrays are another's.
-    poset = antichain_poset(6)
-    bp = BetaParam(4.7, poset.n)
-    assert cftp._support_tables(poset, bp.cap) is None
+    # call's arrays are another's. Antichain(16)'s later blocks are long
+    # enough to decode by table.
+    for poset, count in ((antichain_poset(6), 150), (antichain_poset(16), 20)):
+        bp = BetaParam(4.7, poset.n)
+        assert cftp._support_tables(poset, bp.cap) is None
 
-    def draws(j):
-        stream = BitStream(j, "threads")
-        return [(s, st.as_dict()) for s, st in (perfect_sample(bp, stream, poset)
-                                                 for _ in range(150))]
+        def draws(j):
+            stream = BitStream(j, "threads")
+            return [(s, st.as_dict()) for s, st in (perfect_sample(bp, stream, poset)
+                                                     for _ in range(count))]
 
-    alone = [draws(j) for j in range(2)]
-    got = [None, None]
+        alone = [draws(j) for j in range(2)]
+        got = [None, None]
 
-    def run(j):
-        got[j] = draws(j)
+        def run(j):
+            got[j] = draws(j)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=run, args=(j,)) for j in range(2)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=120)
-            assert not th.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == alone
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(j,)) for j in range(2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == alone
 
 
 def test_kernel_loads_when_a_compiler_is_present(tmp_path):
