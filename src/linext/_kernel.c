@@ -1,16 +1,18 @@
 /* CFTP blocks and the ideal DP's layer pass in C, one function per Python
    loop in cftp.py and exact.py.
 
-   draw_block draws (pos, up, gate) as BitStream.uniform_int, next_bit and
-   bernoulli do, reading bits least significant first from a little-endian
-   byte buffer. uniform, bit and coin read them one at a time; a block given
-   step_table's table instead looks up the step its next TABLE_BITS bits
-   start, with the bits it reads, and leaves to those three only the steps
-   that read more and the buffer's last bits. Either way a step reads the
-   same bits. bound_forward and bound_replay are _bound_forward and
-   _bound_replay. The order is given as rows of w 64-bit words: bit b of row a
-   is set iff a precedes b. Values, positions and slots are 1-based as in
-   Python; arrays are 0-based. */
+   block draws a block's steps (pos, up, gate) as BitStream.uniform_int,
+   next_bit and bernoulli do, reading bits least significant first from a
+   little-endian byte buffer, and runs the bound through each step as it is
+   decoded: it is _bound_forward(_draw_block(...)). uniform, bit and coin read
+   the bits one at a time; a block given step_table's table instead looks up
+   the step its next TABLE_BITS bits start, with the bits it reads, and leaves
+   to those three only the steps that read more and the buffer's last bits.
+   Either way a step reads the same bits. A step is kept as one uint32,
+   pos | up << 16 | gate << 17, next to the bound's right entry before it, 8 B
+   a step. bound_replay is _bound_replay. The order is given as rows of w
+   64-bit words: bit b of row a is set iff a precedes b. Values, positions and
+   slots are 1-based as in Python; arrays are 0-based. */
 
 #include <math.h>
 #include <stdint.h>
@@ -112,7 +114,7 @@ static void walk(build_t *B, int64_t v, int64_t c, uint32_t prefix, int d) {
     }
 }
 
-/* Write the step table of (m, pen) for draw_block: entry x is the step that
+/* Write the step table of (m, pen) for block: entry x is the step that
    the TABLE_BITS bits of x, least significant first, start, as
    pos | up << 16 | gate << 17 | bits << 24, bits being the bits it reads, or
    0 when it reads more. The serial decoder's outcome tree is walked once,
@@ -152,109 +154,100 @@ int64_t step_table(int64_t m, double pen, uint32_t *table) {
     return B.filled;
 }
 
-/* Fill steps k..t-1 from the nbits bits of buf, by table lookup when table is
-   not NULL. Stops early, at the start of the step that would read past the
-   buffer. Returns the next step to draw; *used is the bits read by the steps
-   drawn. */
-int64_t draw_block(const uint8_t *buf, int64_t nbits, int64_t *used, int64_t m,
-                   double pen, const uint32_t *table, int64_t k, int64_t t, int32_t *pos,
-                   uint8_t *up, uint8_t *gate) {
-    bits_t s = {buf, nbits, 0};
-    uint64_t w = 0;  /* with table: the next have bits, from s.at on */
-    int64_t have = 0;
-    for (; k < t; k++) {
-        int64_t start = s.at;
-        if (table) {
-            if (have < TABLE_BITS && s.len - start >= 64) {  /* bytes p..p + 7 are in buf */
-                memcpy(&w, buf + (start >> 3), 8);
-#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-                w = __builtin_bswap64(w);
-#endif
-                w >>= start & 7;
-                have = 64 - (start & 7);
-            }
-            uint32_t e = have >= TABLE_BITS ? table[w & (ENTRIES - 1)] : 0;
-            if (e) {
-                s.at += e >> 24;
-                w >>= e >> 24;
-                have -= e >> 24;
-                pos[k] = (int32_t)(e & 0xffff);
-                up[k] = (e >> 16) & 1;
-                gate[k] = (e >> 17) & 1;
-                continue;
-            }
-            have = 0;  /* the bits read one at a time below pass w by */
-        }
-        int64_t i = uniform(&s, m);
-        int g = 1;
-        if (!i || s.at == s.len) {
-            s.at = start;
-            break;
-        }
-        up[k] = bit(&s);
-        if (pen != 1.0 && (g = coin(&s, pen)) < 0) {
-            s.at = start;
-            break;
-        }
-        pos[k] = (int32_t)i;
-        gate[k] = (uint8_t)g;
-    }
-    *used = s.at;
-    return k;
-}
-
 static int precedes(const uint64_t *rows, int64_t w, int32_t a, int32_t b) {
     return (rows[a * w + (b >> 6)] >> (b & 63)) & 1;
 }
 
-/* Run the bound from the initial bound through t steps on its own coins,
-   recording right[k] = B(i + 1) before each step. Leaves the bound in bnd
-   (0 = wildcard) and returns how many values it holds; *probes counts the
-   order tests. */
-int64_t bound_forward(int64_t n, int64_t cap, const uint64_t *rows, int64_t w,
-                      int64_t t, const int32_t *pos, const uint8_t *up,
-                      const uint8_t *gate, int32_t *right, int32_t *bnd,
-                      int64_t *probes) {
-    int64_t placed = 1, comps = 0;
-    for (int64_t j = 0; j < n - 1; j++)
-        bnd[j] = 0;
-    bnd[n - 1] = 1;
-    for (int64_t k = 0; k < t; k++) {
-        int32_t i = pos[k], u = bnd[i - 1], v = bnd[i];
-        right[k] = v;
-        if (!up[k])
-            continue;
-        if (u && v) {
-            comps++;
-            if (precedes(rows, w, u, v))
-                continue;
-        }
-        if (v && (v - i > cap || (v - i == cap && !gate[k])))
-            continue;
-        bnd[i - 1] = v;
-        bnd[i] = u;
-        if (!bnd[n - 1])
-            bnd[n - 1] = (int32_t)++placed;
+/* Decode steps k..t-1 from the nbits bits of buf, by table lookup when table
+   is not NULL, and run the bound through each step as it is decoded, on the
+   step's own coins. Step k is stored as step[2k] = pos | up << 16 | gate << 17,
+   a table entry without its bits, and step[2k + 1] = B(pos + 1) before the
+   step. A block's first call (k = 0) sets bnd to the initial bound (0 =
+   wildcard); bnd, carry[1] (the values placed) and carry[2] (the order
+   tests) carry the bound from one call to the next. Stops early, at the
+   start of the step that would read past the buffer. Returns the next step
+   to draw; carry[0] is the bits read. The caller keeps n - 1 < 2^16, so pos
+   fits its 16 bits; a draw's first block, of 2 n^2 steps, fits MAX_STEPS only
+   while n <= 7071. The bound's step is branch-free: the swap is a mask, and
+   only a swap into the last slot can leave a wildcard there. */
+int64_t block(const uint8_t *buf, int64_t nbits, int64_t n, double pen, const uint32_t *table,
+              int64_t k, int64_t t, int64_t cap, const uint64_t *rows, int64_t w,
+              uint32_t *step, int32_t *bnd, int64_t *carry) {
+    bits_t s = {buf, nbits, 0};
+    uint64_t reg = 0;  /* with table: the next have bits, from s.at on */
+    int64_t have = 0, placed = carry[1], comps = carry[2];
+    if (k == 0) {
+        memset(bnd, 0, (size_t)(n - 1) * sizeof *bnd);
+        bnd[n - 1] = 1;
+        placed = 1;
+        comps = 0;
     }
-    *probes = comps;
-    return placed;
+    for (; k < t; k++) {
+        uint32_t e = 0;
+        if (table) {
+            int64_t start = s.at;
+            if (have < TABLE_BITS && s.len - start >= 64) {  /* bytes p..p + 7 are in buf */
+                memcpy(&reg, buf + (start >> 3), 8);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+                reg = __builtin_bswap64(reg);
+#endif
+                reg >>= start & 7;
+                have = 64 - (start & 7);
+            }
+            e = have >= TABLE_BITS ? table[reg & (ENTRIES - 1)] : 0;
+            s.at += e >> 24;
+            reg >>= e >> 24;
+            have = e ? have - (e >> 24) : 0;  /* bits read one at a time below pass reg by */
+        }
+        if (!e) {
+            int64_t start = s.at, i = uniform(&s, n - 1);
+            int g = 1;
+            if (!i || s.at == s.len) {
+                s.at = start;
+                break;
+            }
+            e = (uint32_t)i | (uint32_t)bit(&s) << 16;
+            if (pen != 1.0 && (g = coin(&s, pen)) < 0) {
+                s.at = start;
+                break;
+            }
+            e |= (uint32_t)g << 17;
+        }
+        e &= 0x3ffff;
+        int32_t i = e & 0xffff, u = bnd[i - 1], v = bnd[i], x = v - i;
+        int both = (u != 0) & (v != 0);
+        int keep = (both & precedes(rows, w, u, v))
+                   | ((v != 0) & ((x > cap) | ((x == cap) & !(e >> 17))));
+        int32_t d = (u ^ v) & -(int32_t)((e >> 16 & 1) & !keep);
+        step[2 * k] = e;
+        step[2 * k + 1] = (uint32_t)v;
+        int empty = (i == n - 1) & (u == 0) & (d != 0);  /* a wildcard reached the last slot */
+        placed += empty;
+        bnd[i - 1] = u ^ d;
+        bnd[i] = (v ^ d) | ((int32_t)placed & -empty);
+        comps += (e >> 16 & 1) & both;
+    }
+    carry[0] = s.at;
+    carry[1] = placed;
+    carry[2] = comps;
+    return k;
 }
 
-/* Run the state sig through a recorded block in place, its coin flipped
-   where its left element is the recorded entry. Returns the probes made. */
+/* Run the state sig through the t recorded steps of a block in place, its
+   coin flipped where its left element is the recorded entry; branch-free as
+   block. Returns the probes made. */
 int64_t bound_replay(int64_t cap, const uint64_t *rows, int64_t w, int64_t t,
-                     const int32_t *pos, const uint8_t *up, const uint8_t *gate,
-                     const int32_t *right, int32_t *sig) {
+                     const uint32_t *step, int32_t *sig) {
     int64_t comps = 0;
     for (int64_t k = 0; k < t; k++) {
-        int32_t i = pos[k], a = sig[i - 1], b = sig[i];
-        if (!(up[k] ^ (a == right[k])))
-            continue;
-        comps++;
-        if (precedes(rows, w, a, b) || b - i > cap || (b - i == cap && !gate[k]))
-            continue;
-        sig[i - 1] = b;
-        sig[i] = a;
+        uint32_t e = step[2 * k];
+        int32_t i = e & 0xffff, a = sig[i - 1], b = sig[i], x = b - i;
+        int c1 = (e >> 16 & 1) ^ (a == (int32_t)step[2 * k + 1]);
+        int keep = precedes(rows, w, a, b) | (x > cap) | ((x == cap) & !(e >> 17));
+        int32_t d = (a ^ b) & -(int32_t)(c1 & !keep);
+        sig[i - 1] = a ^ d;
+        sig[i] = b ^ d;
+        comps += c1;
     }
     return comps;
 }

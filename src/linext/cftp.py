@@ -40,17 +40,20 @@ chosen by the order's extension count, the same at every cap:
 Either way the returned permutation is an exact draw from the weighted
 distribution.
 
-Drawing a block and the bound's forward run and replay also run in C
-(``native``) when the kernel was built at import; ``_draw_block``,
-``_bound_forward`` and ``_bound_replay`` are then its reference and, when
-``_kernel`` is None, the loops that run. Both read the same bits.
+A block's draw with the bound's forward run, and the replay, also run in C
+(``native``) when the kernel was built at import: one C pass decodes each
+step and runs the bound through it. ``_block`` (``_bound_forward`` over
+``_draw_block``) and ``_bound_replay`` are then its reference and, when
+``_kernel`` is None, the loops that run. Both read the same bits and keep a
+block in the same layout, two uint32 a step: the step packed as
+pos | up << 16 | gate << 17 and the bound's right entry before it.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Sequence
 
 from . import exact, native
@@ -61,7 +64,7 @@ from .poset import Poset
 
 THETA = 0  # wildcard bound entry: no restriction at all
 
-MAX_STEPS = 10 ** 8  # most steps a draw's blocks may hold: about 1 GB at 10 B per step
+MAX_STEPS = 10 ** 8  # most steps a draw's blocks may hold: about 800 MB at 8 B per step
 SUPPORT_LIMIT = 500  # most extensions drawn from their enumerated support; another limit changes draws
 
 _kernel = native.KERNEL  # the C block loops, or None to run the Python ones
@@ -221,61 +224,67 @@ def _support_draw(states: tuple, bp: BetaParam, stream: BitStream) -> tuple[int,
             return s
 
 
-def _draw_block(t: int, stream: BitStream, n: int, pen: float) -> list:
-    """A block's randomness as arrays [pos, up, gate], 4 + 1 + 1 B per step:
-    i = uniform_int(n - 1), one bit, and the gate bernoulli(pen), 1 if pen = 1."""
+def _draw_block(t: int, stream: BitStream, n: int, pen: float) -> array:
+    """A block's randomness, 8 B per step: step k packed in block[2k] as
+    i | up << 16 | gate << 17, i = uniform_int(n - 1), up one bit and gate
+    bernoulli(pen), 1 if pen = 1; block[2k + 1] is left for the bound's right
+    entry. i has 16 bits, so an order of over 2^16 elements is refused; a
+    draw's first block, of 2 n^2 steps, fits MAX_STEPS only while n <= 7071."""
+    if n - 1 >= 1 << 16:
+        raise LinextError(f"block steps hold positions below 2^16; n = {n} is too large")
     uniform_int = stream.uniform_int
     next_bit = stream.next_bit
     bernoulli = stream.bernoulli
     m = n - 1
-    pos = array("i", [0]) * t
-    up = bytearray(t)
-    gate = bytearray([1]) * t
-    for k in range(t):
-        pos[k] = uniform_int(m)
-        up[k] = next_bit()
-        if pen != 1.0:
-            gate[k] = bernoulli(pen)
-    return [pos, up, gate]
+    block = array("I", [0]) * (2 * t)
+    for k in range(0, 2 * t, 2):
+        i = uniform_int(m)
+        up = next_bit()
+        gate = 1 if pen == 1.0 else bernoulli(pen)
+        block[k] = i | up << 16 | gate << 17
+    return block
 
 
-def _bound_forward(poset: Poset, bp: BetaParam, block: list) -> tuple[list | None, int]:
+def _bound_forward(poset: Poset, bp: BetaParam, block: array) -> tuple[array, list | None, int]:
     """Run the bound from initial_bound through a recorded block on its own
-    coins, and append to the block the bound's right entry B(i + 1) before each
-    step. Returns the bound if no wildcard is left (the block is then
-    constant), else None, and the probes made."""
-    pos, up, gate = block
+    coins, and store in the block the bound's right entry B(i + 1) before each
+    step. Returns the block, the bound if no wildcard is left (the block is
+    then constant), else None, and the probes made."""
     cap = bp.cap
     above = poset.raw_masks
-    right = array("i", [0]) * len(pos)
     bnd = list(initial_bound(poset.n))
     placed = 1
     probes = 0
-    for k in range(len(pos)):
-        i = pos[k]
-        right[k] = bnd[i]
-        if up[k]:
-            probes += _bound_step_inplace(bnd, i, 1, gate[k], cap, above)
+    for k in range(0, len(block), 2):
+        step = block[k]
+        i = step & 0xFFFF
+        block[k + 1] = bnd[i]
+        if step >> 16 & 1:
+            probes += _bound_step_inplace(bnd, i, 1, step >> 17, cap, above)
             if not bnd[-1]:
                 placed += 1
                 bnd[-1] = placed
-    block.append(right)
-    return (bnd if placed == poset.n else None), probes
+    return block, (bnd if placed == poset.n else None), probes
 
 
-def _bound_replay(poset: Poset, bp: BetaParam, sig: list, pos: list, up: list,
-                  gate: list, right: list) -> tuple[list, int]:
+def _block(t: int, stream: BitStream, poset: Poset,
+           bp: BetaParam) -> tuple[array, list | None, int]:
+    """A block of t steps drawn and run forward, as _bound_forward returns it."""
+    return _bound_forward(poset, bp, _draw_block(t, stream, poset.n, bp.pen))
+
+
+def _bound_replay(poset: Poset, bp: BetaParam, sig: list, block: array) -> tuple[list, int]:
     """Run one state through a recorded bounding block in place, its coin c1
     flipped from the bound's c3 where its left element is the recorded entry.
     Returns the state and the probes made."""
     cap = bp.cap
     above = poset.raw_masks
     probes = 0
-    for k in range(len(pos)):
-        i = pos[k]
-        c1 = up[k] ^ (sig[i - 1] == right[k])
-        if c1:
-            probes += _sigma_step_inplace(sig, i, c1, gate[k], cap, above)
+    for k in range(0, len(block), 2):
+        step = block[k]
+        i = step & 0xFFFF
+        if step >> 16 & 1 ^ (sig[i - 1] == block[k + 1]):
+            probes += _sigma_step_inplace(sig, i, 1, step >> 17, cap, above)
     return sig, probes
 
 
@@ -300,16 +309,14 @@ def generate(bp: BetaParam, t: int, stream: BitStream,
         sigma = _support_draw(states, bp, stream)
         return sigma, CftpStats(bits_discrete=stream.bits_consumed - bits0)
     kernel = _kernel
-    draw = _draw_block if kernel is None else kernel.draw_block
-    forward = partial(_bound_forward if kernel is None else kernel.bound_forward, poset, bp)
-    replay = partial(_bound_replay if kernel is None else kernel.bound_replay, poset, bp)
+    run = _block if kernel is None else kernel.block
+    replay = _bound_replay if kernel is None else kernel.bound_replay
     steps = comps = 0
     blocks = []
     while True:
         if steps + t > MAX_STEPS:
             raise CoalescenceError(f"no collapse in {steps} steps; {steps + t} pass {MAX_STEPS}")
-        block = draw(t, stream, poset.n, bp.pen)
-        value, probes = forward(block)
+        block, value, probes = run(t, stream, poset, bp)
         steps += t
         comps += probes
         if value is not None:
@@ -317,8 +324,8 @@ def generate(bp: BetaParam, t: int, stream: BitStream,
         blocks.append(block)
         t *= 2
     for block in reversed(blocks):
-        value, probes = replay(value, *block)
-        steps += len(block[0])
+        value, probes = replay(poset, bp, value, block)
+        steps += len(block) // 2
         comps += probes
     poset.add_queries(comps)
     stats = CftpStats(total_steps=steps, levels=len(blocks) + 1,

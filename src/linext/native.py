@@ -3,24 +3,27 @@ at import, shared by ``cftp`` and ``exact`` as ``KERNEL``.
 
 ``build`` compiles ``_kernel.c`` with the system C compiler, with no fused
 multiply-add (the DP's float sums round as Python's do), into the package's
-``__pycache__``, under a name keyed by the sha256 of the source, and returns a
-``Kernel``; it returns None when there is no compiler, the compile fails, the
-directory cannot be written or the shared object cannot be opened (a truncated
-file, or one built on another machine), and callers then run the Python loops.
-A cached kernel costs a hash, a stat and opening the object, well under 1 ms.
+``__pycache__``, under a name keyed by the sha256 of the source and the
+compiler flags, and returns a ``Kernel``; it returns None when there is no
+compiler, the compile fails, the directory cannot be written or the shared
+object cannot be opened (a truncated file, or one built on another machine),
+and callers then run the Python loops. A cached kernel costs a hash, a stat and
+opening the object, well under 1 ms.
 
-A Kernel's methods take and return what ``cftp._draw_block``,
-``cftp._bound_forward``, ``cftp._bound_replay`` and ``exact._layer_loop`` do,
-with a block kept in ctypes arrays and a DP layer in numpy arrays of uint64
-words: its ideals' rows and their weights, which the pass sums itself. The bits
-still come only from the stream's own words, through ``BitStream.draw_steps``,
-so draws, counters and the generator state match the Python loops exactly.
-A block of at least 4096 steps (the C ``step_entries``) decodes a step by one
-lookup of its next 12 bits in a table that ``step_table`` builds once for the
-block; the steps that read more than 12 bits, the last steps of a buffer and
-shorter blocks are decoded bit by bit. Either way a step reads the same bits.
-Each call allocates its own arrays, the table included, so calls may run in
-parallel threads.
+A Kernel's methods take and return what ``cftp._block``, ``cftp._bound_replay``
+and ``exact._layer_loop`` do, with a block kept in a ctypes array of uint32,
+two words a step (the packed step and the bound's right entry before it), and
+a DP layer in numpy arrays of uint64 words: its ideals' rows and their
+weights, which the pass sums itself. ``block`` decodes each step and runs the
+bound through it in one C pass; the bits still come only from the stream's own
+words, through ``BitStream.draw_steps``, with the bound carried from one
+``fill`` call to the next, so draws, counters and the generator state match
+the Python loops exactly. A block of at least 4096 steps (the C
+``step_entries``) decodes a step by one lookup of its next 12 bits in a table
+that ``step_table`` builds once for the block; the steps that read more than
+12 bits, the last steps of a buffer and shorter blocks are decoded bit by bit.
+Either way a step reads the same bits. Each call allocates its own arrays, the
+table included, so calls may run in parallel threads.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-from ctypes import (POINTER, byref, c_char_p, c_double, c_int32, c_int64, c_uint8, c_uint32,
-                    c_uint64, c_void_p)
+from ctypes import POINTER, c_char_p, c_double, c_int32, c_int64, c_uint32, c_uint64, c_void_p
 from functools import lru_cache
 from pathlib import Path
 
@@ -44,13 +46,14 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 CACHE = Path(__file__).with_name("__pycache__")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")  # the compiler flags of a build
 _SIZES = c_int64 * 3  # a DP layer's ideals, words per weight, and 1 if an int passed a double
+_CARRY = c_int64 * 3  # a block's bits read by the last fill, values placed and order tests
 
 
 def build(source: Path = SOURCE, cache: Path = CACHE, cc: str = "cc") -> "Kernel | None":
     """The kernel compiled from source into cache, or None if it cannot be built."""
     try:
-        code = source.read_bytes()
-        path = cache / f"_kernel-{hashlib.sha256(code).hexdigest()[:16]}.so"
+        key = hashlib.sha256(source.read_bytes() + repr(FLAGS).encode())
+        path = cache / f"_kernel-{key.hexdigest()[:16]}.so"
         if not path.exists():
             _compile(cc, source, path)
         return Kernel(str(path))
@@ -92,16 +95,13 @@ class Kernel:
     def __init__(self, path: str):
         self.path = path
         self._lib = lib = ctypes.CDLL(path)
-        i32, u8, i64 = POINTER(c_int32), POINTER(c_uint8), POINTER(c_int64)
+        i32, u32, u64 = POINTER(c_int32), POINTER(c_uint32), POINTER(c_uint64)
         self._table = c_uint32 * c_int64.in_dll(lib, "step_entries").value  # a step table's type
         lib.step_table.argtypes = (c_int64, c_double, self._table)
-        lib.draw_block.argtypes = (c_char_p, c_int64, i64, c_int64, c_double,
-                                   POINTER(c_uint32), c_int64, c_int64, i32, u8, u8)
-        lib.bound_forward.argtypes = (c_int64, c_int64, POINTER(c_uint64), c_int64, c_int64,
-                                      i32, u8, u8, i32, i32, i64)
-        lib.bound_replay.argtypes = (c_int64, POINTER(c_uint64), c_int64, c_int64,
-                                     i32, u8, u8, i32, i32)
-        for f in (lib.step_table, lib.draw_block, lib.bound_forward, lib.bound_replay):
+        lib.block.argtypes = (c_char_p, c_int64, c_int64, c_double, u32, c_int64, c_int64,
+                              c_int64, u64, c_int64, u32, i32, _CARRY)
+        lib.bound_replay.argtypes = (c_int64, u64, c_int64, c_int64, u32, i32)
+        for f in (lib.step_table, lib.block, lib.bound_replay):
             f.restype = c_int64
         # numpy arrays pass as addresses: data_as, like a ctypes array type
         # made per call, leaves a reference cycle
@@ -111,13 +111,18 @@ class Kernel:
         lib.dp_take.argtypes = (c_void_p, c_void_p, c_void_p)
         lib.dp_take.restype = None
 
-    def draw_block(self, t: int, stream: BitStream, n: int, pen: float) -> list:
-        """As cftp._draw_block, into arrays [pos, up, gate]. A block of at
-        least as many steps as a step table has entries decodes by table,
-        built once for the block; a shorter one bit by bit."""
-        draw = self._lib.draw_block
-        pos, up, gate = (c_int32 * t)(), (c_uint8 * t)(), (c_uint8 * t)()
-        used = c_int64()
+    def block(self, t: int, stream: BitStream, poset: Poset, bp: BetaParam) -> tuple:
+        """As cftp._block: the block as an array of 2 t uint32, the bound as an
+        array or None, and the probes. A block of at least as many steps as a
+        step table has entries decodes by table, built once for the block; a
+        shorter one bit by bit. pos has 16 bits, so an order of over 2^16
+        elements is refused."""
+        n, pen = poset.n, bp.pen
+        if n - 1 >= 1 << 16:
+            raise LinextError(f"block steps hold positions below 2^16; n = {n} is too large")
+        run = self._lib.block
+        steps, bnd, carry = (c_uint32 * (2 * t))(), (c_int32 * n)(), _CARRY()
+        rows, w = _rows(poset)
         table = None
         if t >= self._table._length_:
             table = self._table()
@@ -125,32 +130,18 @@ class Kernel:
                 table = None
 
         def fill(buf: bytes, nbits: int, k: int) -> tuple[int, int]:
-            k = draw(buf, nbits, byref(used), n - 1, pen, table, k, t, pos, up, gate)
-            return k, used.value
+            k = run(buf, nbits, n, pen, table, k, t, bp.cap, rows, w, steps, bnd, carry)
+            return k, carry[0]
 
         stream.draw_steps(fill, t, n - 1, pen)
-        return [pos, up, gate]
+        return steps, (bnd if carry[1] == n else None), carry[2]
 
-    def bound_forward(self, poset: Poset, bp: BetaParam, block: list) -> tuple:
-        """As cftp._bound_forward; the bound it returns is an array."""
-        pos, up, gate = block
-        t, n = len(pos), poset.n
-        if not len(up) == len(gate) == t:
-            raise LinextError("block arrays differ in length")
-        right, bnd, probes = (c_int32 * t)(), (c_int32 * n)(), c_int64()
-        rows, w = _rows(poset)
-        placed = self._lib.bound_forward(n, bp.cap, rows, w, t, pos, up, gate, right, bnd,
-                                         byref(probes))
-        block.append(right)
-        return (bnd if placed == n else None), probes.value
-
-    def bound_replay(self, poset: Poset, bp: BetaParam, sig, pos, up, gate,
-                     right) -> tuple:
+    def bound_replay(self, poset: Poset, bp: BetaParam, sig, block) -> tuple:
         """As cftp._bound_replay, on a state held in an int32 array."""
-        if len(sig) != poset.n or not len(up) == len(gate) == len(right) == len(pos):
-            raise LinextError("state or block arrays do not fit the order and the block")
+        if len(sig) != poset.n or len(block) % 2:
+            raise LinextError("state or block array does not fit the order and the block")
         rows, w = _rows(poset)
-        return sig, self._lib.bound_replay(bp.cap, rows, w, len(pos), pos, up, gate, right, sig)
+        return sig, self._lib.bound_replay(bp.cap, rows, w, len(block) // 2, block, sig)
 
     def dp_layer(self, keys: np.ndarray, weights: np.ndarray, below: np.ndarray, hi: int,
                  at: int, pen: float, limit: int) -> tuple:

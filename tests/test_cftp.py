@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from array import array
 from collections import Counter
 from types import SimpleNamespace
 
@@ -26,6 +27,7 @@ from linext import (
     BitStream,
     CoalescenceError,
     LinextError,
+    Poset,
     StepDraw,
     bounding_chain_step,
     bounds,
@@ -308,8 +310,10 @@ def test_bounding_path_stats_accounting(monkeypatch):
 def _bound_block(script, poset, bp):
     """Run one bounding block whose steps (i, c3, c2) are script. Returns its
     value, or None if it left a wildcard, and the recorded block."""
-    block = list(map(list, zip(*script)))
-    value, _ = cftp._bound_forward(poset, bp, block)
+    block = array("I", [0]) * (2 * len(script))
+    for k, (i, c3, c2) in enumerate(script):
+        block[2 * k] = i | c3 << 16 | c2 << 17
+    _, value, _ = cftp._bound_forward(poset, bp, block)
     return (None if value is None else tuple(value)), block
 
 
@@ -348,7 +352,7 @@ def test_coalesced_bounding_block_is_constant(builder):
                     c1 = 1 - c3 if sigma[i - 1] == b[i] else c3
                     sigma, b = bounding_chain_step(sigma, b, bp, StepDraw(i, c1, c2), poset)
                 assert sigma == b == value
-                assert tuple(cftp._bound_replay(poset, bp, list(start), *block)[0]) == value
+                assert tuple(cftp._bound_replay(poset, bp, list(start), block)[0]) == value
         assert coalesced > 0
 
 
@@ -471,10 +475,10 @@ def test_support_draw_is_the_same_with_and_without_the_kernel(monkeypatch):
 
 
 def test_python_block_is_compact():
-    # the Python loops keep a block as arrays, 6 B per step (24 MB as lists
-    # for this block), so MAX_STEPS bounds a draw's memory with or without
-    # the C kernel; a stream of builtins that allocate nothing keeps the
-    # traced loop fast and leaves only the block to measure
+    # the Python loops keep a block as one array, 8 B per step (each step and
+    # the bound's entry before it), so MAX_STEPS bounds a draw's memory with
+    # or without the C kernel; a stream of builtins that allocate nothing
+    # keeps the traced loop fast and leaves only the block to measure
     stream = SimpleNamespace(uniform_int=abs, next_bit=int, bernoulli=bool)
     tracemalloc.start()
     try:
@@ -482,8 +486,21 @@ def test_python_block_is_compact():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(block[0]) == 10 ** 6
-    assert peak <= 11 * 10 ** 6
+    assert len(block) == 2 * 10 ** 6
+    assert peak <= 9 * 10 ** 6
+
+
+def test_block_refuses_positions_past_16_bits():
+    # A step keeps its position in 16 bits. generate's first block has 2 n^2
+    # steps, under MAX_STEPS only while n <= 7071, so a block on a wider order
+    # is reached only by a call with a short horizon, and both block paths
+    # refuse it. Building an order of 2^16 + 1 elements takes gigabytes (its
+    # bit matrix), and the refusal reads only n, so a stand-in carries it.
+    assert 2 * (1 << 16) ** 2 > cftp.MAX_STEPS
+    wide = SimpleNamespace(n=(1 << 16) + 1)
+    for run in [k.block for k in _block_paths() if k is not None] + [cftp._block]:
+        with pytest.raises(LinextError, match="2\\^16"):
+            run(1, BitStream(1), wide, BetaParam(1.0, 2))
 
 
 def test_step_budget_small():
@@ -509,14 +526,31 @@ def _stream_state(stream):
     return (stream.bits_consumed, stream._word, stream._avail, stream._rng.getstate())
 
 
+class _FillLog(BitStream):
+    """A stream that records the first step of each fill call of its blocks."""
+
+    __slots__ = ("starts",)
+
+    def draw_steps(self, fill, t, m, pen):
+        self.starts = []
+
+        def logged(buf, nbits, k):
+            self.starts.append(k)
+            return fill(buf, nbits, k)
+
+        super().draw_steps(logged, t, m, pen)
+
+
 @pytest.mark.skipif(cftp._kernel is None, reason="no C kernel was built")
 def test_kernel_blocks_match_the_python_loops():
     # Every order x beta x horizon, from a stream advanced 0..300 bits so the
-    # block starts mid-word: the kernel draws the same block from the same
-    # bits, leaves the stream where the Python draw does, and its forward and
-    # replay give the same values and probes.
+    # block starts mid-word: the kernel's fused pass draws the same steps from
+    # the same bits, records the same right entries, leaves the stream where
+    # the Python draw does and gives the same bound and probes, also when the
+    # bits come in over several fill calls; its replay gives the same values
+    # and probes.
     kernel = cftp._kernel
-    case = 0
+    case = carried = 0
     for poset in _kernel_orders():
         n = poset.n
         # beta = n, an integer cap, dyadic pens 0.5 and 0.75, a non-dyadic pen 0.3
@@ -526,57 +560,100 @@ def test_kernel_blocks_match_the_python_loops():
             bp = BetaParam(beta, n)
             for t in (1, 255, 256, 257, 2 * n * n):
                 case += 1
-                ref, nat = BitStream(case, "kernel"), BitStream(case, "kernel")
+                ref, nat = BitStream(case, "kernel"), _FillLog(case, "kernel")
                 for stream in (ref, nat):
                     for _ in range(case * 37 % 301):
                         stream.next_bit()
-                block = cftp._draw_block(t, ref, n, bp.pen)
-                arrays = kernel.draw_block(t, nat, n, bp.pen)
-                assert [list(a) for a in arrays] == [list(a) for a in block]
+                block, value, probes = cftp._block(t, ref, poset, bp)
+                steps, nvalue, nprobes = kernel.block(t, nat, poset, bp)
+                assert list(steps) == list(block)
                 assert _stream_state(nat) == _stream_state(ref)
-                value, probes = cftp._bound_forward(poset, bp, block)
-                nvalue, nprobes = kernel.bound_forward(poset, bp, arrays)
-                assert list(arrays[3]) == list(block[3])
                 assert (None if nvalue is None else list(nvalue), nprobes) == (value, probes)
+                carried += any(nat.starts)
                 for start in [list(range(1, n + 1))] + ([value] if value else []):
                     sig = (ctypes.c_int32 * n)(*start)
-                    got, got_probes = kernel.bound_replay(poset, bp, sig, *arrays)
-                    want = cftp._bound_replay(poset, bp, list(start), *block)
+                    got, got_probes = kernel.bound_replay(poset, bp, sig, steps)
+                    want = cftp._bound_replay(poset, bp, list(start), block)
                     assert (list(got), got_probes) == want
+    assert carried >= 20  # blocks whose bound was carried into a later fill call
     with pytest.raises(LinextError):  # a state that does not fit the order
-        kernel.bound_replay(poset, bp, (ctypes.c_int32 * (n + 1))(), *arrays)
+        kernel.bound_replay(poset, bp, (ctypes.c_int32 * (n + 1))(), steps)
+
+
+class _Trickle(BitStream):
+    """A stream that hands each fill call of its blocks at most 100 bits."""
+
+    __slots__ = ("fills",)
+
+    def draw_steps(self, fill, t, m, pen):
+        self.fills = 0
+
+        def trickle(buf, nbits, k):
+            self.fills += 1
+            return fill(buf, min(nbits, 100), k)
+
+        super().draw_steps(trickle, t, m, pen)
+
+
+@pytest.mark.skipif(cftp._kernel is None, reason="no C kernel was built")
+def test_kernel_block_carries_the_bound_across_fill_calls():
+    # A block whose bits come in 100 at a time takes one fill call per few
+    # steps, each starting from the bound, placed values and probes the last
+    # left, serially and by table: its steps, right entries, bound and probes
+    # are the Python loop's, and the stream stands at the same bit. The
+    # stream holds the bits it fetched ahead in its word, so its generator
+    # state differs; the bits it draws next are the same.
+    kernel = cftp._kernel
+    for poset in (antichain_poset(32), random_poset(random.Random(4), 10, density=0.2)):
+        n = poset.n
+        for beta in (float(n), 6.5, 1.3):
+            bp = BetaParam(beta, n)
+            for t in (2 * n * n, 5000):
+                ref, nat = BitStream(t, "trickle"), _Trickle(t, "trickle")
+                block, value, probes = cftp._block(t, ref, poset, bp)
+                steps, nvalue, nprobes = kernel.block(t, nat, poset, bp)
+                assert nat.fills > t // 20
+                assert list(steps) == list(block)
+                assert (None if nvalue is None else list(nvalue), nprobes) == (value, probes)
+                assert nat.bits_consumed == ref.bits_consumed
+                assert [nat.next_bit() for _ in range(600)] == [ref.next_bit() for _ in range(600)]
 
 
 @pytest.mark.skipif(cftp._kernel is None, reason="no C kernel was built")
 def test_kernel_table_blocks_match_the_python_loop():
     # Blocks of at least a step table's entries decode by table lookup. From
     # a stream advanced 0..300 bits, the kernel draws the same steps from the
-    # same bits and leaves the stream where the Python loop does, for m = n - 1
-    # with no bits (1), a power of two, rejection after the first chunk, a
-    # step of exactly 12 bits (2047 at pen 1) and chunks of 12 and 13 bits,
-    # and for pens whose expansions run past the table's bits.
+    # same bits, runs the bound through them as the Python loop does and
+    # leaves the stream where it does, for m = n - 1 with no bits (1), a power
+    # of two, rejection after the first chunk, a step of exactly 12 bits (2047
+    # at pen 1) and chunks of 12 and 13 bits, and for pens whose expansions
+    # run past the table's bits. The orders are relation-free; bp carries the
+    # pen exactly, as BetaParam may not.
     kernel = cftp._kernel
     assert kernel._table._length_ <= 4096
     case = 0
-    for t in (4096, 5003):
-        for m in (1, 31, 32, 39, 2047, 4095, 4096, 5000):
+    for m in (1, 31, 32, 39, 2047, 4095, 4096, 5000):
+        poset = Poset(m + 1, [0] * (m + 2))
+        for t in (4096, 5003):
             for pen in (1.0, 0.5, 0.75, 0.3, 1 - 2 ** -53, 2 ** -20, 1e-300):
                 case += 1
+                bp = SimpleNamespace(cap=case % 3 + 1, pen=pen)
                 ref, nat = BitStream(case, "table"), BitStream(case, "table")
                 for stream in (ref, nat):
                     for _ in range(case * 37 % 301):
                         stream.next_bit()
-                block = cftp._draw_block(t, ref, m + 1, pen)
-                arrays = kernel.draw_block(t, nat, m + 1, pen)
-                assert [list(a) for a in arrays] == [list(a) for a in block], (t, m, pen)
+                block, value, probes = cftp._block(t, ref, poset, bp)
+                steps, nvalue, nprobes = kernel.block(t, nat, poset, bp)
+                assert list(steps) == list(block), (t, m, pen)
+                assert (None if nvalue is None else list(nvalue), nprobes) == (value, probes)
                 assert _stream_state(nat) == _stream_state(ref)
 
 
 _PAST_THE_BITS = """
 import ctypes, mmap, random, sys
 sys.path.insert(0, sys.argv[1])
-from linext.native import KERNEL
-from ctypes import byref, c_char_p, c_int32, c_int64, c_uint8, c_size_t, c_void_p
+from linext.native import KERNEL, _CARRY
+from ctypes import c_char_p, c_int32, c_size_t, c_uint32, c_uint64, c_void_p
 
 page = mmap.PAGESIZE
 mem = mmap.mmap(-1, 2 * page)
@@ -585,6 +662,7 @@ mprotect = ctypes.CDLL(None).mprotect
 mprotect.argtypes = (c_void_p, c_size_t, ctypes.c_int)
 assert mprotect(end, page, 0) == 0  # PROT_NONE: any read of that page faults
 data = random.Random(7).randbytes(600)
+rows = (c_uint64 * 41)()  # antichain(40): no element precedes another
 for pen in (1.0, 0.3):
     table = KERNEL._table()
     assert KERNEL._lib.step_table(39, pen, table)
@@ -592,14 +670,13 @@ for pen in (1.0, 0.3):
         nbits = 8 * (len(data) - 1) + last
         ctypes.memmove(end - len(data), data, len(data))
         buf = ctypes.cast(end - len(data), c_char_p)
-        t, used = nbits, c_int64()
+        t = nbits
         runs = []
         for tab in (table, None):
-            pos, up, gate = (c_int32 * t)(), (c_uint8 * t)(), (c_uint8 * t)()
-            k = KERNEL._lib.draw_block(buf, nbits, byref(used), 39, pen, tab, 0, t, pos, up,
-                                       gate)
-            runs.append((k, used.value, list(pos[:k]), list(up[:k]), list(gate[:k])))
-        assert runs[0] == runs[1] and nbits - runs[0][1] < 64
+            steps, bnd, carry = (c_uint32 * (2 * t))(), (c_int32 * 40)(), _CARRY()
+            k = KERNEL._lib.block(buf, nbits, 40, pen, tab, 0, t, 2, rows, 1, steps, bnd, carry)
+            runs.append((k, list(carry), list(steps[:2 * k]), list(bnd)))
+        assert runs[0] == runs[1] and nbits - runs[0][1][0] < 64
 """
 
 
@@ -609,7 +686,7 @@ def test_kernel_reads_no_byte_past_the_bits():
     # unseen. Here the buffer ends where a page that faults on any access
     # begins, with its last bit at each place in the last byte, so such a
     # read kills the child; the table and the serial decoder draw the same
-    # steps from it.
+    # steps from it and leave the same bound.
     src = os.path.dirname(os.path.dirname(native.__file__))
     run = subprocess.run([sys.executable, "-c", _PAST_THE_BITS, src], capture_output=True,
                          text=True, timeout=120)
@@ -672,7 +749,19 @@ def test_kernel_loads_when_a_compiler_is_present(tmp_path):
     kernel = native.build(cache=tmp_path)
     assert kernel is not None
     assert native.build(cache=tmp_path, cc=str(tmp_path / "no-cc")).path == kernel.path
-    assert kernel._lib.draw_block is not None and kernel._lib.dp_layer is not None
+    assert kernel._lib.block is not None and kernel._lib.dp_layer is not None
+
+
+def test_kernel_cache_is_keyed_on_the_flags(tmp_path, monkeypatch):
+    # A cached object built with other compiler flags is not reused: other
+    # flags name another object, which a missing compiler cannot build.
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on the path")
+    kernel = native.build(cache=tmp_path)
+    monkeypatch.setattr(native, "FLAGS", native.FLAGS + ("-g",))
+    assert native.build(cache=tmp_path, cc=str(tmp_path / "no-cc")) is None
+    other = native.build(cache=tmp_path)
+    assert kernel is not None and other is not None and other.path != kernel.path
 
 
 def test_kernel_build_failures_fall_back(tmp_path, capfd, monkeypatch):
@@ -683,7 +772,7 @@ def test_kernel_build_failures_fall_back(tmp_path, capfd, monkeypatch):
     # where it does not. The stand-in compiler leaves a truncated object, as
     # a cut-off copy of the cache would.
     broken = tmp_path / "broken.c"
-    broken.write_text("int draw_block( {\n")
+    broken.write_text("int block( {\n")
     (tmp_path / "file").write_text("")
     readonly = tmp_path / "readonly"
     readonly.mkdir()
