@@ -3,7 +3,9 @@
 Everything the samplers consume is derived from fair bits so the bit budget of
 a run can be reported exactly. Discrete draws (the chain-driving bits) are
 tallied in ``bits_consumed``; 53-bit continuous uniforms are tallied separately
-in ``bits_continuous`` since they are not part of the discrete budget.
+in ``bits_continuous`` since they are not part of the discrete budget. All of
+them come from ``uniform_reals``, which reads a batch (a lift's n uniforms) in
+one pass with the bits and state of one value at a time.
 
 Streams are splittable: ``fork(label)`` derives an independent-behaving child
 keyed by (seed, label path), which is how parallel runs stay reproducible.
@@ -19,6 +21,7 @@ from .errors import LinextError
 
 _WORDBITS = 256
 _REVBITS = 12  # widest chunk uniform_int reverses by table lookup
+_MASK53 = (1 << 53) - 1
 
 
 def _reversal_table(bits: int) -> tuple[int, ...]:
@@ -191,24 +194,40 @@ class BitStream:
 
         Tallied in bits_continuous, not in the discrete budget.
         """
-        k = self._take_bits(53)
-        self.bits_continuous += 53
-        return (k + 1) * 2.0 ** -53
+        return self.uniform_reals(1)[0]
 
-    def _take_bits(self, k: int) -> int:
-        out = 0
-        got = 0
-        while got < k:
-            if self._avail == 0:
-                self._word = self._rng.getrandbits(_WORDBITS)
-                self._avail = _WORDBITS
-            take = k - got
-            if take > self._avail:
-                take = self._avail
-            out = (out << take) | (self._word & ((1 << take) - 1))
-            self._word >>= take
-            self._avail -= take
-            got += take
+    def uniform_reals(self, k: int) -> list[float]:
+        """k uniforms on (0, 1], read in one batch.
+
+        Value j is (x + 1) 2^-53 for x the stream's next 53 bits, the first
+        bit least significant, except where they straddle two buffered words:
+        then the earlier word's piece is x's high part. The words the batch
+        needs past the buffered bits come from one getrandbits call, which
+        yields what that many single-word calls would, so values, counters
+        and generator state are those of k calls of one value each. Tallied
+        in bits_continuous.
+        """
+        if k < 0:
+            raise LinextError(f"uniform_reals needs k >= 0, got {k}")
+        have = self._avail
+        buf = self._word
+        words = -(-(53 * k - have) // _WORDBITS)
+        if words > 0:
+            buf |= self._rng.getrandbits(_WORDBITS * words) << have
+            have += _WORDBITS * words
+        edge = self._avail  # bits before the next word starts
+        out = []
+        for _ in range(k):
+            x = buf & _MASK53
+            buf >>= 53
+            if edge < 53:
+                x = (x & ((1 << edge) - 1)) << (53 - edge) | x >> edge
+                edge += _WORDBITS
+            edge -= 53
+            out.append((x + 1) * 2.0 ** -53)
+        self._word = buf
+        self._avail = have - 53 * k
+        self.bits_continuous += 53 * k
         return out
 
     def __repr__(self) -> str:

@@ -18,13 +18,14 @@ The second layer is the sampler, one function, ``generate``, with two paths
 chosen by the order's extension count, the same at every cap:
 
 - Explicit support (orders with at most ``SUPPORT_LIMIT`` extensions). The
-  support at the cap is enumerated once and cached, and a draw is made from
-  it directly by rejection: propose a state uniformly and keep it with
-  probability pen^k, k its coordinates at displacement exactly cap, by one
-  bernoulli(pen) per such coordinate. Every state of the support at cap - 1
-  is kept outright, so a draw takes at most |S_c| / |S_{c-1}| proposals in
-  expectation, S_c being the support at cap c. It runs no chain and counts
-  only its bits.
+  support at the cap is enumerated once and cached, with each state's top
+  displacement and the number of its coordinates at it, and a draw is made
+  from it directly by rejection: propose a state uniformly and keep it with
+  probability pen^k, k its coordinates at displacement exactly cap (read
+  from the cache), by one bernoulli(pen) per such coordinate. Every state
+  of the support at cap - 1 is kept outright, so a draw takes at most
+  |S_c| / |S_{c-1}| proposals in expectation, S_c being the support at cap
+  c. It runs no chain and counts only its bits.
 - Bounding chain (any order), coupling from the past (Propp-Wilson): draw and
   record a block of steps; until a block's update map is certified constant,
   draw one twice as long further in the past, up to MAX_STEPS steps in all;
@@ -194,34 +195,62 @@ def bounding_chain_step(sigma: Sequence[int], b: Sequence[int], bp: BetaParam,
 # ---------------------------------------------------------------------------
 
 
+class _Support(tuple):
+    """An enumerated support: its states in enumeration order, with each
+    state's top displacement in ``tops`` and how many of its coordinates sit
+    at it in ``counts``, both found in one pass over the states."""
+
+    def __new__(cls, states):
+        self = super().__new__(cls, states)
+        tops = []
+        counts = []
+        for s in self:
+            d = [v - p for p, v in enumerate(s, start=1)]
+            top = max(d)
+            tops.append(top)
+            counts.append(d.count(top))
+        self.tops = tuple(tops)
+        self.counts = tuple(counts)
+        return self
+
+
 @lru_cache(maxsize=128)
-def _support_tables(poset: Poset, cap: int) -> tuple | None:
+def _support_tables(poset: Poset, cap: int) -> _Support | None:
     """The extensions with displacement at most cap, in enumeration order, or
     None at every cap when the order has over SUPPORT_LIMIT extensions; cached
     either way. No extension moves v right of v - 1 - |below(v)|, so every cap
-    above the reach, the largest of those, shares cap reach + 1's support."""
-    top = max(v - 1 - poset.below_mask(v).bit_count() for v in range(1, poset.n + 1)) + 1
-    if cap > top:
-        return _support_tables(poset, top)
-    if cap < top and _support_tables(poset, top) is None:
+    at or above the reach, the largest of those, shares one support: its
+    states' tops tell which coordinates sit at the cap."""
+    reach = max(v - 1 - poset.below_mask(v).bit_count() for v in range(1, poset.n + 1))
+    if cap > reach:
+        return _support_tables(poset, reach)
+    if cap < reach and _support_tables(poset, reach) is None:
         return None
     try:
-        return tuple(exact.enumerate_extensions(poset, SUPPORT_LIMIT, cap))
+        return _Support(exact.enumerate_extensions(poset, SUPPORT_LIMIT, cap))
     except GuardError:
         return None
 
 
-def _support_draw(states: tuple, bp: BetaParam, stream: BitStream) -> tuple[int, ...]:
-    """An exact draw from the weights on states, the support at bp.cap:
+def _support_draw(support: _Support, bp: BetaParam, stream: BitStream) -> tuple[int, ...]:
+    """An exact draw from the weights on support, the support at bp.cap:
     propose a state uniformly and keep it if bernoulli(pen) comes up 1 for
     each of its k coordinates at displacement exactly cap, stopping at the
-    first 0, so it is kept with probability pen^k; else propose again. Costs
-    no bits when pen = 1 or there is one state."""
+    first 0, so it is kept with probability pen^k; else propose again. k is
+    read from the support's cached counts: the state's count at its top,
+    or 0 when the top is below the cap. Costs no bits when pen = 1 or there
+    is one state."""
     cap, pen = bp.cap, bp.pen
+    tops, counts = support.tops, support.counts
+    uniform_int, bernoulli = stream.uniform_int, stream.bernoulli
+    m = len(support)
     while True:
-        s = states[stream.uniform_int(len(states)) - 1]
-        if all(stream.bernoulli(pen) for p, v in enumerate(s, start=1) if v - p == cap):
-            return s
+        j = uniform_int(m) - 1
+        k = counts[j] if tops[j] == cap else 0
+        while k and bernoulli(pen):
+            k -= 1
+        if not k:
+            return support[j]
 
 
 def _draw_block(t: int, stream: BitStream, n: int, pen: float) -> array:
@@ -304,9 +333,9 @@ def generate(bp: BetaParam, t: int, stream: BitStream,
     if not poset.identity_is_extension:
         raise LinextError("poset must be canonicalized before sampling")
     bits0 = stream.bits_consumed
-    states = _support_tables(poset, bp.cap)
-    if states is not None:
-        sigma = _support_draw(states, bp, stream)
+    support = _support_tables(poset, bp.cap)
+    if support is not None:
+        sigma = _support_draw(support, bp, stream)
         return sigma, CftpStats(bits_discrete=stream.bits_consumed - bits0)
     kernel = _kernel
     run = _block if kernel is None else kernel.block

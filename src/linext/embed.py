@@ -19,31 +19,31 @@ smallest family member containing x has parameter exactly distance(x).
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Sequence
 
 from .bitrng import BitStream
-from .chain import BetaParam, weight
+from .chain import BetaParam
 from .errors import LinextError
 
 
 def lift(sigma: Sequence[int], bp: BetaParam, stream: BitStream) -> tuple[float, ...]:
     """Lift an extension with positive weight to a point of the restricted
     continuous set: coordinate i is uniform on (sigma(i)-1, sigma(i)] below the
-    cap, and on the first pen of that cell at the cap."""
-    if weight(sigma, bp) <= 0.0:
-        raise LinextError("cannot lift a state with zero weight")
+    cap, and on the first pen of that cell at the cap. The n uniforms are read
+    in one batch; a state with a coordinate past the cap, of weight zero, is
+    refused once they are read."""
     cap = bp.cap
     pen = bp.pen
     out = []
-    for p, v in enumerate(sigma, start=1):
-        u = stream.uniform_real()
-        if v - p == cap:
-            out.append(v - 1.0 + u * pen)
-        else:
-            out.append(v - 1.0 + u)
+    for p, v, u in zip(range(1, len(sigma) + 1), sigma, stream.uniform_reals(len(sigma))):
+        d = v - p
+        if d > cap:
+            raise LinextError("cannot lift a state with zero weight")
+        out.append(v - 1.0 + (u * pen if d == cap else u))
     return tuple(out)
 
 
 def distance(x: Sequence[float]) -> float:
     """Largest coordinate overshoot max_i (x(i) - i); in (-1, n-1]."""
-    return max(v - p for p, v in enumerate(x, start=1))
+    return max(map(sub, x, range(1, len(x) + 1)))

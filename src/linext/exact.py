@@ -43,6 +43,7 @@ STATE_LIMIT = 10 ** 6  # most order ideals in one layer of the exact DP
 ENUMERATION_GUARD = 10 ** 6
 KERNEL_SUPPORT_GUARD = 10 ** 4
 _WORD = np.dtype("<u8")
+_FLOAT = np.dtype("<f8")
 _DOUBLE = struct.Struct("<d")
 _kernel = native.KERNEL  # the C layer pass, or None to run _layer_loop
 
@@ -88,7 +89,15 @@ def _layered_sum(poset: Poset, cap: int, pen):
 
 
 def _numbers(weights: np.ndarray) -> list:
-    """A layer's weights as Python ints and floats."""
+    """A layer's weights as Python ints and floats; a one-word layer of only
+    ints or only floats in one numpy step."""
+    if weights.shape[1] == 1:
+        col = weights[:, 0]
+        signs = col >> 63
+        if not signs.any():
+            return col.tolist()
+        if signs.all():
+            return (-col.view(_FLOAT)).tolist()
     size = 8 * weights.shape[1]
     raw = weights.tobytes()
     return [-_DOUBLE.unpack_from(raw, end - 8)[0] if raw[end - 1] & 0x80
@@ -97,7 +106,14 @@ def _numbers(weights: np.ndarray) -> list:
 
 
 def _words(numbers: list, k: int) -> np.ndarray:
-    """Python ints and floats as a layer's weights of k words."""
+    """Python ints and floats as a layer's weights of k words; a one-word
+    layer of only ints or only floats in one numpy step."""
+    if k == 1:
+        types = set(map(type, numbers))
+        if types == {int}:
+            return np.array(numbers, dtype=_WORD).reshape(len(numbers), 1)
+        if types == {float}:
+            return (-np.array(numbers, dtype=_FLOAT)).view(_WORD).reshape(len(numbers), 1)
     size = 8 * k
     return np.frombuffer(b"".join(x.to_bytes(size, "little") if type(x) is int
                                   else bytes(size - 8) + _DOUBLE.pack(-x) for x in numbers),

@@ -79,6 +79,53 @@ def test_uniform_int_chi_square():
     assert p >= 0.01
 
 
+def _uniform_real_bitwise(s):
+    """Reference: one uniform's 53 bits taken word by word, a piece from an
+    earlier word in the high bits."""
+    out = got = 0
+    while got < 53:
+        if s._avail == 0:
+            s._word = s._rng.getrandbits(256)
+            s._avail = 256
+        take = min(53 - got, s._avail)
+        out = (out << take) | (s._word & ((1 << take) - 1))
+        s._word >>= take
+        s._avail -= take
+        got += take
+    s.bits_continuous += 53
+    return (out + 1) * 2.0 ** -53
+
+
+def _stream_state(s):
+    return (s.bits_continuous, s.bits_consumed, s._word, s._avail, s._rng.getstate())
+
+
+def test_uniform_reals_match_one_value_at_a_time():
+    # after 44 bits, 4 values end exactly on the word boundary; after 256 the
+    # buffer is empty; k = 40 reads over eight fresh words
+    for offset in range(301):
+        for k in (0, 1, 4, 5, 12, 40):
+            a, b, c = (BitStream(21, f"reals/{offset}") for _ in range(3))
+            for s in (a, b, c):
+                for _ in range(offset):
+                    s.next_bit()
+            values = a.uniform_reals(k)
+            assert values == [b.uniform_real() for _ in range(k)]
+            assert values == [_uniform_real_bitwise(c) for _ in range(k)]
+            assert _stream_state(a) == _stream_state(b) == _stream_state(c)
+            assert a.bits_continuous == 53 * k and a.bits_consumed == offset
+            if (offset, k) == (44, 4):
+                assert a._avail == 0 and a._word == 0
+            if (offset, k) == (44, 5):
+                assert a._avail == 203
+    s = BitStream(22)
+    s.next_bit()
+    state = _stream_state(s)
+    assert s.uniform_reals(0) == [] and _stream_state(s) == state
+    with pytest.raises(LinextError):
+        s.uniform_reals(-1)
+
+
 def _uniform_int_bitwise(s, m):
     """Reference: the entropy-recycling rejection draw, one next_bit at a time."""
     if m == 1:

@@ -370,12 +370,42 @@ def test_support_tables_selected_by_extension_count():
 
 def test_caps_above_the_reach_share_one_table():
     # no extension of the 3x4 grid moves an element more than 6 right, so
-    # caps 7..12 hold every extension and one cached support serves them all
+    # caps 6..12 hold every extension and one cached support serves them all;
+    # its tops tell cap 6, where the states that reach 6 pay pen, from the rest
     grid = grid_poset(3, 4)
-    states = cftp._support_tables(grid, 7)
-    assert all(cftp._support_tables(grid, c) is states for c in range(7, 13))
+    states = cftp._support_tables(grid, 6)
+    assert all(cftp._support_tables(grid, c) is states for c in range(6, 13))
     assert list(states) == enumerate_extensions(grid)
-    assert cftp._support_tables(grid, 6) is not states
+    assert cftp._support_tables(grid, 5) is not states
+    assert states.tops == tuple(max_displacement(s) for s in states)
+    assert states.counts == tuple(sum(v - p == max_displacement(s) for p, v in enumerate(s, 1))
+                                  for s in states)
+
+
+def _support_draw_by_coordinates(states, bp, stream):
+    """Reference: the support draw testing each coordinate of a proposal for
+    the cap, one bernoulli(pen) per coordinate there until one comes up 0."""
+    cap, pen = bp.cap, bp.pen
+    while True:
+        s = states[stream.uniform_int(len(states)) - 1]
+        if all(stream.bernoulli(pen) for p, v in enumerate(s, start=1) if v - p == cap):
+            return s
+
+
+def test_support_draw_reads_the_bits_of_the_per_coordinate_rule():
+    grid = grid_poset(3, 4)
+    for cap in range(grid.n + 1):
+        states = enumerate_extensions(grid, cap=cap)
+        for pen in ((1.0,) if cap == 0 else (1.0, 0.5, 0.3, 2.0 ** -20)):
+            bp = BetaParam(cap - 1 + pen, grid.n)
+            assert bp.cap == cap
+            a = BitStream(23, f"support/{cap}/{pen}")
+            b = BitStream(23, f"support/{cap}/{pen}")
+            for _ in range(40):
+                sigma, _ = perfect_sample(bp, a, grid)
+                assert sigma == _support_draw_by_coordinates(states, bp, b)
+                assert a.bits_consumed == b.bits_consumed
+            assert a._rng.getstate() == b._rng.getstate()
 
 
 def test_support_limit_keeps_the_set_path_up_to_the_3x4_grid():

@@ -71,6 +71,21 @@ def test_lift_ceiling_round_trip(pairs4):
             assert ceil_perm(lift(sigma, bp, stream)) == sigma
 
 
+@pytest.mark.parametrize("beta, first", [
+    # beta 1.3: cap 2, no coordinate at it; beta 0.7: cap 1, positions 1 and 3
+    # at it, their cells cut to the first pen = 0.7
+    (1.3, (1.6599071912606487, 0.7840870524731347, 3.9485543189320573, 2.7538772526116895)),
+    (0.7, (1.4619350338824542, 0.7840870524731347, 3.6639880232524398, 2.7538772526116895)),
+])
+def test_lift_points_are_pinned(pairs4, beta, first):
+    bp = BetaParam(beta, 4)
+    stream = BitStream(3)
+    assert lift((2, 1, 4, 3), bp, stream) == first
+    second = lift((2, 1, 4, 3), bp, stream)
+    assert second[1::2] == (0.05975994129808393, 2.814313547176739)
+    assert stream.bits_continuous == 8 * 53 and stream.bits_consumed == 0
+
+
 def test_lift_rejects_zero_weight(antichain4=None):
     poset = antichain_poset(3)
     bp = BetaParam(1.0, 3)

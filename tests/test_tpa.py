@@ -17,7 +17,7 @@ from linext import (
     tpa_runs,
     two_phase,
 )
-from linext.catalog import antichain_poset
+from linext.catalog import antichain_poset, grid_poset
 
 # -- tpa_runs -------------------------------------------------------------------
 
@@ -121,6 +121,19 @@ def test_two_phase_chain_is_exact(chain5):
     assert est.l_hat2 == 1.0
     assert est.r1 == phase1_runs(0.2)
     assert est.phase1.k == 0 and est.phase2.k == 0
+
+
+@pytest.mark.parametrize("seed, l_hat2, r2, k1, k2, bits", [
+    (1, 475.67966062585583, 607, 31, 3742, (110935, 2788860)),
+    (2, 474.871137740075, 552, 27, 3402, (97337, 2535096)),
+], ids=["seed1", "seed2"])
+def test_two_phase_estimate_is_pinned(seed, l_hat2, r2, k1, k2, bits):
+    # Pins the full estimator on the 3x4 grid (L = 462), every draw from its
+    # support: a change to the bits a draw, a lift or a run reads moves these
+    est = two_phase(grid_poset(3, 4), 0.5, 0.25, BitStream(seed))
+    assert (est.l_hat2, est.r1, est.r2, est.phase1.k, est.phase2.k) == (l_hat2, 5, r2, k1, k2)
+    assert est.stats.as_dict() == {"total_steps": 0, "levels": 0, "bits_discrete": bits[0],
+                                   "bits_continuous": bits[1], "comparisons": 0}
 
 
 def test_two_phase_runs_override(pairs4):
