@@ -1,5 +1,13 @@
-/* CFTP blocks and the ideal DP's layer pass in C, one function per Python
+/* CFTP draws and the ideal DP's layer pass in C, one function per Python
    loop in cftp.py and exact.py.
+
+   draw runs a whole bounding-chain draw, generate's loop: blocks twice as
+   long further into the past until one is constant, then the replay of its
+   value through the others, deepest first. It makes the stream's bits
+   itself: mt_words gives what random.Random's getrandbits(256) gives, 8
+   tempered MT19937 outputs a word, least significant first, and draw takes
+   words only when a block is certain to read them, so it reads the words
+   the Python draws read and leaves the generator where they do.
 
    block draws a block's steps (pos, up, gate) as BitStream.uniform_int,
    next_bit and bernoulli do, reading bits least significant first from a
@@ -69,8 +77,6 @@ static int coin(bits_t *s, double x) {
 
 #define TABLE_BITS 12
 #define ENTRIES (1 << TABLE_BITS)
-
-const int64_t step_entries = ENTRIES;  /* the entries of a step table */
 
 typedef struct {
     uint32_t *table;
@@ -152,6 +158,10 @@ int64_t step_table(int64_t m, double pen, uint32_t *table) {
     else
         walk(&B, 1, 0, 0, 0);
     return B.filled;
+}
+
+static int64_t bit_length(uint64_t x) {
+    return x ? 64 - __builtin_clzll(x) : 0;
 }
 
 static int precedes(const uint64_t *rows, int64_t w, int32_t a, int32_t b) {
@@ -252,6 +262,193 @@ int64_t bound_replay(int64_t cap, const uint64_t *rows, int64_t w, int64_t t,
     return comps;
 }
 
+#define MT_N 624
+#define MT_M 397
+#define CHUNK 2048  /* most words fetched at once: 64 KiB */
+
+/* Twist the 624 words of the MT19937 generator mt, as random.Random does
+   when its index reaches 624. */
+static void mt_twist(uint32_t *mt) {
+    int k = 0;
+    uint32_t y;
+#define MT_MIX(a, b, c) (y = (mt[a] & 0x80000000u) | (mt[b] & 0x7fffffffu), \
+                         mt[a] = mt[c] ^ (y >> 1) ^ (-(y & 1u) & 0x9908b0dfu))
+    for (; k < MT_N - MT_M; k++)
+        MT_MIX(k, k + 1, k + MT_M);
+    for (; k < MT_N - 1; k++)
+        MT_MIX(k, k + 1, k + MT_M - MT_N);
+    MT_MIX(MT_N - 1, 0, MT_M - 1);
+#undef MT_MIX
+    mt[MT_N] = 0;
+}
+
+/* Write words 256-bit words of the MT19937 generator mt, its 624 words then
+   the index, into buf from bit at on, each what random.Random's
+   getrandbits(256) gives: 8 tempered outputs, least significant first. The
+   bits of buf from at on must be zero. Returns the bit after the last
+   word. */
+int64_t mt_words(uint32_t *mt, int64_t words, uint8_t *buf, int64_t at) {
+    uint8_t *p = buf + (at >> 3);
+    int s = at & 7;
+    uint64_t acc = p[0];  /* the s bits not yet written, from p on */
+    for (int64_t left = 8 * words; left > 0;) {
+        if (mt[MT_N] >= MT_N)
+            mt_twist(mt);
+        const uint32_t *x = mt + mt[MT_N];
+        int64_t run = left < MT_N - mt[MT_N] ? left : MT_N - mt[MT_N];
+        for (int64_t j = 0; j < run; j++) {
+            uint32_t y = x[j];
+            y ^= y >> 11;
+            y ^= (y << 7) & 0x9d2c5680u;
+            y ^= (y << 15) & 0xefc60000u;
+            acc |= (uint64_t)(y ^ (y >> 18)) << s;
+            p[0] = (uint8_t)acc;
+            p[1] = (uint8_t)(acc >> 8);
+            p[2] = (uint8_t)(acc >> 16);
+            p[3] = (uint8_t)(acc >> 24);
+            p += 4;
+            acc >>= 32;
+        }
+        mt[MT_N] += (uint32_t)run;
+        left -= run;
+    }
+    if (s)
+        p[0] = (uint8_t)acc;
+    return at + 256 * words;
+}
+
+typedef struct {
+    uint32_t *mt;
+    uint8_t *buf;        /* the bits not yet read, from bit 0 on, then zeros */
+    int64_t have, size;  /* the bits held, the bytes allocated */
+} feed_t;
+
+/* Append words of mt to the bits held. Returns 0 when memory runs out. */
+static int fetch(feed_t *f, int64_t words) {
+    int64_t need = (f->have + 256 * words) / 8 + 16;
+    if (need > f->size) {
+        int64_t size = need > 2 * f->size ? need : 2 * f->size;
+        uint8_t *buf = realloc(f->buf, (size_t)size);
+        if (!buf)
+            return 0;
+        memset(buf + f->size, 0, (size_t)(size - f->size));
+        f->buf = buf;
+        f->size = size;
+    }
+    f->have = mt_words(f->mt, words, f->buf, f->have);
+    return 1;
+}
+
+/* Drop the first used bits held, moving the rest to bit 0. */
+static void drop(feed_t *f, int64_t used) {
+    int64_t o = used >> 3, s = used & 7, end = (f->have + 7) >> 3;
+    int64_t keep = (f->have - used + 7) >> 3;
+    for (int64_t j = 0; j < keep; j++)  /* the bits past have are zero */
+        f->buf[j] = (uint8_t)(f->buf[o + j] >> s | f->buf[o + j + 1] << (8 - s));
+    memset(f->buf + keep, 0, (size_t)(end - keep));
+    f->have -= used;
+}
+
+/* The words that steps k..t-1 are certain to read past the bits held, each
+   step reading at least per_step bits. */
+static int64_t certain(const feed_t *f, int64_t k, int64_t t, int64_t per_step) {
+    int64_t short_by = (t - k) * per_step - f->have;
+    return short_by > 0 ? (short_by + 255) / 256 : 0;
+}
+
+/* One bounding-chain draw, cftp._bounding_draw: blocks of t, 2 t, 4 t, ...
+   steps, each drawn by block from the stream's bits until one is constant,
+   refused before a block that would take the steps past max_steps, then that
+   block's value replayed through the others, deepest first, into sample. mt
+   is the stream's generator as in mt_words, word its 32 bytes of buffered
+   bits and *avail their count. A block first takes the words it is certain
+   to read, at most CHUNK at a time, and one more whenever block stops short,
+   as many as the rest of it is certain to read, so every word taken is read;
+   a block of at least ENTRIES steps decodes by a step table, built once for
+   the draw. mt, word and *avail are left as the stream's state after the
+   draw. out gets the blocks drawn, the steps, the order tests and 1, or 0
+   when the ceiling refused a block, or -1 when memory ran out. Returns the
+   bits read. */
+int64_t draw(uint32_t *mt, uint8_t *word, int64_t *avail, int64_t n, double pen, int64_t cap,
+             const uint64_t *rows, int64_t w, int64_t t, int64_t max_steps, int32_t *sample,
+             int64_t *out) {
+    feed_t f = {mt, calloc(1, 32 + 16), 0, 32 + 16};
+    int64_t per_step = (n > 2 ? bit_length((uint64_t)(n - 2)) : 0) + 1 + (pen != 1.0);
+    int64_t steps = 0, comps = 0, levels = 0, read = 0, status = -1, carry[3] = {0, 0, 0};
+    uint32_t *kept[64], *table = NULL, *step = NULL;
+    int32_t *bnd = malloc((size_t)n * sizeof *bnd);
+    int tabled = 0;
+    if (!f.buf || !bnd)
+        goto done;
+    f.have = *avail;
+    memcpy(f.buf, word, (size_t)(f.have + 7) >> 3);
+    if (f.have & 7)
+        f.buf[f.have >> 3] &= (uint8_t)((1u << (f.have & 7)) - 1);
+    for (;;) {
+        if (steps + t > max_steps) {
+            status = 0;
+            break;
+        }
+        if (!(step = malloc((size_t)t * 2 * sizeof *step)))
+            goto done;
+        if (t >= ENTRIES && !tabled) {
+            tabled = 1;
+            if ((table = malloc(ENTRIES * sizeof *table)) && !step_table(n - 1, pen, table)) {
+                free(table);
+                table = NULL;
+            }
+        }
+        int64_t k = 0, words = certain(&f, 0, t, per_step);
+        for (;;) {
+            if (words > 0 && !fetch(&f, words < CHUNK ? words : CHUNK))
+                goto done;
+            k = block(f.buf, f.have, n, pen, t >= ENTRIES ? table : NULL, k, t, cap, rows, w,
+                      step, bnd, carry);
+            drop(&f, carry[0]);
+            read += carry[0];
+            if (k == t)
+                break;
+            words = certain(&f, k, t, per_step);
+            words += !words;
+        }
+        steps += t;
+        comps += carry[2];
+        kept[levels++] = step;
+        step = NULL;
+        if (carry[1] == n) {
+            status = 1;
+            break;
+        }
+        t *= 2;
+    }
+    for (int64_t j = levels - 2; status == 1 && j >= 0; j--) {
+        t /= 2;
+        comps += bound_replay(cap, rows, w, t, kept[j], bnd);
+        steps += t;
+    }
+    if (status == 1)
+        memcpy(sample, bnd, (size_t)n * sizeof *bnd);
+done:
+    out[0] = levels;
+    out[1] = steps;
+    out[2] = comps;
+    out[3] = status;
+    if (f.buf) {
+        if (f.have > 256)  /* only when memory ran out inside a block */
+            f.have = 256;
+        memset(word, 0, 32);
+        memcpy(word, f.buf, (size_t)(f.have + 7) >> 3);
+        *avail = f.have;
+    }
+    for (int64_t j = 0; j < levels; j++)
+        free(kept[j]);
+    free(step);
+    free(table);
+    free(bnd);
+    free(f.buf);
+    return read;
+}
+
 /* One layer of the order-ideal DP, as exact._layer_loop. keys holds the m
    ideals of a layer as rows of w words, bit v set when element v is placed,
    and weights their weights in rows of kin words; below holds the row of
@@ -309,10 +506,6 @@ void dp_take(layer_t *L, uint64_t *rows, uint64_t *weights) {
     free(L->sum);
     free(L->table);
     free(L);
-}
-
-static int64_t bit_length(uint64_t x) {
-    return x ? 64 - __builtin_clzll(x) : 0;
 }
 
 static double real(uint64_t word) {

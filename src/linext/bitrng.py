@@ -7,6 +7,11 @@ in ``bits_continuous`` since they are not part of the discrete budget. All of
 them come from ``uniform_reals``, which reads a batch (a lift's n uniforms) in
 one pass with the bits and state of one value at a time.
 
+A native call can draw from the stream's own generator (``lend``): it is
+handed the MT19937 state and the buffered bits once, makes the same 256-bit
+words itself, and hands back the state it leaves, so counters and the
+generator state are those of the Python draws.
+
 Streams are splittable: ``fork(label)`` derives an independent-behaving child
 keyed by (seed, label path), which is how parallel runs stay reproducible.
 """
@@ -15,6 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
+from array import array
 from typing import NamedTuple
 
 from .errors import LinextError
@@ -22,6 +29,7 @@ from .errors import LinextError
 _WORDBITS = 256
 _REVBITS = 12  # widest chunk uniform_int reverses by table lookup
 _MASK53 = (1 << 53) - 1
+_STATE = struct.Struct("625I")  # an MT19937 state as getstate gives it: 624 words, then the index
 
 
 def _reversal_table(bits: int) -> tuple[int, ...]:
@@ -157,37 +165,27 @@ class BitStream:
         c2 = self.bernoulli(pen)
         return StepDraw(i, c1, c2)
 
-    def draw_steps(self, fill, t: int, m: int, pen: float) -> None:
-        """Draw t steps, each uniform_int(m), next_bit() and, unless pen = 1,
-        bernoulli(pen), through a native filler, leaving the bits, counters and
-        generator state those calls would.
+    def lend(self, run) -> None:
+        """Lend the generator and the buffered bits to a native call that
+        draws from them as this stream would, and take back what it leaves.
 
-        fill(buf, nbits, k) draws steps k.. from the first nbits bits of the
-        little-endian bytes buf, least significant bit first, and stops at the
-        start of a step that would read past them; it returns the next step
-        and the bits it read. The C filler decodes a step bit by bit, or, in a
-        block of at least 4096 steps, by looking its next 12 bits up in a
-        table of the steps they start; either way it reads the bits these
-        calls would. buf holds the buffered bits plus only words the steps
-        are certain to consume: each step reads at least
-        (m - 1).bit_length() + 1 + [pen < 1] bits.
+        run(state, word, avail) gets the generator's MT19937 state as an
+        array of 625 uint32, its 624 words then the index, as getstate gives
+        them; the buffered bits as 32 little-endian bytes, least significant
+        first; and their count as a one-entry int64 array. It must read the
+        bits in order, taking each further 256-bit word as getrandbits(256)
+        would and only when it reads from it, update all three in place and
+        return the bits it read, which are counted here. The stream is then
+        as the same reads through next_bit would leave it.
         """
-        per_step = (m - 1).bit_length() + 1 + (pen != 1.0)
-        buf, have, k = self._word, self._avail, 0
-        words = -(-(t * per_step - have) // _WORDBITS)
-        while True:
-            if words > 0:
-                buf |= self._rng.getrandbits(_WORDBITS * words) << have
-                have += _WORDBITS * words
-            k, used = fill(buf.to_bytes(-(-have // 8), "little"), have, k)
-            buf >>= used
-            have -= used
-            self.bits_consumed += used
-            if k == t:
-                break
-            words = max(1, -(-((t - k) * per_step - have) // _WORDBITS))
-        self._word = buf
-        self._avail = have
+        version, state, gauss = self._rng.getstate()
+        words = array("I", _STATE.pack(*state))
+        word = array("B", self._word.to_bytes(32, "little"))
+        avail = array("q", [self._avail])
+        self.bits_consumed += run(words, word, avail)
+        self._rng.setstate((version, _STATE.unpack(words), gauss))
+        self._word = int.from_bytes(word, "little")
+        self._avail = avail[0]
 
     def uniform_real(self) -> float:
         """Uniform on the left-open interval (0, 1] with 53-bit resolution.

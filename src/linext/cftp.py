@@ -41,13 +41,14 @@ chosen by the order's extension count, the same at every cap:
 Either way the returned permutation is an exact draw from the weighted
 distribution.
 
-A block's draw with the bound's forward run, and the replay, also run in C
-(``native``) when the kernel was built at import: one C pass decodes each
-step and runs the bound through it. ``_block`` (``_bound_forward`` over
-``_draw_block``) and ``_bound_replay`` are then its reference and, when
-``_kernel`` is None, the loops that run. Both read the same bits and keep a
-block in the same layout, two uint32 a step: the step packed as
-pos | up << 16 | gate << 17 and the bound's right entry before it.
+A whole bounding-chain draw also runs in one C call (``native``) when the
+kernel was built at import: it makes the stream's bits with the stream's own
+generator, which ``BitStream.lend`` hands it, and decodes each step with the
+bound run through it in one pass. ``_bounding_draw`` over ``_block``
+(``_bound_forward`` over ``_draw_block``) and ``_bound_replay`` are then its
+reference and, when ``_kernel`` is None, the loops that run. Both read the
+same bits and keep a block in the same layout, two uint32 a step: the step
+packed as pos | up << 16 | gate << 17 and the bound's right entry before it.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ THETA = 0  # wildcard bound entry: no restriction at all
 MAX_STEPS = 10 ** 8  # most steps a draw's blocks may hold: about 800 MB at 8 B per step
 SUPPORT_LIMIT = 500  # most extensions drawn from their enumerated support; another limit changes draws
 
-_kernel = native.KERNEL  # the C block loops, or None to run the Python ones
+_kernel = native.KERNEL  # the C draw, or None to run the Python loops
 
 
 @dataclass
@@ -317,6 +318,32 @@ def _bound_replay(poset: Poset, bp: BetaParam, sig: list, block: array) -> tuple
     return sig, probes
 
 
+def _bounding_draw(t: int, stream: BitStream, poset: Poset, bp: BetaParam,
+                   max_steps: int) -> tuple[list | None, int, int, int]:
+    """CFTP on the bound: blocks of t, 2 t, 4 t, ... steps further into the
+    past until one is constant, then its value replayed through the others,
+    deepest first. Returns the draw, the steps, the blocks drawn and the
+    probes; the draw is None when the next block would take the steps past
+    max_steps, and is then not drawn."""
+    steps = comps = 0
+    blocks = []
+    while True:
+        if steps + t > max_steps:
+            return None, steps, len(blocks), comps
+        block, value, probes = _block(t, stream, poset, bp)
+        steps += t
+        comps += probes
+        if value is not None:
+            break
+        blocks.append(block)
+        t *= 2
+    for block in reversed(blocks):
+        value, probes = _bound_replay(poset, bp, value, block)
+        steps += len(block) // 2
+        comps += probes
+    return value, steps, len(blocks) + 1, comps
+
+
 def generate(bp: BetaParam, t: int, stream: BitStream,
              poset: Poset) -> tuple[tuple[int, ...], CftpStats]:
     """Draw one exact sample of the weighted extension distribution, the
@@ -337,27 +364,13 @@ def generate(bp: BetaParam, t: int, stream: BitStream,
     if support is not None:
         sigma = _support_draw(support, bp, stream)
         return sigma, CftpStats(bits_discrete=stream.bits_consumed - bits0)
-    kernel = _kernel
-    run = _block if kernel is None else kernel.block
-    replay = _bound_replay if kernel is None else kernel.bound_replay
-    steps = comps = 0
-    blocks = []
-    while True:
-        if steps + t > MAX_STEPS:
-            raise CoalescenceError(f"no collapse in {steps} steps; {steps + t} pass {MAX_STEPS}")
-        block, value, probes = run(t, stream, poset, bp)
-        steps += t
-        comps += probes
-        if value is not None:
-            break
-        blocks.append(block)
-        t *= 2
-    for block in reversed(blocks):
-        value, probes = replay(poset, bp, value, block)
-        steps += len(block) // 2
-        comps += probes
+    run = _bounding_draw if _kernel is None else _kernel.draw
+    value, steps, levels, comps = run(t, stream, poset, bp, MAX_STEPS)
+    if value is None:
+        raise CoalescenceError(f"no collapse in {steps} steps; "
+                               f"{steps + (t << levels)} pass {MAX_STEPS}")
     poset.add_queries(comps)
-    stats = CftpStats(total_steps=steps, levels=len(blocks) + 1,
+    stats = CftpStats(total_steps=steps, levels=levels,
                       bits_discrete=stream.bits_consumed - bits0, comparisons=comps)
     return tuple(value), stats
 

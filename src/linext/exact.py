@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -77,10 +78,10 @@ def _layered_sum(poset: Poset, cap: int, pen):
     keys = np.zeros((1, width), dtype=_WORD)
     weights = np.ones((1, 1), dtype=_WORD)
     scaled = not isinstance(pen, int)  # the int 1 scales nothing: no element is at
+    run = partial(_layer_loop, below) if _kernel is None else _kernel.dp_layers(below)
     for p in range(n):
-        held, layer = (_layer_loop if _kernel is None else _kernel.dp_layer)(
-            keys, weights, below, min(n, p + cap + 1), p + cap + 1 if scaled else 0, pen,
-            STATE_LIMIT)
+        held, layer = run(keys, weights, min(n, p + cap + 1), p + cap + 1 if scaled else 0, pen,
+                          STATE_LIMIT)
         if layer is None:
             raise GuardError(f"n={n} too large: {held} ideals in layer {p + 1}, "
                              f"over the limit {STATE_LIMIT}")
@@ -120,7 +121,7 @@ def _words(numbers: list, k: int) -> np.ndarray:
                          dtype=_WORD).reshape(len(numbers), k)
 
 
-def _layer_loop(keys, weights, below, hi, at, pen, limit):
+def _layer_loop(below, keys, weights, hi, at, pen, limit):
     """The layer after keys, as (held, (rows, weights)): each pair of a source
     ideal (in layer order) and an element v in 1..hi (in increasing order)
     that is unplaced with every predecessor placed adds the source's weight,

@@ -1,6 +1,8 @@
 """Seeded bit source: determinism, exact accounting, and distribution."""
 
 import math
+import random
+from array import array
 from collections import Counter
 
 import pytest
@@ -124,6 +126,47 @@ def test_uniform_reals_match_one_value_at_a_time():
     assert s.uniform_reals(0) == [] and _stream_state(s) == state
     with pytest.raises(LinextError):
         s.uniform_reals(-1)
+
+
+def _lent_reader(k, seen):
+    """A stand-in for a native call lent the stream: it reads k bits as lend
+    asks, the buffered bits first and then each 256-bit word from a generator
+    set to the lent state, fetched only when read, records them in seen and
+    hands back the state, the bits left and the count."""
+    def run(state, word, avail):
+        rng = random.Random()
+        rng.setstate((3, tuple(state), None))
+        bits, have, got = int.from_bytes(word, "little"), avail[0], []
+        while len(got) < k:
+            if have == 0:
+                bits, have = rng.getrandbits(256), 256
+            got.append(bits & 1)
+            bits >>= 1
+            have -= 1
+        seen.extend(got)
+        state[:] = array("I", rng.getstate()[1])
+        word[:] = array("B", bits.to_bytes(32, "little"))
+        avail[0] = have
+        return k
+    return run
+
+
+def test_lend_leaves_the_stream_as_the_same_reads_do():
+    # A call lent the stream, reading k bits over 0..3 fresh words from a
+    # stream advanced 0..300 bits, reads next_bit's bits and leaves the
+    # counters, the buffered bits and the generator state next_bit leaves,
+    # and the stream goes on from there.
+    for offset in (0, 1, 100, 255, 256, 300):
+        for k in (0, 1, 155, 156, 157, 700):
+            a, b = BitStream(31, f"lend/{offset}"), BitStream(31, f"lend/{offset}")
+            for s in (a, b):
+                for _ in range(offset):
+                    s.next_bit()
+            seen = []
+            a.lend(_lent_reader(k, seen))
+            assert seen == [b.next_bit() for _ in range(k)]
+            assert _stream_state(a) == _stream_state(b)
+            assert a.uniform_int(1000) == b.uniform_int(1000)
 
 
 def _uniform_int_bitwise(s, m):

@@ -528,9 +528,10 @@ def test_block_refuses_positions_past_16_bits():
     # bit matrix), and the refusal reads only n, so a stand-in carries it.
     assert 2 * (1 << 16) ** 2 > cftp.MAX_STEPS
     wide = SimpleNamespace(n=(1 << 16) + 1)
-    for run in [k.block for k in _block_paths() if k is not None] + [cftp._block]:
+    for kernel in _block_paths():
+        run = cftp._bounding_draw if kernel is None else kernel.draw
         with pytest.raises(LinextError, match="2\\^16"):
-            run(1, BitStream(1), wide, BetaParam(1.0, 2))
+            run(1, BitStream(1), wide, BetaParam(1.0, 2), cftp.MAX_STEPS)
 
 
 def test_step_budget_small():
@@ -556,33 +557,80 @@ def _stream_state(stream):
     return (stream.bits_consumed, stream._word, stream._avail, stream._rng.getstate())
 
 
-class _FillLog(BitStream):
-    """A stream that records the first step of each fill call of its blocks."""
+def _advanced(seed, label, skip):
+    """A stream that has drawn skip bits, so its next block starts mid-word."""
+    stream = BitStream(seed, label)
+    for _ in range(skip):
+        stream.next_bit()
+    return stream
 
-    __slots__ = ("starts",)
 
-    def draw_steps(self, fill, t, m, pen):
-        self.starts = []
+_U32, _U64 = ctypes.POINTER(ctypes.c_uint32), ctypes.POINTER(ctypes.c_uint64)
+_I64 = ctypes.c_int64
 
-        def logged(buf, nbits, k):
-            self.starts.append(k)
-            return fill(buf, nbits, k)
 
-        super().draw_steps(logged, t, m, pen)
+def _c_functions():
+    """The kernel's C functions that its draw calls, opened with their types."""
+    lib = ctypes.CDLL(cftp._kernel.path)
+    lib.step_table.argtypes = (_I64, ctypes.c_double, _U32)
+    lib.block.argtypes = (ctypes.c_char_p, _I64, _I64, ctypes.c_double, _U32, _I64, _I64, _I64,
+                          _U64, _I64, _U32, ctypes.POINTER(ctypes.c_int32), _I64 * 3)
+    lib.bound_replay.argtypes = (_I64, _U64, _I64, _I64, _U32, ctypes.POINTER(ctypes.c_int32))
+    lib.mt_words.argtypes = (ctypes.c_void_p, _I64, ctypes.c_void_p, _I64)
+    for f in (lib.step_table, lib.block, lib.bound_replay, lib.mt_words):
+        f.restype = _I64
+    return lib
+
+
+def _words_for(stream, used):
+    """The stream's buffered bits and the words that reading used bits from
+    it fetches, as one int, and the bits it holds."""
+    words = max(0, -(-(used - stream._avail) // 256))
+    bits = stream._word | stream._rng.getrandbits(256 * words) << stream._avail
+    return bits, stream._avail + 256 * words
+
+
+def _c_block(lib, bits, nbits, poset, bp, t, piece=None):
+    """The C block pass over t steps of poset from the nbits bits of the int
+    bits, least significant first, handed at most piece bits a call (all at
+    once when None, or when a step needs more), by step table when t reaches
+    its entries: the steps, the bound or None, the probes, the bits read and
+    the calls made."""
+    n = poset.n
+    rows, w = native._rows(poset)
+    table = None
+    if t >= 4096:  # the steps of the draw's blocks that decode by table
+        table = (ctypes.c_uint32 * 4096)()
+        if not lib.step_table(n - 1, bp.pen, table):
+            table = None
+    steps, bnd, carry = (ctypes.c_uint32 * (2 * t))(), (ctypes.c_int32 * n)(), (_I64 * 3)()
+    k = read = calls = 0
+    stalled = False
+    while k < t:
+        have = nbits - read
+        give = have if piece is None or stalled else min(have, piece)
+        buf = (bits >> read & ((1 << give) - 1)).to_bytes(give // 8 + 1, "little")
+        done = lib.block(buf, give, n, bp.pen, table, k, t, bp.cap, rows, w, steps, bnd, carry)
+        assert done > k or give < have, "the bits ran out before the block's end"
+        stalled = done == k
+        k = done
+        read += carry[0]
+        calls += 1
+    return steps, (list(bnd) if carry[1] == n else None), carry[2], read, calls
 
 
 @pytest.mark.skipif(cftp._kernel is None, reason="no C kernel was built")
 def test_kernel_blocks_match_the_python_loops():
     # Every order x beta x horizon, from a stream advanced 0..300 bits so the
-    # block starts mid-word: the kernel's fused pass draws the same steps from
-    # the same bits, records the same right entries, leaves the stream where
-    # the Python draw does and gives the same bound and probes, also when the
-    # bits come in over several fill calls; its replay gives the same values
-    # and probes.
-    kernel = cftp._kernel
-    case = carried = 0
+    # block starts mid-word: the C block pass draws the same steps from the
+    # same bits, records the same right entries, reads as many bits and
+    # gives the same bound and probes as _block; the C replay gives the same
+    # values and probes as _bound_replay.
+    lib = _c_functions()
+    case = 0
     for poset in _kernel_orders():
         n = poset.n
+        rows, w = native._rows(poset)
         # beta = n, an integer cap, dyadic pens 0.5 and 0.75, a non-dyadic pen 0.3
         for beta in sorted({float(n), float(max(1, n // 2)), 1.5, 0.75, 1.3}):
             if beta > n:
@@ -590,77 +638,55 @@ def test_kernel_blocks_match_the_python_loops():
             bp = BetaParam(beta, n)
             for t in (1, 255, 256, 257, 2 * n * n):
                 case += 1
-                ref, nat = BitStream(case, "kernel"), _FillLog(case, "kernel")
-                for stream in (ref, nat):
-                    for _ in range(case * 37 % 301):
-                        stream.next_bit()
+                ref = _advanced(case, "kernel", case * 37 % 301)
+                nat = _advanced(case, "kernel", case * 37 % 301)
                 block, value, probes = cftp._block(t, ref, poset, bp)
-                steps, nvalue, nprobes = kernel.block(t, nat, poset, bp)
+                used = ref.bits_consumed - nat.bits_consumed
+                bits, nbits = _words_for(nat, used)
+                steps, nvalue, nprobes, read, _ = _c_block(lib, bits, nbits, poset, bp, t)
                 assert list(steps) == list(block)
-                assert _stream_state(nat) == _stream_state(ref)
-                assert (None if nvalue is None else list(nvalue), nprobes) == (value, probes)
-                carried += any(nat.starts)
+                assert (nvalue, nprobes, read) == (value, probes, used)
+                assert nat._rng.getstate() == ref._rng.getstate()
                 for start in [list(range(1, n + 1))] + ([value] if value else []):
                     sig = (ctypes.c_int32 * n)(*start)
-                    got, got_probes = kernel.bound_replay(poset, bp, sig, steps)
+                    got_probes = lib.bound_replay(bp.cap, rows, w, t, steps, sig)
                     want = cftp._bound_replay(poset, bp, list(start), block)
-                    assert (list(got), got_probes) == want
-    assert carried >= 20  # blocks whose bound was carried into a later fill call
-    with pytest.raises(LinextError):  # a state that does not fit the order
-        kernel.bound_replay(poset, bp, (ctypes.c_int32 * (n + 1))(), steps)
-
-
-class _Trickle(BitStream):
-    """A stream that hands each fill call of its blocks at most 100 bits."""
-
-    __slots__ = ("fills",)
-
-    def draw_steps(self, fill, t, m, pen):
-        self.fills = 0
-
-        def trickle(buf, nbits, k):
-            self.fills += 1
-            return fill(buf, min(nbits, 100), k)
-
-        super().draw_steps(trickle, t, m, pen)
+                    assert (list(sig), got_probes) == want
 
 
 @pytest.mark.skipif(cftp._kernel is None, reason="no C kernel was built")
 def test_kernel_block_carries_the_bound_across_fill_calls():
-    # A block whose bits come in 100 at a time takes one fill call per few
-    # steps, each starting from the bound, placed values and probes the last
-    # left, serially and by table: its steps, right entries, bound and probes
-    # are the Python loop's, and the stream stands at the same bit. The
-    # stream holds the bits it fetched ahead in its word, so its generator
-    # state differs; the bits it draws next are the same.
-    kernel = cftp._kernel
+    # The C draw hands a block its bits in several calls whenever a buffer
+    # runs out. A block whose bits come in 100 at a time takes one call per
+    # few steps, each starting from the bound, placed values and probes the
+    # last left, serially and by table: its steps, right entries, bound and
+    # probes are the Python loop's, and it reads as many bits.
+    lib = _c_functions()
     for poset in (antichain_poset(32), random_poset(random.Random(4), 10, density=0.2)):
         n = poset.n
         for beta in (float(n), 6.5, 1.3):
             bp = BetaParam(beta, n)
             for t in (2 * n * n, 5000):
-                ref, nat = BitStream(t, "trickle"), _Trickle(t, "trickle")
+                ref, nat = BitStream(t, "trickle"), BitStream(t, "trickle")
                 block, value, probes = cftp._block(t, ref, poset, bp)
-                steps, nvalue, nprobes = kernel.block(t, nat, poset, bp)
-                assert nat.fills > t // 20
+                bits, nbits = _words_for(nat, ref.bits_consumed)
+                steps, nvalue, nprobes, read, calls = _c_block(lib, bits, nbits, poset, bp, t, 100)
+                assert calls > t // 20
                 assert list(steps) == list(block)
-                assert (None if nvalue is None else list(nvalue), nprobes) == (value, probes)
-                assert nat.bits_consumed == ref.bits_consumed
-                assert [nat.next_bit() for _ in range(600)] == [ref.next_bit() for _ in range(600)]
+                assert (nvalue, nprobes, read) == (value, probes, ref.bits_consumed)
 
 
 @pytest.mark.skipif(cftp._kernel is None, reason="no C kernel was built")
 def test_kernel_table_blocks_match_the_python_loop():
     # Blocks of at least a step table's entries decode by table lookup. From
-    # a stream advanced 0..300 bits, the kernel draws the same steps from the
-    # same bits, runs the bound through them as the Python loop does and
-    # leaves the stream where it does, for m = n - 1 with no bits (1), a power
-    # of two, rejection after the first chunk, a step of exactly 12 bits (2047
-    # at pen 1) and chunks of 12 and 13 bits, and for pens whose expansions
-    # run past the table's bits. The orders are relation-free; bp carries the
-    # pen exactly, as BetaParam may not.
-    kernel = cftp._kernel
-    assert kernel._table._length_ <= 4096
+    # a stream advanced 0..300 bits, the C block pass draws the same steps
+    # from the same bits, runs the bound through them as the Python loop does
+    # and reads as many bits, for m = n - 1 with no bits (1), a power of two,
+    # rejection after the first chunk, a step of exactly 12 bits (2047 at pen
+    # 1) and chunks of 12 and 13 bits, and for pens whose expansions run past
+    # the table's bits. The orders are relation-free; bp carries the pen
+    # exactly, as BetaParam may not.
+    lib = _c_functions()
     case = 0
     for m in (1, 31, 32, 39, 2047, 4095, 4096, 5000):
         poset = Poset(m + 1, [0] * (m + 2))
@@ -668,23 +694,29 @@ def test_kernel_table_blocks_match_the_python_loop():
             for pen in (1.0, 0.5, 0.75, 0.3, 1 - 2 ** -53, 2 ** -20, 1e-300):
                 case += 1
                 bp = SimpleNamespace(cap=case % 3 + 1, pen=pen)
-                ref, nat = BitStream(case, "table"), BitStream(case, "table")
-                for stream in (ref, nat):
-                    for _ in range(case * 37 % 301):
-                        stream.next_bit()
+                ref = _advanced(case, "table", case * 37 % 301)
+                nat = _advanced(case, "table", case * 37 % 301)
                 block, value, probes = cftp._block(t, ref, poset, bp)
-                steps, nvalue, nprobes = kernel.block(t, nat, poset, bp)
+                used = ref.bits_consumed - nat.bits_consumed
+                bits, nbits = _words_for(nat, used)
+                steps, nvalue, nprobes, read, _ = _c_block(lib, bits, nbits, poset, bp, t)
                 assert list(steps) == list(block), (t, m, pen)
-                assert (None if nvalue is None else list(nvalue), nprobes) == (value, probes)
-                assert _stream_state(nat) == _stream_state(ref)
+                assert (nvalue, nprobes, read) == (value, probes, used)
 
 
 _PAST_THE_BITS = """
 import ctypes, mmap, random, sys
 sys.path.insert(0, sys.argv[1])
-from linext.native import KERNEL, _CARRY
-from ctypes import c_char_p, c_int32, c_size_t, c_uint32, c_uint64, c_void_p
+from linext.native import KERNEL
+from ctypes import c_char_p, c_double, c_int32, c_int64, c_size_t, c_uint32, c_uint64, c_void_p
 
+lib = ctypes.CDLL(KERNEL.path)
+u32 = ctypes.POINTER(c_uint32)
+lib.step_table.argtypes = (c_int64, c_double, u32)
+lib.block.argtypes = (c_char_p, c_int64, c_int64, c_double, u32, c_int64, c_int64, c_int64,
+                      ctypes.POINTER(c_uint64), c_int64, u32, ctypes.POINTER(c_int32),
+                      c_int64 * 3)
+lib.block.restype = c_int64
 page = mmap.PAGESIZE
 mem = mmap.mmap(-1, 2 * page)
 end = ctypes.addressof(ctypes.c_char.from_buffer(mem)) + page
@@ -694,8 +726,8 @@ assert mprotect(end, page, 0) == 0  # PROT_NONE: any read of that page faults
 data = random.Random(7).randbytes(600)
 rows = (c_uint64 * 41)()  # antichain(40): no element precedes another
 for pen in (1.0, 0.3):
-    table = KERNEL._table()
-    assert KERNEL._lib.step_table(39, pen, table)
+    table = (c_uint32 * 4096)()
+    assert lib.step_table(39, pen, table)
     for last in range(1, 9):
         nbits = 8 * (len(data) - 1) + last
         ctypes.memmove(end - len(data), data, len(data))
@@ -703,8 +735,8 @@ for pen in (1.0, 0.3):
         t = nbits
         runs = []
         for tab in (table, None):
-            steps, bnd, carry = (c_uint32 * (2 * t))(), (c_int32 * 40)(), _CARRY()
-            k = KERNEL._lib.block(buf, nbits, 40, pen, tab, 0, t, 2, rows, 1, steps, bnd, carry)
+            steps, bnd, carry = (c_uint32 * (2 * t))(), (c_int32 * 40)(), (c_int64 * 3)()
+            k = lib.block(buf, nbits, 40, pen, tab, 0, t, 2, rows, 1, steps, bnd, carry)
             runs.append((k, list(carry), list(steps[:2 * k]), list(bnd)))
         assert runs[0] == runs[1] and nbits - runs[0][1][0] < 64
 """
@@ -721,6 +753,116 @@ def test_kernel_reads_no_byte_past_the_bits():
     run = subprocess.run([sys.executable, "-c", _PAST_THE_BITS, src], capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.skipif(cftp._kernel is None, reason="no C kernel was built")
+def test_kernel_mt_words_match_getrandbits():
+    # The C generator makes what random.Random(s).getrandbits(256 w) makes,
+    # from a state taken by getstate after 0..1900 outputs, so that words
+    # cross the twist every 624 outputs, and the state it leaves, put back
+    # by setstate, goes on as the Python generator does.
+    lib = _c_functions()
+    for seed in (0, 1, 5, 2 ** 40 + 3, 123456789):
+        for skip in (0, 1, 7, 617, 620, 623, 624, 625, 1240, 1900):
+            for w in (1, 3, 80, 160):
+                rng = random.Random(seed)
+                for _ in range(skip):
+                    rng.getrandbits(32)
+                version, state, gauss = rng.getstate()
+                mt = array("I", state)
+                buf = array("B", bytes(32 * w + 8))
+                end = lib.mt_words(mt.buffer_info()[0], w, buf.buffer_info()[0], 0)
+                assert end == 256 * w
+                assert int.from_bytes(buf, "little") == rng.getrandbits(256 * w)
+                back = random.Random()
+                back.setstate((version, tuple(mt), gauss))
+                assert back.getstate() == rng.getstate()
+                assert back.getrandbits(999) == rng.getrandbits(999)
+    # words written from a bit that is not a byte's first
+    rng = random.Random(9)
+    mt = array("I", rng.getstate()[1])
+    buf = array("B", bytes(80))
+    assert lib.mt_words(mt.buffer_info()[0], 2, buf.buffer_info()[0], 13) == 13 + 512
+    assert int.from_bytes(buf, "little") == rng.getrandbits(512) << 13
+
+
+def _draws(poset, bp, stream, count, t=None):
+    """count draws from stream, with each draw's stats, the comparisons the
+    poset counted and the stream's state after it, or the error's message."""
+    out = []
+    for _ in range(count):
+        q0 = poset.query_count
+        try:
+            sigma, stats = generate(bp, t or 2 * poset.n ** 2, stream, poset)
+            out.append((sigma, stats.as_dict(), poset.query_count - q0, _stream_state(stream)))
+        except CoalescenceError as exc:
+            out.append((str(exc), poset.query_count - q0, _stream_state(stream)))
+    return out
+
+
+def _chain_draws(run, poset, bp, stream, count):
+    """count bounding-chain draws by run, cftp._bounding_draw or Kernel.draw,
+    each with the stream's state after it."""
+    out = []
+    for _ in range(count):
+        value, *work = run(2 * poset.n ** 2, stream, poset, bp, cftp.MAX_STEPS)
+        out.append((value, work, _stream_state(stream)))
+    return out
+
+
+@pytest.mark.skipif(cftp._kernel is None, reason="no C kernel was built")
+def test_kernel_draws_match_the_python_loops(monkeypatch):
+    # Kernel.draw, one C call per draw on the stream's own generator, gives
+    # the Python loops' draws: through generate, each sample, its CftpStats,
+    # the comparisons counted and the stream's bits, counter and generator
+    # state after it, or the same refusal by the step ceiling, from streams
+    # advanced 0..300 bits, on the orders and betas of the block test,
+    # antichain(2) and antichain(40). Where the order is drawn from its
+    # support, Kernel.draw and _bounding_draw are called directly. The
+    # ceiling, lowered to 300000 steps but for antichain(40) at beta 40,
+    # refuses the draws at the smaller betas of antichain(32) and (40) after
+    # blocks longer than one fetch of words.
+    kernel = cftp._kernel
+    cases = [(poset, beta) for poset in _kernel_orders()
+             for beta in sorted({float(poset.n), float(max(1, poset.n // 2)), 1.5, 0.75, 1.3})
+             if beta <= poset.n]
+    cases += [(antichain_poset(2), 1.3), (antichain_poset(40), 6.5), (antichain_poset(40), 40.0)]
+    drawn = refused = 0
+    for case, (poset, beta) in enumerate(cases):
+        bp = BetaParam(beta, poset.n)
+        monkeypatch.setattr(cftp, "MAX_STEPS", 10 ** 8 if beta == 40 else 300_000)
+        skip = case * 37 % 301
+        count = 1 if poset.n == 40 else 2 if poset.n == 32 else 3
+        if cftp._support_tables(poset, bp.cap) is None:
+            runs = []
+            for path in (None, kernel):
+                monkeypatch.setattr(cftp, "_kernel", path)
+                runs.append(_draws(poset, bp, _advanced(case, "draws", skip), count))
+            refused += sum(len(draw) == 3 for draw in runs[0])
+        else:
+            runs = [_chain_draws(run, poset, bp, _advanced(case, "draws", skip), count)
+                    for run in (cftp._bounding_draw, kernel.draw)]
+        assert runs[0] == runs[1], (poset.n, beta)
+        drawn += count
+    assert drawn >= 80 and refused >= 4
+
+
+def test_generate_step_ceiling_leaves_the_same_stream(monkeypatch):
+    # A draw refused by the step ceiling has drawn the same blocks on both
+    # paths: the error, the stream after it and the comparisons counted (none)
+    # are the same, and so is the next draw under a ceiling it fits.
+    poset = antichain_poset(8)
+    bp = BetaParam(float(poset.n), poset.n)
+    runs = []
+    for path in _block_paths():
+        monkeypatch.setattr(cftp, "_kernel", path)
+        stream = _advanced(3, "ceiling", 101)
+        monkeypatch.setattr(cftp, "MAX_STEPS", 300)
+        refused = _draws(poset, bp, stream, 1, t=7)
+        monkeypatch.setattr(cftp, "MAX_STEPS", 10 ** 8)
+        runs.append(refused + _draws(poset, bp, stream, 1, t=7))
+    assert runs[-1][0][0] == "no collapse in 217 steps; 441 pass 300"
+    assert all(run == runs[-1] for run in runs)
 
 
 def test_kernel_compiles_without_warnings(tmp_path):
@@ -779,7 +921,7 @@ def test_kernel_loads_when_a_compiler_is_present(tmp_path):
     kernel = native.build(cache=tmp_path)
     assert kernel is not None
     assert native.build(cache=tmp_path, cc=str(tmp_path / "no-cc")).path == kernel.path
-    assert kernel._lib.block is not None and kernel._lib.dp_layer is not None
+    assert kernel._lib.draw is not None and kernel._lib.dp_layer is not None
 
 
 def test_kernel_cache_is_keyed_on_the_flags(tmp_path, monkeypatch):

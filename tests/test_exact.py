@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -317,14 +318,14 @@ def test_layer_passes_round_an_int_times_pen_as_python_does(x):
     keys, below = np.zeros((1, 1), dtype=np.uint64), np.zeros((2, 1), dtype=np.uint64)
     weights = exact._words([x], x.bit_length() // 64 + 1)
     for kernel in _layer_passes():
-        dp_layer = exact._layer_loop if kernel is None else kernel.dp_layer
+        layer = partial(exact._layer_loop, below) if kernel is None else kernel.dp_layers(below)
         try:
             want = x * 0.75
         except OverflowError as exc:
             with pytest.raises(OverflowError, match=str(exc)):
-                dp_layer(keys, weights, below, 1, 1, 0.75, 10)
+                layer(keys, weights, 1, 1, 0.75, 10)
             continue
-        held, (rows, sums) = dp_layer(keys, weights, below, 1, 1, 0.75, 10)
+        held, (rows, sums) = layer(keys, weights, 1, 1, 0.75, 10)
         assert held == 1 and rows.tolist() == [[2]]
         got, = exact._numbers(sums)
         assert type(got) is float and got == want
@@ -346,7 +347,7 @@ def test_kernel_layer_pass_refuses_rows_that_do_not_fit():
     for below, hi in ((np.zeros((3, 2), dtype=np.uint64), 2), (np.zeros((3, 1), dtype=np.uint64), 3),
                       (np.zeros((3, 1), dtype=np.int64), 2)):
         with pytest.raises(LinextError, match="do not fit"):
-            native.KERNEL.dp_layer(keys, weights, below, hi, 0, 1.0, 10)
+            native.KERNEL.dp_layers(below)(keys, weights, hi, 0, 1.0, 10)
 
 
 @pytest.mark.skipif(native.KERNEL is None, reason="no C kernel was built")
@@ -358,7 +359,7 @@ def test_kernel_layer_pass_refuses_weights_that_do_not_fit():
                     np.ones((2, 0), dtype=np.uint64), np.ones(2, dtype=np.uint64),
                     np.ones((2, 2), dtype=np.uint64)[:, :1]):
         with pytest.raises(LinextError, match="weights do not fit"):
-            native.KERNEL.dp_layer(keys, weights, below, 2, 0, 1.0, 10)
+            native.KERNEL.dp_layers(below)(keys, weights, 2, 0, 1.0, 10)
 
 
 def test_dp_guard_message_matches_dict_reference(monkeypatch):
