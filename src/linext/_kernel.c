@@ -1,52 +1,147 @@
 /* CFTP draws and the ideal DP's layer pass in C, one function per Python
-   loop in cftp.py and exact.py.
+   loop in cftp.py and exact.py; native.py calls draw, dp_layer and dp_take.
 
    draw runs a whole bounding-chain draw, generate's loop: blocks twice as
    long further into the past until one is constant, then the replay of its
    value through the others, deepest first. It makes the stream's bits
-   itself: mt_words gives what random.Random's getrandbits(256) gives, 8
-   tempered MT19937 outputs a word, least significant first, and draw takes
-   words only when a block is certain to read them, so it reads the words
-   the Python draws read and leaves the generator where they do.
+   itself, as getrandbits(256) does (mt_words), in batches ahead of its
+   reads; at the end it puts the generator back and makes again only the
+   words it read from, so it leaves the generator where the Python draws do.
 
    block draws a block's steps (pos, up, gate) as BitStream.uniform_int,
-   next_bit and bernoulli do, reading bits least significant first from a
-   little-endian byte buffer, and runs the bound through each step as it is
-   decoded: it is _bound_forward(_draw_block(...)). uniform, bit and coin read
-   the bits one at a time; a block given step_table's table instead looks up
-   the step its next TABLE_BITS bits start, with the bits it reads, and leaves
-   to those three only the steps that read more and the buffer's last bits.
-   Either way a step reads the same bits. A step is kept as one uint32,
-   pos | up << 16 | gate << 17, next to the bound's right entry before it, 8 B
-   a step. bound_replay is _bound_replay. The order is given as rows of w
-   64-bit words: bit b of row a is set iff a precedes b. Values, positions and
-   slots are 1-based as in Python; arrays are 0-based. */
+   next_bit and bernoulli do, reading bits least significant first, and runs
+   the bound through each step as it is decoded: it is
+   _bound_forward(_draw_block(...)). uniform, bit and coin read the bits one
+   at a time; a block given step_table's table instead looks up the step its
+   next TABLE_BITS bits start, with the bits it reads, and leaves to those
+   three only the steps that read more. Either way a step reads the same
+   bits. A step is kept as one uint32, pos | up << 16 | gate << 17, next to
+   the bound's right entry before it, 8 B a step. bound_replay is
+   _bound_replay. The order is given as rows of w 64-bit words: bit b of row
+   a is set iff a precedes b. Values, positions and slots are 1-based as in
+   Python; arrays are 0-based. */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-typedef struct {
-    const uint8_t *buf;
-    int64_t len, at;
-} bits_t;
+#define MT_N 624
+#define MT_M 397
+#define CHUNK 256  /* most words made at once: 8 KiB */
 
-static int bit(bits_t *s) {
-    int64_t p = s->at++;
-    return (s->buf[p >> 3] >> (p & 7)) & 1;
+/* Twist the 624 words of the MT19937 generator mt, as random.Random does
+   when its index reaches 624. */
+static void mt_twist(uint32_t *mt) {
+    int k = 0;
+    uint32_t y;
+#define MT_MIX(a, b, c) (y = (mt[a] & 0x80000000u) | (mt[b] & 0x7fffffffu), \
+                         mt[a] = mt[c] ^ (y >> 1) ^ (-(y & 1u) & 0x9908b0dfu))
+    for (; k < MT_N - MT_M; k++)
+        MT_MIX(k, k + 1, k + MT_M);
+    for (; k < MT_N - 1; k++)
+        MT_MIX(k, k + 1, k + MT_M - MT_N);
+    MT_MIX(MT_N - 1, 0, MT_M - 1);
+#undef MT_MIX
+    mt[MT_N] = 0;
 }
 
-/* uniform_int(m): 1..m, or 0 when the buffer runs out. */
-static int64_t uniform(bits_t *s, int64_t m) {
+/* Write words 256-bit words of the MT19937 generator mt, its 624 words then
+   the index, into buf from bit at on, each what random.Random's
+   getrandbits(256) gives: 8 tempered outputs, least significant first. The
+   bits of buf from at on must be zero. Returns the bit after the last
+   word. */
+int64_t mt_words(uint32_t *mt, int64_t words, uint8_t *buf, int64_t at) {
+    uint8_t *p = buf + (at >> 3);
+    int s = at & 7;
+    uint64_t acc = p[0];  /* the s bits not yet written, from p on */
+    for (int64_t left = 8 * words; left > 0;) {
+        if (mt[MT_N] >= MT_N)
+            mt_twist(mt);
+        const uint32_t *x = mt + mt[MT_N];
+        int64_t run = left < MT_N - mt[MT_N] ? left : MT_N - mt[MT_N];
+        for (int64_t j = 0; j < run; j++) {
+            uint32_t y = x[j];
+            y ^= y >> 11;
+            y ^= (y << 7) & 0x9d2c5680u;
+            y ^= (y << 15) & 0xefc60000u;
+            acc |= (uint64_t)(y ^ (y >> 18)) << s;
+            p[0] = (uint8_t)acc;
+            p[1] = (uint8_t)(acc >> 8);
+            p[2] = (uint8_t)(acc >> 16);
+            p[3] = (uint8_t)(acc >> 24);
+            p += 4;
+            acc >>= 32;
+        }
+        mt[MT_N] += (uint32_t)run;
+        left -= run;
+    }
+    if (s)
+        p[0] = (uint8_t)acc;
+    return at + 256 * words;
+}
+
+/* A draw's bits: the stream's buffered bits, then words of its generator mt
+   made ahead of the reads. */
+typedef struct {
+    uint32_t *mt;
+    uint32_t saved[MT_N + 1];  /* mt before the words from base on were made */
+    int64_t at, end, base;     /* the next bit, the end of the bits, the first bit of those words */
+    int64_t batch, moved;      /* the words fill makes next, the bits it moved out */
+    uint8_t buf[32 * CHUNK + 48];  /* 9 B kept by fill, a batch, and hand_back's reach past it */
+} feed_t;
+
+/* Make the next batch of words, 1, 2, 4, ... up to CHUNK of them, once
+   fewer than 64 bits are left to read: those bits move to the front, with
+   at's place in its byte, and the words follow them. The last word before
+   base has then been read from, and so has every earlier one. */
+static void fill(feed_t *f) {
+    int64_t o = f->at >> 3, keep = ((f->end + 7) >> 3) - o;
+    memmove(f->buf, f->buf + o, (size_t)keep);
+    memset(f->buf + keep, 0, 32 * (size_t)f->batch);
+    f->moved += 8 * o;
+    f->at -= 8 * o;
+    f->base = f->end - 8 * o;
+    memcpy(f->saved, f->mt, sizeof f->saved);
+    f->end = mt_words(f->mt, f->batch, f->buf, f->base);
+    f->batch = f->batch < CHUNK ? 2 * f->batch : CHUNK;
+}
+
+/* Leave mt, word and *avail as the stream would be after reading the bits
+   read, taking each word only when reading from it: mt is put back to saved
+   and the words from base on that were read from are made again, over
+   themselves, which mt_words's OR leaves as they are; word gets the bits
+   from at to the end of the last of them. Returns the bits read. */
+static int64_t hand_back(feed_t *f, uint8_t *word, int64_t *avail) {
+    int64_t end = f->base, o = f->at >> 3, s = f->at & 7;
+    if (f->at > f->base) {
+        memcpy(f->mt, f->saved, sizeof f->saved);
+        end = mt_words(f->mt, (f->at - f->base + 255) / 256, f->buf, f->base);
+    }
+    *avail = end - f->at;
+    memset(word, 0, 32);
+    for (int64_t j = 0; j < (*avail + 7) >> 3; j++)
+        word[j] = (uint8_t)((f->buf[o + j] | f->buf[o + j + 1] << 8) >> s);
+    if (*avail & 7)
+        word[*avail >> 3] &= (uint8_t)((1u << (*avail & 7)) - 1);
+    return f->moved + f->at;
+}
+
+static int bit(feed_t *f) {
+    if (f->at == f->end)
+        fill(f);
+    int64_t p = f->at++;
+    return (f->buf[p >> 3] >> (p & 7)) & 1;
+}
+
+/* uniform_int(m): 1..m. */
+static int64_t uniform(feed_t *f, int64_t m) {
     int64_t v = 1, c = 0;
     if (m == 1)
         return 1;
     for (;;) {
-        if (s->at == s->len)
-            return 0;
         v += v;
-        c += c + bit(s);
+        c += c + bit(f);
         if (v >= m) {
             if (c < m)
                 return c + 1;
@@ -56,19 +151,17 @@ static int64_t uniform(bits_t *s, int64_t m) {
     }
 }
 
-/* bernoulli(x) for 0 < x < 1: 0 or 1, or -1 when the buffer runs out. */
-static int coin(bits_t *s, double x) {
+/* bernoulli(x) for 0 < x < 1: 0 or 1. */
+static int coin(feed_t *f, double x) {
     for (;;) {
-        if (s->at == s->len)
-            return -1;
         if (x >= 0.5) {
-            if (!bit(s))
+            if (!bit(f))
                 return 1;
             x = x + x - 1.0;
             if (x == 0.0)
                 return 0;
         } else {
-            if (bit(s))
+            if (bit(f))
                 return 0;
             x = x + x;
         }
@@ -126,7 +219,7 @@ static void walk(build_t *B, int64_t v, int64_t c, uint32_t prefix, int d) {
    0 when it reads more. The serial decoder's outcome tree is walked once,
    each leaf of b bits filling its entries at stride 2^b. Returns the entries
    filled. */
-int64_t step_table(int64_t m, double pen, uint32_t *table) {
+static int64_t step_table(int64_t m, double pen, uint32_t *table) {
     build_t B = {table, m, 0, 0, {0}, {0}, {0}};
     memset(table, 0, ENTRIES * sizeof *table);
     if (pen == 1.0) {
@@ -168,60 +261,44 @@ static int precedes(const uint64_t *rows, int64_t w, int32_t a, int32_t b) {
     return (rows[a * w + (b >> 6)] >> (b & 63)) & 1;
 }
 
-/* Decode steps k..t-1 from the nbits bits of buf, by table lookup when table
-   is not NULL, and run the bound through each step as it is decoded, on the
-   step's own coins. Step k is stored as step[2k] = pos | up << 16 | gate << 17,
-   a table entry without its bits, and step[2k + 1] = B(pos + 1) before the
-   step. A block's first call (k = 0) sets bnd to the initial bound (0 =
-   wildcard); bnd, carry[1] (the values placed) and carry[2] (the order
-   tests) carry the bound from one call to the next. Stops early, at the
-   start of the step that would read past the buffer. Returns the next step
-   to draw; carry[0] is the bits read. The caller keeps n - 1 < 2^16, so pos
-   fits its 16 bits; a draw's first block, of 2 n^2 steps, fits MAX_STEPS only
-   while n <= 7071. The bound's step is branch-free: the swap is a mask, and
-   only a swap into the last slot can leave a wildcard there. */
-int64_t block(const uint8_t *buf, int64_t nbits, int64_t n, double pen, const uint32_t *table,
-              int64_t k, int64_t t, int64_t cap, const uint64_t *rows, int64_t w,
-              uint32_t *step, int32_t *bnd, int64_t *carry) {
-    bits_t s = {buf, nbits, 0};
-    uint64_t reg = 0;  /* with table: the next have bits, from s.at on */
-    int64_t have = 0, placed = carry[1], comps = carry[2];
-    if (k == 0) {
-        memset(bnd, 0, (size_t)(n - 1) * sizeof *bnd);
-        bnd[n - 1] = 1;
-        placed = 1;
-        comps = 0;
-    }
-    for (; k < t; k++) {
+/* Decode a block's t steps from the feed, by table lookup when table is not
+   NULL, and run the bound from the initial one (0 = wildcard) through each
+   step as it is decoded, on the step's own coins. Step k is stored as
+   step[2k] = pos | up << 16 | gate << 17, a table entry without its bits,
+   and step[2k + 1] = B(pos + 1) before the step. Adds the order tests to
+   *comps; returns 1 when the block is constant (no wildcard is left in bnd).
+   The caller keeps n - 1 < 2^16, so pos fits its 16 bits; a draw's first
+   block, of 2 n^2 steps, fits MAX_STEPS only while n <= 7071. The bound's
+   step is branch-free: the swap is a mask, and only a swap into the last
+   slot can leave a wildcard there. */
+static int block(feed_t *f, int64_t n, double pen, const uint32_t *table, int64_t t, int64_t cap,
+                 const uint64_t *rows, int64_t w, uint32_t *step, int32_t *bnd, int64_t *comps) {
+    uint64_t reg = 0;  /* with table: the next have bits, from f->at on */
+    int64_t have = 0, placed = 1;
+    memset(bnd, 0, (size_t)(n - 1) * sizeof *bnd);
+    bnd[n - 1] = 1;
+    for (int64_t k = 0; k < t; k++) {
         uint32_t e = 0;
         if (table) {
-            int64_t start = s.at;
-            if (have < TABLE_BITS && s.len - start >= 64) {  /* bytes p..p + 7 are in buf */
-                memcpy(&reg, buf + (start >> 3), 8);
+            if (have < TABLE_BITS) {
+                if (f->end - f->at < 64)
+                    fill(f);
+                memcpy(&reg, f->buf + (f->at >> 3), 8);
 #if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
                 reg = __builtin_bswap64(reg);
 #endif
-                reg >>= start & 7;
-                have = 64 - (start & 7);
+                reg >>= f->at & 7;
+                have = 64 - (f->at & 7);
             }
-            e = have >= TABLE_BITS ? table[reg & (ENTRIES - 1)] : 0;
-            s.at += e >> 24;
+            e = table[reg & (ENTRIES - 1)];
+            f->at += e >> 24;
             reg >>= e >> 24;
             have = e ? have - (e >> 24) : 0;  /* bits read one at a time below pass reg by */
         }
         if (!e) {
-            int64_t start = s.at, i = uniform(&s, n - 1);
-            int g = 1;
-            if (!i || s.at == s.len) {
-                s.at = start;
-                break;
-            }
-            e = (uint32_t)i | (uint32_t)bit(&s) << 16;
-            if (pen != 1.0 && (g = coin(&s, pen)) < 0) {
-                s.at = start;
-                break;
-            }
-            e |= (uint32_t)g << 17;
+            e = (uint32_t)uniform(f, n - 1);
+            e |= (uint32_t)bit(f) << 16;
+            e |= (uint32_t)(pen == 1.0 || coin(f, pen)) << 17;
         }
         e &= 0x3ffff;
         int32_t i = e & 0xffff, u = bnd[i - 1], v = bnd[i], x = v - i;
@@ -235,19 +312,16 @@ int64_t block(const uint8_t *buf, int64_t nbits, int64_t n, double pen, const ui
         placed += empty;
         bnd[i - 1] = u ^ d;
         bnd[i] = (v ^ d) | ((int32_t)placed & -empty);
-        comps += (e >> 16 & 1) & both;
+        *comps += (e >> 16 & 1) & both;
     }
-    carry[0] = s.at;
-    carry[1] = placed;
-    carry[2] = comps;
-    return k;
+    return placed == n;
 }
 
 /* Run the state sig through the t recorded steps of a block in place, its
    coin flipped where its left element is the recorded entry; branch-free as
    block. Returns the probes made. */
-int64_t bound_replay(int64_t cap, const uint64_t *rows, int64_t w, int64_t t,
-                     const uint32_t *step, int32_t *sig) {
+static int64_t bound_replay(int64_t cap, const uint64_t *rows, int64_t w, int64_t t,
+                            const uint32_t *step, int32_t *sig) {
     int64_t comps = 0;
     for (int64_t k = 0; k < t; k++) {
         uint32_t e = step[2 * k];
@@ -262,128 +336,33 @@ int64_t bound_replay(int64_t cap, const uint64_t *rows, int64_t w, int64_t t,
     return comps;
 }
 
-#define MT_N 624
-#define MT_M 397
-#define CHUNK 2048  /* most words fetched at once: 64 KiB */
-
-/* Twist the 624 words of the MT19937 generator mt, as random.Random does
-   when its index reaches 624. */
-static void mt_twist(uint32_t *mt) {
-    int k = 0;
-    uint32_t y;
-#define MT_MIX(a, b, c) (y = (mt[a] & 0x80000000u) | (mt[b] & 0x7fffffffu), \
-                         mt[a] = mt[c] ^ (y >> 1) ^ (-(y & 1u) & 0x9908b0dfu))
-    for (; k < MT_N - MT_M; k++)
-        MT_MIX(k, k + 1, k + MT_M);
-    for (; k < MT_N - 1; k++)
-        MT_MIX(k, k + 1, k + MT_M - MT_N);
-    MT_MIX(MT_N - 1, 0, MT_M - 1);
-#undef MT_MIX
-    mt[MT_N] = 0;
-}
-
-/* Write words 256-bit words of the MT19937 generator mt, its 624 words then
-   the index, into buf from bit at on, each what random.Random's
-   getrandbits(256) gives: 8 tempered outputs, least significant first. The
-   bits of buf from at on must be zero. Returns the bit after the last
-   word. */
-int64_t mt_words(uint32_t *mt, int64_t words, uint8_t *buf, int64_t at) {
-    uint8_t *p = buf + (at >> 3);
-    int s = at & 7;
-    uint64_t acc = p[0];  /* the s bits not yet written, from p on */
-    for (int64_t left = 8 * words; left > 0;) {
-        if (mt[MT_N] >= MT_N)
-            mt_twist(mt);
-        const uint32_t *x = mt + mt[MT_N];
-        int64_t run = left < MT_N - mt[MT_N] ? left : MT_N - mt[MT_N];
-        for (int64_t j = 0; j < run; j++) {
-            uint32_t y = x[j];
-            y ^= y >> 11;
-            y ^= (y << 7) & 0x9d2c5680u;
-            y ^= (y << 15) & 0xefc60000u;
-            acc |= (uint64_t)(y ^ (y >> 18)) << s;
-            p[0] = (uint8_t)acc;
-            p[1] = (uint8_t)(acc >> 8);
-            p[2] = (uint8_t)(acc >> 16);
-            p[3] = (uint8_t)(acc >> 24);
-            p += 4;
-            acc >>= 32;
-        }
-        mt[MT_N] += (uint32_t)run;
-        left -= run;
-    }
-    if (s)
-        p[0] = (uint8_t)acc;
-    return at + 256 * words;
-}
-
-typedef struct {
-    uint32_t *mt;
-    uint8_t *buf;        /* the bits not yet read, from bit 0 on, then zeros */
-    int64_t have, size;  /* the bits held, the bytes allocated */
-} feed_t;
-
-/* Append words of mt to the bits held. Returns 0 when memory runs out. */
-static int fetch(feed_t *f, int64_t words) {
-    int64_t need = (f->have + 256 * words) / 8 + 16;
-    if (need > f->size) {
-        int64_t size = need > 2 * f->size ? need : 2 * f->size;
-        uint8_t *buf = realloc(f->buf, (size_t)size);
-        if (!buf)
-            return 0;
-        memset(buf + f->size, 0, (size_t)(size - f->size));
-        f->buf = buf;
-        f->size = size;
-    }
-    f->have = mt_words(f->mt, words, f->buf, f->have);
-    return 1;
-}
-
-/* Drop the first used bits held, moving the rest to bit 0. */
-static void drop(feed_t *f, int64_t used) {
-    int64_t o = used >> 3, s = used & 7, end = (f->have + 7) >> 3;
-    int64_t keep = (f->have - used + 7) >> 3;
-    for (int64_t j = 0; j < keep; j++)  /* the bits past have are zero */
-        f->buf[j] = (uint8_t)(f->buf[o + j] >> s | f->buf[o + j + 1] << (8 - s));
-    memset(f->buf + keep, 0, (size_t)(end - keep));
-    f->have -= used;
-}
-
-/* The words that steps k..t-1 are certain to read past the bits held, each
-   step reading at least per_step bits. */
-static int64_t certain(const feed_t *f, int64_t k, int64_t t, int64_t per_step) {
-    int64_t short_by = (t - k) * per_step - f->have;
-    return short_by > 0 ? (short_by + 255) / 256 : 0;
-}
-
 /* One bounding-chain draw, cftp._bounding_draw: blocks of t, 2 t, 4 t, ...
    steps, each drawn by block from the stream's bits until one is constant,
    refused before a block that would take the steps past max_steps, then that
    block's value replayed through the others, deepest first, into sample. mt
    is the stream's generator as in mt_words, word its 32 bytes of buffered
-   bits and *avail their count. A block first takes the words it is certain
-   to read, at most CHUNK at a time, and one more whenever block stops short,
-   as many as the rest of it is certain to read, so every word taken is read;
-   a block of at least ENTRIES steps decodes by a step table, built once for
-   the draw. mt, word and *avail are left as the stream's state after the
-   draw. out gets the blocks drawn, the steps, the order tests and 1, or 0
-   when the ceiling refused a block, or -1 when memory ran out. Returns the
-   bits read. */
+   bits and *avail their count; hand_back leaves all three as the stream's
+   state after the draw, whatever its end. A block of at least ENTRIES steps
+   decodes by a step table, built once for the draw. out gets the blocks
+   drawn, the steps, the order tests and 1, or 0 when the ceiling refused a
+   block, or -1 when memory ran out. Returns the bits read. */
 int64_t draw(uint32_t *mt, uint8_t *word, int64_t *avail, int64_t n, double pen, int64_t cap,
              const uint64_t *rows, int64_t w, int64_t t, int64_t max_steps, int32_t *sample,
              int64_t *out) {
-    feed_t f = {mt, calloc(1, 32 + 16), 0, 32 + 16};
-    int64_t per_step = (n > 2 ? bit_length((uint64_t)(n - 2)) : 0) + 1 + (pen != 1.0);
-    int64_t steps = 0, comps = 0, levels = 0, read = 0, status = -1, carry[3] = {0, 0, 0};
+    feed_t *f = calloc(1, sizeof *f);
+    int64_t steps = 0, comps = 0, levels = 0, read = 0, status = -1;
     uint32_t *kept[64], *table = NULL, *step = NULL;
     int32_t *bnd = malloc((size_t)n * sizeof *bnd);
     int tabled = 0;
-    if (!f.buf || !bnd)
+    if (!f || !bnd)
         goto done;
-    f.have = *avail;
-    memcpy(f.buf, word, (size_t)(f.have + 7) >> 3);
-    if (f.have & 7)
-        f.buf[f.have >> 3] &= (uint8_t)((1u << (f.have & 7)) - 1);
+    f->mt = mt;
+    memcpy(f->saved, mt, sizeof f->saved);
+    f->base = f->end = *avail;
+    f->batch = 1;
+    memcpy(f->buf, word, (size_t)(*avail + 7) >> 3);
+    if (*avail & 7)
+        f->buf[*avail >> 3] &= (uint8_t)((1u << (*avail & 7)) - 1);
     for (;;) {
         if (steps + t > max_steps) {
             status = 0;
@@ -398,24 +377,12 @@ int64_t draw(uint32_t *mt, uint8_t *word, int64_t *avail, int64_t n, double pen,
                 table = NULL;
             }
         }
-        int64_t k = 0, words = certain(&f, 0, t, per_step);
-        for (;;) {
-            if (words > 0 && !fetch(&f, words < CHUNK ? words : CHUNK))
-                goto done;
-            k = block(f.buf, f.have, n, pen, t >= ENTRIES ? table : NULL, k, t, cap, rows, w,
-                      step, bnd, carry);
-            drop(&f, carry[0]);
-            read += carry[0];
-            if (k == t)
-                break;
-            words = certain(&f, k, t, per_step);
-            words += !words;
-        }
+        int constant = block(f, n, pen, t >= ENTRIES ? table : NULL, t, cap, rows, w, step, bnd,
+                             &comps);
         steps += t;
-        comps += carry[2];
         kept[levels++] = step;
         step = NULL;
-        if (carry[1] == n) {
+        if (constant) {
             status = 1;
             break;
         }
@@ -433,19 +400,14 @@ done:
     out[1] = steps;
     out[2] = comps;
     out[3] = status;
-    if (f.buf) {
-        if (f.have > 256)  /* only when memory ran out inside a block */
-            f.have = 256;
-        memset(word, 0, 32);
-        memcpy(word, f.buf, (size_t)(f.have + 7) >> 3);
-        *avail = f.have;
-    }
+    if (f && bnd)
+        read = hand_back(f, word, avail);
     for (int64_t j = 0; j < levels; j++)
         free(kept[j]);
     free(step);
     free(table);
     free(bnd);
-    free(f.buf);
+    free(f);
     return read;
 }
 

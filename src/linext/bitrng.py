@@ -172,11 +172,11 @@ class BitStream:
         run(state, word, avail) gets the generator's MT19937 state as an
         array of 625 uint32, its 624 words then the index, as getstate gives
         them; the buffered bits as 32 little-endian bytes, least significant
-        first; and their count as a one-entry int64 array. It must read the
-        bits in order, taking each further 256-bit word as getrandbits(256)
-        would and only when it reads from it, update all three in place and
-        return the bits it read, which are counted here. The stream is then
-        as the same reads through next_bit would leave it.
+        first; and their count as a one-entry int64 array. It reads the bits
+        in order, each further 256-bit word what getrandbits(256) gives, and
+        may make words ahead, but must leave all three as if it had taken
+        each word only when it read from it and return the bits it read,
+        counted here: the stream is as next_bit's reads would leave it.
         """
         version, state, gauss = self._rng.getstate()
         words = array("I", _STATE.pack(*state))

@@ -16,13 +16,13 @@ A Kernel's methods take and return what ``cftp._bounding_draw`` and
 decoded with the bound run through it in one pass, and the blocks are kept as
 arrays of uint32, two words a step (the packed step and the bound's right
 entry before it), for the replay. The call makes the stream's bits itself,
-with the stream's own MT19937 generator, which ``BitStream.lend`` hands it
-once per draw with the buffered bits, and it takes a word only when a block
-is certain to read it, so draws, counters and the generator state match the
-Python loops exactly. A block of at least 4096 steps (the C ``ENTRIES``)
-decodes a step by one lookup of its next 12 bits in a table built once per
-draw; the steps that read more than 12 bits, the last steps of a buffer and
-shorter blocks are decoded bit by bit. Either way a step reads the same bits.
+in batches ahead of its reads, with the stream's own MT19937 generator, which
+``BitStream.lend`` hands it once per draw with the buffered bits; at the end
+it puts the generator back and makes again only the words it read from, so
+draws, counters and the generator state match the Python loops exactly. A
+block of at least 4096 steps (the C ``ENTRIES``) decodes a step by one lookup
+of its next 12 bits in a table built once per draw; shorter blocks and the
+steps that read more than 12 bits are decoded bit by bit, the same bits.
 A DP layer is held in numpy arrays of uint64 words: its ideals' rows and
 their weights, which the pass sums itself. Each call allocates its own
 arrays, the table included, so calls may run in parallel threads.

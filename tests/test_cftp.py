@@ -565,72 +565,27 @@ def _advanced(seed, label, skip):
     return stream
 
 
-_U32, _U64 = ctypes.POINTER(ctypes.c_uint32), ctypes.POINTER(ctypes.c_uint64)
-_I64 = ctypes.c_int64
-
-
-def _c_functions():
-    """The kernel's C functions that its draw calls, opened with their types."""
-    lib = ctypes.CDLL(cftp._kernel.path)
-    lib.step_table.argtypes = (_I64, ctypes.c_double, _U32)
-    lib.block.argtypes = (ctypes.c_char_p, _I64, _I64, ctypes.c_double, _U32, _I64, _I64, _I64,
-                          _U64, _I64, _U32, ctypes.POINTER(ctypes.c_int32), _I64 * 3)
-    lib.bound_replay.argtypes = (_I64, _U64, _I64, _I64, _U32, ctypes.POINTER(ctypes.c_int32))
-    lib.mt_words.argtypes = (ctypes.c_void_p, _I64, ctypes.c_void_p, _I64)
-    for f in (lib.step_table, lib.block, lib.bound_replay, lib.mt_words):
-        f.restype = _I64
-    return lib
-
-
-def _words_for(stream, used):
-    """The stream's buffered bits and the words that reading used bits from
-    it fetches, as one int, and the bits it holds."""
-    words = max(0, -(-(used - stream._avail) // 256))
-    bits = stream._word | stream._rng.getrandbits(256 * words) << stream._avail
-    return bits, stream._avail + 256 * words
-
-
-def _c_block(lib, bits, nbits, poset, bp, t, piece=None):
-    """The C block pass over t steps of poset from the nbits bits of the int
-    bits, least significant first, handed at most piece bits a call (all at
-    once when None, or when a step needs more), by step table when t reaches
-    its entries: the steps, the bound or None, the probes, the bits read and
-    the calls made."""
-    n = poset.n
-    rows, w = native._rows(poset)
-    table = None
-    if t >= 4096:  # the steps of the draw's blocks that decode by table
-        table = (ctypes.c_uint32 * 4096)()
-        if not lib.step_table(n - 1, bp.pen, table):
-            table = None
-    steps, bnd, carry = (ctypes.c_uint32 * (2 * t))(), (ctypes.c_int32 * n)(), (_I64 * 3)()
-    k = read = calls = 0
-    stalled = False
-    while k < t:
-        have = nbits - read
-        give = have if piece is None or stalled else min(have, piece)
-        buf = (bits >> read & ((1 << give) - 1)).to_bytes(give // 8 + 1, "little")
-        done = lib.block(buf, give, n, bp.pen, table, k, t, bp.cap, rows, w, steps, bnd, carry)
-        assert done > k or give < have, "the bits ran out before the block's end"
-        stalled = done == k
-        k = done
-        read += carry[0]
-        calls += 1
-    return steps, (list(bnd) if carry[1] == n else None), carry[2], read, calls
+def _one_block(poset, bp, t, seed, label, skip):
+    """A draw whose ceiling is t, which admits exactly one block, by the
+    Python loops and by the kernel, each from a stream advanced skip bits,
+    with the stream's state after it."""
+    runs = []
+    for run in (cftp._bounding_draw, cftp._kernel.draw):
+        stream = _advanced(seed, label, skip)
+        runs.append((run(t, stream, poset, bp, t), _stream_state(stream)))
+    return runs
 
 
 @pytest.mark.skipif(cftp._kernel is None, reason="no C kernel was built")
 def test_kernel_blocks_match_the_python_loops():
     # Every order x beta x horizon, from a stream advanced 0..300 bits so the
-    # block starts mid-word: the C block pass draws the same steps from the
-    # same bits, records the same right entries, reads as many bits and
-    # gives the same bound and probes as _block; the C replay gives the same
-    # values and probes as _bound_replay.
-    lib = _c_functions()
-    case = 0
+    # block starts mid-word: a one-block draw by the kernel draws the same
+    # steps from the same bits as _block, so it gives the same value or
+    # refusal, probes and steps and leaves the stream's bits, counter and
+    # generator state as the Python loop does. Full draws cover the replay.
+    case = constant = 0
     for poset in _kernel_orders():
         n = poset.n
-        rows, w = native._rows(poset)
         # beta = n, an integer cap, dyadic pens 0.5 and 0.75, a non-dyadic pen 0.3
         for beta in sorted({float(n), float(max(1, n // 2)), 1.5, 0.75, 1.3}):
             if beta > n:
@@ -638,55 +593,22 @@ def test_kernel_blocks_match_the_python_loops():
             bp = BetaParam(beta, n)
             for t in (1, 255, 256, 257, 2 * n * n):
                 case += 1
-                ref = _advanced(case, "kernel", case * 37 % 301)
-                nat = _advanced(case, "kernel", case * 37 % 301)
-                block, value, probes = cftp._block(t, ref, poset, bp)
-                used = ref.bits_consumed - nat.bits_consumed
-                bits, nbits = _words_for(nat, used)
-                steps, nvalue, nprobes, read, _ = _c_block(lib, bits, nbits, poset, bp, t)
-                assert list(steps) == list(block)
-                assert (nvalue, nprobes, read) == (value, probes, used)
-                assert nat._rng.getstate() == ref._rng.getstate()
-                for start in [list(range(1, n + 1))] + ([value] if value else []):
-                    sig = (ctypes.c_int32 * n)(*start)
-                    got_probes = lib.bound_replay(bp.cap, rows, w, t, steps, sig)
-                    want = cftp._bound_replay(poset, bp, list(start), block)
-                    assert (list(sig), got_probes) == want
-
-
-@pytest.mark.skipif(cftp._kernel is None, reason="no C kernel was built")
-def test_kernel_block_carries_the_bound_across_fill_calls():
-    # The C draw hands a block its bits in several calls whenever a buffer
-    # runs out. A block whose bits come in 100 at a time takes one call per
-    # few steps, each starting from the bound, placed values and probes the
-    # last left, serially and by table: its steps, right entries, bound and
-    # probes are the Python loop's, and it reads as many bits.
-    lib = _c_functions()
-    for poset in (antichain_poset(32), random_poset(random.Random(4), 10, density=0.2)):
-        n = poset.n
-        for beta in (float(n), 6.5, 1.3):
-            bp = BetaParam(beta, n)
-            for t in (2 * n * n, 5000):
-                ref, nat = BitStream(t, "trickle"), BitStream(t, "trickle")
-                block, value, probes = cftp._block(t, ref, poset, bp)
-                bits, nbits = _words_for(nat, ref.bits_consumed)
-                steps, nvalue, nprobes, read, calls = _c_block(lib, bits, nbits, poset, bp, t, 100)
-                assert calls > t // 20
-                assert list(steps) == list(block)
-                assert (nvalue, nprobes, read) == (value, probes, ref.bits_consumed)
+                ref, nat = _one_block(poset, bp, t, case, "kernel", case * 37 % 301)
+                assert ref == nat, (n, beta, t)
+                constant += ref[0][0] is not None
+    assert 0 < constant < case
 
 
 @pytest.mark.skipif(cftp._kernel is None, reason="no C kernel was built")
 def test_kernel_table_blocks_match_the_python_loop():
     # Blocks of at least a step table's entries decode by table lookup. From
-    # a stream advanced 0..300 bits, the C block pass draws the same steps
-    # from the same bits, runs the bound through them as the Python loop does
-    # and reads as many bits, for m = n - 1 with no bits (1), a power of two,
-    # rejection after the first chunk, a step of exactly 12 bits (2047 at pen
-    # 1) and chunks of 12 and 13 bits, and for pens whose expansions run past
-    # the table's bits. The orders are relation-free; bp carries the pen
-    # exactly, as BetaParam may not.
-    lib = _c_functions()
+    # a stream advanced 0..300 bits, a one-block draw by the kernel gives
+    # what the Python loop gives and leaves the stream as it does, for
+    # m = n - 1 with no bits (1), a power of two, rejection after the first
+    # chunk, a step of exactly 12 bits (2047 at pen 1) and chunks of 12 and 13
+    # bits, and for pens whose expansions run past the table's bits. The
+    # orders are relation-free; bp carries the pen exactly, as BetaParam may
+    # not.
     case = 0
     for m in (1, 31, 32, 39, 2047, 4095, 4096, 5000):
         poset = Poset(m + 1, [0] * (m + 2))
@@ -694,65 +616,52 @@ def test_kernel_table_blocks_match_the_python_loop():
             for pen in (1.0, 0.5, 0.75, 0.3, 1 - 2 ** -53, 2 ** -20, 1e-300):
                 case += 1
                 bp = SimpleNamespace(cap=case % 3 + 1, pen=pen)
-                ref = _advanced(case, "table", case * 37 % 301)
-                nat = _advanced(case, "table", case * 37 % 301)
-                block, value, probes = cftp._block(t, ref, poset, bp)
-                used = ref.bits_consumed - nat.bits_consumed
-                bits, nbits = _words_for(nat, used)
-                steps, nvalue, nprobes, read, _ = _c_block(lib, bits, nbits, poset, bp, t)
-                assert list(steps) == list(block), (t, m, pen)
-                assert (nvalue, nprobes, read) == (value, probes, used)
-
-
-_PAST_THE_BITS = """
-import ctypes, mmap, random, sys
-sys.path.insert(0, sys.argv[1])
-from linext.native import KERNEL
-from ctypes import c_char_p, c_double, c_int32, c_int64, c_size_t, c_uint32, c_uint64, c_void_p
-
-lib = ctypes.CDLL(KERNEL.path)
-u32 = ctypes.POINTER(c_uint32)
-lib.step_table.argtypes = (c_int64, c_double, u32)
-lib.block.argtypes = (c_char_p, c_int64, c_int64, c_double, u32, c_int64, c_int64, c_int64,
-                      ctypes.POINTER(c_uint64), c_int64, u32, ctypes.POINTER(c_int32),
-                      c_int64 * 3)
-lib.block.restype = c_int64
-page = mmap.PAGESIZE
-mem = mmap.mmap(-1, 2 * page)
-end = ctypes.addressof(ctypes.c_char.from_buffer(mem)) + page
-mprotect = ctypes.CDLL(None).mprotect
-mprotect.argtypes = (c_void_p, c_size_t, ctypes.c_int)
-assert mprotect(end, page, 0) == 0  # PROT_NONE: any read of that page faults
-data = random.Random(7).randbytes(600)
-rows = (c_uint64 * 41)()  # antichain(40): no element precedes another
-for pen in (1.0, 0.3):
-    table = (c_uint32 * 4096)()
-    assert lib.step_table(39, pen, table)
-    for last in range(1, 9):
-        nbits = 8 * (len(data) - 1) + last
-        ctypes.memmove(end - len(data), data, len(data))
-        buf = ctypes.cast(end - len(data), c_char_p)
-        t = nbits
-        runs = []
-        for tab in (table, None):
-            steps, bnd, carry = (c_uint32 * (2 * t))(), (c_int32 * 40)(), (c_int64 * 3)()
-            k = lib.block(buf, nbits, 40, pen, tab, 0, t, 2, rows, 1, steps, bnd, carry)
-            runs.append((k, list(carry), list(steps[:2 * k]), list(bnd)))
-        assert runs[0] == runs[1] and nbits - runs[0][1][0] < 64
-"""
+                ref, nat = _one_block(poset, bp, t, case, "table", case * 37 % 301)
+                assert ref == nat, (t, m, pen)
 
 
 @pytest.mark.skipif(cftp._kernel is None, reason="no C kernel was built")
-def test_kernel_reads_no_byte_past_the_bits():
-    # A decoder that reads the buffer a word at a time can read past its end
-    # unseen. Here the buffer ends where a page that faults on any access
-    # begins, with its last bit at each place in the last byte, so such a
-    # read kills the child; the table and the serial decoder draw the same
-    # steps from it and leave the same bound.
-    src = os.path.dirname(os.path.dirname(native.__file__))
-    run = subprocess.run([sys.executable, "-c", _PAST_THE_BITS, src], capture_output=True,
-                         text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
+def test_kernel_hands_back_the_stream_the_python_draws_leave():
+    # The kernel makes words ahead of its reads and, at the end of a draw,
+    # puts the generator back where taking each word only on reading from it
+    # leaves it. On antichains 2..6, from streams advanced 0..299 bits, two
+    # draws in turn by each path match, among them draws that end on a word
+    # boundary, read only the buffered bits, take words across an MT19937
+    # twist and take more words than one batch (256) holds. At pen 1 a step
+    # on antichain(2) reads one bit, so a one-block draw of the bits left in
+    # the word plus whole words ends on a boundary. A draw the ceiling refuses
+    # before its first block leaves the stream as it was.
+    seen = Counter()
+    for skip in range(300):
+        n = 2 + skip % 5
+        poset = antichain_poset(n)
+        bp = BetaParam((float(n), 1.3, 0.75, n / 2 + 0.1)[skip // 5 % 4], n)
+        draws = [(2 * n * n, cftp.MAX_STEPS, poset, bp)] * 2
+        draws += [(t, t, antichain_poset(2), BetaParam(2.0, 2))
+                  for t in ([None, 70_000] if skip % 100 == 0 else [None])]
+        runs = []
+        for run in (cftp._bounding_draw, cftp._kernel.draw):
+            stream = _advanced(skip, "hand-back", skip)
+            before = _stream_state(stream)
+            assert run(2 * n * n, stream, poset, bp, 2 * n * n - 1) == (None, 0, 0, 0)
+            assert _stream_state(stream) == before
+            out = []
+            for t, max_steps, poset, draw_bp in draws:
+                if t is None:  # a one-block draw to the end of a word
+                    t = max_steps = stream._avail + 256 * (skip % 3) or 256
+                avail, index = stream._avail, stream._rng.getstate()[1][-1]
+                bits = stream.bits_consumed
+                out.append((run(t, stream, poset, draw_bp, max_steps), _stream_state(stream)))
+                if run is cftp._bounding_draw:
+                    read = stream.bits_consumed - bits
+                    words = max(0, -(-(read - avail) // 256))
+                    seen["boundary"] += stream._avail == 0
+                    seen["buffered"] += 0 < read <= avail
+                    seen["twist"] += words > 0 and index + 8 * words > 624
+                    seen["batch"] += words > 256
+            runs.append(out)
+        assert runs[0] == runs[1], skip
+    assert all(seen[case] for case in ("boundary", "buffered", "twist", "batch")), seen
 
 
 @pytest.mark.skipif(cftp._kernel is None, reason="no C kernel was built")
@@ -761,7 +670,9 @@ def test_kernel_mt_words_match_getrandbits():
     # from a state taken by getstate after 0..1900 outputs, so that words
     # cross the twist every 624 outputs, and the state it leaves, put back
     # by setstate, goes on as the Python generator does.
-    lib = _c_functions()
+    mt_words = ctypes.CDLL(cftp._kernel.path).mt_words
+    mt_words.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64)
+    mt_words.restype = ctypes.c_int64
     for seed in (0, 1, 5, 2 ** 40 + 3, 123456789):
         for skip in (0, 1, 7, 617, 620, 623, 624, 625, 1240, 1900):
             for w in (1, 3, 80, 160):
@@ -771,7 +682,7 @@ def test_kernel_mt_words_match_getrandbits():
                 version, state, gauss = rng.getstate()
                 mt = array("I", state)
                 buf = array("B", bytes(32 * w + 8))
-                end = lib.mt_words(mt.buffer_info()[0], w, buf.buffer_info()[0], 0)
+                end = mt_words(mt.buffer_info()[0], w, buf.buffer_info()[0], 0)
                 assert end == 256 * w
                 assert int.from_bytes(buf, "little") == rng.getrandbits(256 * w)
                 back = random.Random()
@@ -782,7 +693,7 @@ def test_kernel_mt_words_match_getrandbits():
     rng = random.Random(9)
     mt = array("I", rng.getstate()[1])
     buf = array("B", bytes(80))
-    assert lib.mt_words(mt.buffer_info()[0], 2, buf.buffer_info()[0], 13) == 13 + 512
+    assert mt_words(mt.buffer_info()[0], 2, buf.buffer_info()[0], 13) == 13 + 512
     assert int.from_bytes(buf, "little") == rng.getrandbits(512) << 13
 
 
