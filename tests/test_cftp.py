@@ -664,6 +664,45 @@ def test_kernel_hands_back_the_stream_the_python_draws_leave():
     assert all(seen[case] for case in ("boundary", "buffered", "twist", "batch")), seen
 
 
+def _table_refills(avail, horizon):
+    """Where the kernel's table path refills on a draw whose steps read one
+    bit each: (the bits read, the bits held) at each refill, the words it
+    makes starting at the second. The path loads 64 bits when fewer than 12
+    are loaded, after refilling when fewer than 64 are held, and a refill
+    makes 1, 2, 4, ... up to 256 words."""
+    held, words, have, refills = avail, 1, 0, []
+    for read in range(horizon):
+        if have < 12:
+            if held - read < 64:
+                refills.append((read, held))
+                held += 256 * words
+                words = min(2 * words, 256)
+            have = 64 - read % 8
+        have -= 1
+    return refills
+
+
+@pytest.mark.skipif(cftp._kernel is None, reason="no C kernel was built")
+def test_kernel_hands_back_a_refill_the_draw_did_not_read():
+    # The table path refills before its 8-byte load, up to 63 bits before the
+    # bits it holds run out. A draw that ends in those bits has read no word
+    # of the refill, yet has made them: the generator must still go back to
+    # where it was before them. At pen 1 a step on antichain(2) reads one
+    # bit, so a one-block draw of t >= 4096 steps ends t bits on; from streams
+    # advanced 0..255 bits, the t around each such refill past 4096 are drawn
+    # by both paths.
+    poset, bp = antichain_poset(2), BetaParam(2.0, 2)
+    unread = 0
+    for skip in (0, 1, 61, 130, 255):
+        avail = _advanced(skip, "refill", skip)._avail
+        for read, held in _table_refills(avail, 9000):
+            for t in range(max(read - 1, 4096), held + 3):
+                ref, nat = _one_block(poset, bp, t, skip, "refill", skip)
+                assert ref == nat, (skip, t)
+                unread += read < t <= held
+    assert unread > 100
+
+
 @pytest.mark.skipif(cftp._kernel is None, reason="no C kernel was built")
 def test_kernel_mt_words_match_getrandbits():
     # The C generator makes what random.Random(s).getrandbits(256 w) makes,
