@@ -1,5 +1,5 @@
 /* CFTP draws and the ideal DP's layer pass in C, one function per Python
-   loop in cftp.py and exact.py; native.py calls draw, dp_layer and dp_take.
+   loop in cftp.py and exact.py; native.py calls draw and the dp_ functions.
 
    draw runs a whole bounding-chain draw, generate's loop: blocks twice as
    long further into the past until one is constant, then the replay of its
@@ -413,18 +413,26 @@ done:
     return read;
 }
 
-/* One layer of the order-ideal DP, as exact._layer_loop. keys holds the m
-   ideals of a layer as rows of w words, bit v set when element v is placed,
-   and weights their weights in rows of kin words; below holds the row of
-   each element's predecessors. For each source ideal in order and each v in
-   1..hi in increasing order that is unplaced and has every predecessor
-   placed, the pair (source, v) makes the ideal source + v, found by its full
-   row in an open-addressing table; a new ideal takes the next id and the
-   weight 0, and the pair's term, the source's weight, times pen when v is
-   at, is added to it there and then. No row is stored until dp_take: ideal
-   k is the source of the pair that made it first plus its element, so with
-   one-word weights a layer holds 48 to 96 B per ideal: its table slot, its
-   first pair and its weight.
+/* The order-ideal DP, one layer per dp_layer call, as exact._layer_loop.
+   dp_open binds an order of rows of w words, below holding the row of each
+   element's predecessors, and the buffers its layers share until dp_close.
+   A layer's keys hold its m source ideals as rows, bit v set when element v
+   is placed, and weights their weights in rows of kin words. For each source
+   ideal in order and each v in 1..hi in increasing order that is unplaced
+   and has every predecessor placed, the pair (source, v) makes the ideal
+   source + v, found by its full row in an open-addressing table; a new ideal
+   takes the next id and the weight 0, and the pair's term, the source's
+   weight, times pen when v is at, is added to it there and then. No row is
+   stored until dp_take: ideal k is the source of the pair that made it first
+   plus its element, so with one-word weights a layer holds 48 to 96 B per
+   ideal: its table slot, its first pair and its weight.
+
+   A row hashes to the sum over its words of row[j] * K_j mod 2^64, K_j odd
+   and distinct (salt), and takes the table slot of its hash's top bits.
+   Placing element v adds K_j << (v & 63), j = v >> 6, so a pair's hash is
+   its source's plus one term. Multiplying by an odd number is a bijection,
+   so rows of one word are equal iff their hashes are; longer rows of equal
+   hashes are compared word by word.
 
    A weight is an exact int or a double, as Python would hold it. An int is
    k little-endian words below 2^(64 k - 1). A double, which is never
@@ -448,28 +456,61 @@ typedef struct {
 } next_t;  /* an element a source ideal can add, and the hash of the ideal it makes */
 
 typedef struct {
-    const uint64_t *keys, *in;
-    int64_t w, kin, k, ideals, slots, overflow;
+    const uint64_t *keys, *in, *below;
+    int64_t w, kin, k, ideals, slots, shift, overflow;
+    uint64_t *salt;  /* K_j per word */
     int32_t *first;  /* per ideal: the source and element that made it first */
     uint64_t *sum;   /* per ideal: its weight in k words */
-    slot_t *table;   /* at most half full */
-} layer_t;
+    slot_t *table;   /* slots long, at most half full */
+    next_t *next;    /* a source's pairs */
+    int64_t first_room, sum_room, table_room, next_room;  /* their lengths */
+} dp_t;
 
-/* dp_take frees a layer, first writing, when rows is not NULL, its ideals'
-   rows and weights in id order; the source rows must still be in place. */
-void dp_take(layer_t *L, uint64_t *rows, uint64_t *weights) {
-    if (rows) {
-        for (int64_t k = 0; k < L->ideals; k++) {
-            const int32_t *f = L->first + 2 * k;
-            memcpy(rows + k * L->w, L->keys + f[0] * L->w, (size_t)L->w * 8);
-            rows[k * L->w + (f[1] >> 6)] |= 1ULL << (f[1] & 63);
-        }
-        memcpy(weights, L->sum, (size_t)(L->ideals * L->k) * 8);
+/* Word j's K_j, 2 x + 1 for x a bijection of j mod 2^63 (splitmix64's
+   finalizer there), so odd and distinct for every j. */
+static uint64_t salt(uint64_t j) {
+    const uint64_t low = ~0ULL >> 1;
+    uint64_t x = (j + 1) * 0x9e3779b97f4a7c15ULL & low;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL & low;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL & low;
+    return (x ^ (x >> 31)) << 1 | 1;
+}
+
+void dp_close(dp_t *D) {
+    if (!D)
+        return;
+    free(D->salt);
+    free(D->first);
+    free(D->sum);
+    free(D->table);
+    free(D->next);
+    free(D);
+}
+
+/* The DP of the order whose predecessor rows are below, or NULL when memory
+   runs out. */
+dp_t *dp_open(int64_t w, const uint64_t *below) {
+    dp_t *D = calloc(1, sizeof *D);
+    if (!D || !(D->salt = malloc((size_t)w * sizeof *D->salt))) {
+        dp_close(D);
+        return NULL;
     }
-    free(L->first);
-    free(L->sum);
-    free(L->table);
-    free(L);
+    for (int64_t j = 0; j < w; j++)
+        D->salt[j] = salt((uint64_t)j);
+    D->w = w;
+    D->below = below;
+    return D;
+}
+
+/* dp_take writes the last layer's ideals' rows and weights in id order; its
+   source rows must still be in place. */
+void dp_take(const dp_t *D, uint64_t *rows, uint64_t *weights) {
+    for (int64_t k = 0; k < D->ideals; k++) {
+        const int32_t *f = D->first + 2 * k;
+        memcpy(rows + k * D->w, D->keys + f[0] * D->w, (size_t)D->w * 8);
+        rows[k * D->w + (f[1] >> 6)] |= 1ULL << (f[1] & 63);
+    }
+    memcpy(weights, D->sum, (size_t)(D->ideals * D->k) * 8);
 }
 
 static double real(uint64_t word) {
@@ -503,9 +544,9 @@ static double to_double(const uint64_t *x, int64_t k, int64_t *overflow) {
 }
 
 /* Add source s's weight, times pen when scaled, into the weight acc. */
-static void add(layer_t *L, uint64_t *acc, int64_t s, int scaled, double pen) {
-    const uint64_t *src = L->in + s * L->kin;
-    int64_t k = L->k, kin = L->kin;
+static void add(dp_t *D, uint64_t *acc, int64_t s, int scaled, double pen) {
+    const uint64_t *src = D->in + s * D->kin;
+    int64_t k = D->k, kin = D->kin;
     if (!scaled && !((src[kin - 1] | acc[k - 1]) & REAL)) {
         unsigned __int128 carry = 0;  /* an int term into an int: k fits the sum */
         for (int64_t i = 0; i < k; i++) {
@@ -515,105 +556,132 @@ static void add(layer_t *L, uint64_t *acc, int64_t s, int scaled, double pen) {
         }
         return;
     }
-    double t = src[kin - 1] & REAL ? real(src[kin - 1]) : to_double(src, kin, &L->overflow);
+    double t = src[kin - 1] & REAL ? real(src[kin - 1]) : to_double(src, kin, &D->overflow);
     if (scaled)
         t *= pen;
-    t += acc[k - 1] & REAL ? real(acc[k - 1]) : to_double(acc, k, &L->overflow);
+    t += acc[k - 1] & REAL ? real(acc[k - 1]) : to_double(acc, k, &D->overflow);
     memset(acc, 0, (size_t)(k - 1) * 8);
     memcpy(&acc[k - 1], &t, 8);
     acc[k - 1] |= REAL;
 }
 
-/* splitmix64's finalizer of word j of a row: a row hashes to the sum over its
-   words, so placing one element changes one term. The finalizer is a
-   bijection, so rows of one word are equal iff their hashes are. */
-static uint64_t word_hash(uint64_t word, int64_t j) {
-    uint64_t x = word + (uint64_t)j * 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-static int grow(void *p, int64_t count, size_t size) {
-    void **q = p, *r = realloc(*q, (size_t)count * size);
-    if (r)
-        *q = r;
-    return r != NULL;
-}
-
-/* Double the table, and the room for ideals with it. */
-static int rehash(layer_t *L) {
-    int64_t slots = 2 * L->slots;
-    uint64_t mask = (uint64_t)slots - 1;
-    slot_t *old = L->table, *table = malloc((size_t)slots * sizeof *table);
-    if (!table || !grow(&L->first, slots, sizeof *L->first)
-        || !grow(&L->sum, slots / 2 * L->k, sizeof *L->sum)) {
-        free(table);
+/* Make *p hold count items of size bytes, *have counting what it holds. */
+static int room(void *p, int64_t *have, int64_t count, size_t size) {
+    void **q = p, *r;
+    if (count <= *have)
+        return 1;
+    if (!(r = realloc(*q, (size_t)count * size)))
         return 0;
+    *q = r;
+    *have = count;
+    return 1;
+}
+
+/* Make the table slots long, moving its ideals into a new one, and make
+   room for slots / 2 ideals; a table with no ideals is reused when it is
+   long enough. */
+static int resize(dp_t *D, int64_t slots) {
+    uint64_t mask = (uint64_t)slots - 1;
+    slot_t *old = D->table, *table = old;
+    if (!room(&D->first, &D->first_room, slots, sizeof *D->first)
+        || !room(&D->sum, &D->sum_room, slots / 2 * D->k, sizeof *D->sum))
+        return 0;
+    if (D->ideals || slots > D->table_room) {
+        if (!(table = malloc((size_t)slots * sizeof *table)))
+            return 0;
+        D->table_room = slots;
     }
+    D->shift = 64 - __builtin_ctzll((uint64_t)slots);
     for (int64_t i = 0; i < slots; i++)
         table[i].id = -1;
-    for (int64_t k = 0; old && k < L->slots; k++) {
-        uint64_t i = old[k].hash & mask;
+    for (int64_t k = 0; k < D->slots; k++) {
+        uint64_t i = old[k].hash >> D->shift;
         if (old[k].id < 0)
             continue;
         while (table[i].id >= 0)
             i = (i + 1) & mask;
         table[i] = old[k];
     }
-    free(old);
-    L->table = table;
-    L->slots = slots;
+    if (table != old)
+        free(old);
+    D->table = table;
+    D->slots = slots;
     return 1;
 }
 
 /* The weight of the ideal source s + v, whose row hashes to h; a new one is
    made first by that pair, with the weight 0. */
-static uint64_t *ideal_sum(layer_t *L, int64_t s, int64_t v, uint64_t h) {
-    uint64_t mask = (uint64_t)L->slots - 1;
-    int64_t w = L->w;
-    const uint64_t *row = L->keys + s * w;
-    for (uint64_t i = h & mask;; i = (i + 1) & mask) {
-        slot_t *slot = &L->table[i];
+static uint64_t *ideal_sum(dp_t *D, int64_t s, int64_t v, uint64_t h) {
+    uint64_t mask = (uint64_t)D->slots - 1;
+    int64_t w = D->w;
+    const uint64_t *row = D->keys + s * w;
+    for (uint64_t i = h >> D->shift;; i = (i + 1) & mask) {
+        slot_t *slot = &D->table[i];
         if (slot->id < 0) {
-            uint64_t *acc = L->sum + L->ideals * L->k;
+            uint64_t *acc = D->sum + D->ideals * D->k;
             slot->hash = h;
-            slot->id = L->ideals;
-            L->first[2 * L->ideals] = (int32_t)s;
-            L->first[2 * L->ideals++ + 1] = (int32_t)v;
-            memset(acc, 0, (size_t)L->k * 8);
+            slot->id = D->ideals;
+            D->first[2 * D->ideals] = (int32_t)s;
+            D->first[2 * D->ideals++ + 1] = (int32_t)v;
+            memset(acc, 0, (size_t)D->k * 8);
             return acc;
         }
         if (slot->hash != h)
             continue;
         if (w == 1)
-            return L->sum + slot->id * L->k;
-        const int32_t *f = L->first + 2 * slot->id;
-        const uint64_t *other = L->keys + f[0] * w;
+            return D->sum + slot->id * D->k;
+        const int32_t *f = D->first + 2 * slot->id;
+        const uint64_t *other = D->keys + f[0] * w;
         int64_t j = 0;
         for (; j < w; j++)
             if ((row[j] | (j == v >> 6 ? 1ULL << (v & 63) : 0))
                 != (other[j] | (j == f[1] >> 6 ? 1ULL << (f[1] & 63) : 0)))
                 break;
         if (j == w)
-            return L->sum + slot->id * L->k;
+            return D->sum + slot->id * D->k;
     }
 }
 
-/* Build the layer after keys; stops after the source ideal that takes the
-   ideals past limit, or that rounds an int past the largest double. sizes
-   gets (ideals, k, overflow). Returns the layer for dp_take, or NULL when
-   memory runs out. A source's addable elements are listed, and their table
-   slots prefetched, before any is looked up, so the lookups' cache misses
-   overlap. */
-layer_t *dp_layer(int64_t w, const uint64_t *keys, int64_t m, const uint64_t *weights,
-                  int64_t kin, const uint64_t *below, int64_t hi, int64_t at, double pen,
-                  int64_t limit, int64_t *sizes) {
-    layer_t *L = calloc(1, sizeof *L);
-    next_t *next = NULL;
-    int64_t bits = 0;
-    if (!L)
-        return NULL;
+/* List source s's pairs in list, with the hashes of the ideals they make,
+   and prefetch those ideals' table slots; returns their count. */
+static int64_t pairs(dp_t *D, int64_t s, int64_t hi, next_t *list) {
+    int64_t w = D->w, count = 0;
+    const uint64_t *row = D->keys + s * w;
+    uint64_t h = 0;
+    for (int64_t j = 0; j < w; j++)
+        h += row[j] * D->salt[j];
+    for (int64_t j = 0; j <= hi >> 6; j++) {
+        uint64_t open = ~row[j];
+        if (j == 0)
+            open &= ~1ULL;
+        if (j == hi >> 6 && (hi & 63) != 63)
+            open &= (2ULL << (hi & 63)) - 1;
+        for (; open; open &= open - 1) {
+            int64_t v = 64 * j + __builtin_ctzll(open), i = 0;
+            const uint64_t *need = D->below + v * w;
+            while (i < w && !(need[i] & ~row[i]))
+                i++;
+            if (i < w)
+                continue;  /* a predecessor of v is unplaced */
+            list[count].v = v;
+            list[count].hash = h + (D->salt[j] << (v & 63));
+            __builtin_prefetch(&D->table[list[count++].hash >> D->shift]);
+        }
+    }
+    return count;
+}
+
+/* Build the layer after keys in D's buffers, with a table of at least 32
+   and 2 m slots; stops after the source ideal that takes the ideals past
+   limit, or that rounds an int past the largest double. sizes gets (ideals,
+   k, overflow). Returns 1, or 0 when memory runs out. A source's pairs are
+   listed, and their table slots prefetched, before any is looked up, so the
+   lookups' cache misses overlap. A one-word int term into a one-word int
+   weight is added in place; add takes every other. */
+int64_t dp_layer(dp_t *D, const uint64_t *keys, int64_t m, const uint64_t *weights, int64_t kin,
+                 int64_t hi, int64_t at, double pen, int64_t limit, int64_t *sizes) {
+    int64_t bits = 0, slots = 32, ints;
+    next_t *list;
     for (int64_t s = 0; s < m; s++) {
         const uint64_t *x = weights + s * kin;
         int64_t j = kin - 1;
@@ -624,53 +692,33 @@ layer_t *dp_layer(int64_t w, const uint64_t *keys, int64_t m, const uint64_t *we
         if (64 * j + bit_length(x[j]) > bits)
             bits = 64 * j + bit_length(x[j]);
     }
-    L->keys = keys;
-    L->in = weights;
-    L->w = w;
-    L->kin = kin;
-    L->k = (bits + bit_length((uint64_t)hi)) / 64 + 1;
-    L->slots = 16;
-    while (L->slots < m)
-        L->slots *= 2;
-    if (!rehash(L) || !(next = malloc((size_t)(hi + 1) * sizeof *next)))
-        goto fail;
-    for (int64_t s = 0; s < m && L->ideals <= limit && !L->overflow; s++) {
-        const uint64_t *row = keys + s * w;
-        uint64_t h = 0;
-        int64_t count = 0;
-        for (int64_t j = 0; j < w; j++)
-            h += word_hash(row[j], j);
-        for (int64_t j = 0; j <= hi >> 6; j++) {
-            uint64_t open = ~row[j], rest = h - word_hash(row[j], j);
-            if (j == 0)
-                open &= ~1ULL;
-            if (j == hi >> 6 && (hi & 63) != 63)
-                open &= (2ULL << (hi & 63)) - 1;
-            for (; open; open &= open - 1) {
-                int64_t v = 64 * j + __builtin_ctzll(open), i = 0;
-                const uint64_t *need = below + v * w;
-                while (i < w && !(need[i] & ~row[i]))
-                    i++;
-                if (i < w)
-                    continue;  /* a predecessor of v is unplaced */
-                next[count].v = v;
-                next[count].hash = rest + word_hash(row[j] | 1ULL << (v & 63), j);
-                __builtin_prefetch(&L->table[next[count++].hash & (uint64_t)(L->slots - 1)]);
-            }
-        }
-        for (int64_t c = 0; c < count; c++) {
-            if (2 * (L->ideals + 1) > L->slots && !rehash(L))
-                goto fail;
-            add(L, ideal_sum(L, s, next[c].v, next[c].hash), s, next[c].v == at, pen);
+    D->keys = keys;
+    D->in = weights;
+    D->kin = kin;
+    D->k = (bits + bit_length((uint64_t)hi)) / 64 + 1;
+    D->ideals = D->slots = D->overflow = 0;
+    ints = kin == 1 && D->k == 1;
+    while (slots < 2 * m)
+        slots *= 2;
+    if (!resize(D, slots) || !room(&D->next, &D->next_room, hi + 1, sizeof *D->next))
+        return 0;
+    list = D->next;
+    for (int64_t s = 0; s < m && D->ideals <= limit && !D->overflow; s++) {
+        uint64_t x = weights[s * kin];
+        for (int64_t c = 0, count = pairs(D, s, hi, list); c < count; c++) {
+            int64_t v = list[c].v;
+            uint64_t *acc;
+            if (2 * (D->ideals + 1) > D->slots && !resize(D, 2 * D->slots))
+                return 0;
+            acc = ideal_sum(D, s, v, list[c].hash);
+            if (ints && v != at && !((x | *acc) & REAL))
+                *acc += x;
+            else
+                add(D, acc, s, v == at, pen);
         }
     }
-    free(next);
-    sizes[0] = L->ideals;
-    sizes[1] = L->k;
-    sizes[2] = L->overflow;
-    return L;
-fail:
-    free(next);
-    dp_take(L, NULL, NULL);
-    return NULL;
+    sizes[0] = D->ideals;
+    sizes[1] = D->k;
+    sizes[2] = D->overflow;
+    return 1;
 }

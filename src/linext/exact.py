@@ -13,8 +13,9 @@ then, so every weight is summed in the same order as a loop over ideals and
 elements would sum it. It returns the new ideals' rows and weights in id
 order. The pass is one C function of the ``native`` kernel, whose
 open-addressing table is keyed by the full rows but holds only the pair that
-made each ideal first, or, without the kernel, ``_layer_loop``, its
-reference, a dict keyed by the rows.
+made each ideal first; a pair's hash is its source's plus one term, and one
+DP keeps the pass's buffers from layer to layer. Without the kernel it is
+``_layer_loop``, its reference, a dict keyed by the rows.
 
 A weight is what Python would hold: an exact int while every term added to
 it is an int, and a float from its first float term on, later int terms

@@ -24,8 +24,9 @@ block of at least 4096 steps (the C ``ENTRIES``) decodes a step by one lookup
 of its next 12 bits in a table built once per draw; shorter blocks and the
 steps that read more than 12 bits are decoded bit by bit, the same bits.
 A DP layer is held in numpy arrays of uint64 words: its ideals' rows and
-their weights, which the pass sums itself. Each call allocates its own
-arrays, the table included, so calls may run in parallel threads.
+their weights, which the pass sums itself. The pass's own buffers, the
+table included, belong to one ``dp_layers`` binding and live as long as it,
+so DPs may run in parallel threads, each on its own binding.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import weakref
 from ctypes import POINTER, c_double, c_int32, c_int64, c_uint64, c_void_p
 from functools import lru_cache
 from pathlib import Path
@@ -102,11 +104,15 @@ class Kernel:
         lib.draw.restype = c_int64
         # numpy arrays pass as addresses: data_as, like a ctypes array type
         # made per call, leaves a reference cycle
-        lib.dp_layer.argtypes = (c_int64, c_void_p, c_int64, c_void_p, c_int64, c_void_p,
-                                 c_int64, c_int64, c_double, c_int64, _SIZES)
-        lib.dp_layer.restype = c_void_p
+        lib.dp_open.argtypes = (c_int64, c_void_p)
+        lib.dp_open.restype = c_void_p
+        lib.dp_layer.argtypes = (c_void_p, c_void_p, c_int64, c_void_p, c_int64, c_int64, c_int64,
+                                 c_double, c_int64, _SIZES)
+        lib.dp_layer.restype = c_int64
         lib.dp_take.argtypes = (c_void_p, c_void_p, c_void_p)
         lib.dp_take.restype = None
+        lib.dp_close.argtypes = (c_void_p,)
+        lib.dp_close.restype = None
 
     def draw(self, t: int, stream: BitStream, poset: Poset, bp: BetaParam,
              max_steps: int) -> tuple:
@@ -130,15 +136,21 @@ class Kernel:
         """The C layer pass over one order, whose elements' predecessor rows
         are below: a function of (keys, weights, hi, at, pen, limit) that
         returns what exact._layer_loop(below, ...) does. below is checked and
-        its address taken once. A layer's rows and weights are made in one
-        array and kept with their addresses, so the next layer, which takes
-        them, neither checks them nor looks their addresses up."""
+        its address taken once. The pass's table, first pairs, weights and
+        pair list are allocated once, grown as layers need, and freed with
+        the function, so one DP's layers reuse them and the function must not
+        run in two threads at once. A layer's rows and weights are made in
+        one array and kept with their addresses, so the next layer, which
+        takes them, neither checks them nor looks their addresses up."""
         if not (below.dtype == np.uint64 and below.ndim == 2 and len(below) <= 64 * below.shape[1]
                 and below.flags.c_contiguous):
             raise LinextError("ideal rows and predecessor rows do not fit each other")
         w = below.shape[1]
-        run, take, sizes = self._lib.dp_layer, self._lib.dp_take, _SIZES()
-        below_at = below.ctypes.data
+        lib, sizes = self._lib, _SIZES()
+        run, take = lib.dp_layer, lib.dp_take
+        dp = lib.dp_open(w, below.ctypes.data)
+        if not dp:
+            raise MemoryError("no memory for the ideal DP")
         made = [None, None, 0, 0]  # the last layer's rows and weights, and their addresses
 
         def layer(keys: np.ndarray, weights: np.ndarray, hi: int, at: int, pen: float,
@@ -156,24 +168,21 @@ class Kernel:
                         and weights.shape[1] > 0 and weights.flags.c_contiguous):
                     raise LinextError("weights do not fit the ideal rows")
                 keys_at, weights_at = keys.ctypes.data, weights.ctypes.data
-            done = run(w, keys_at, m, weights_at, weights.shape[1], below_at, hi, at, pen, limit,
-                       sizes)
-            if not done:
+            if not run(dp, keys_at, m, weights_at, weights.shape[1], hi, at, pen, limit, sizes):
                 raise MemoryError("no memory for a layer of the ideal DP")
             held, k, overflow = sizes
-            out = None
-            try:
-                if overflow:
-                    raise OverflowError("int too large to convert to float")
-                if held <= limit:
-                    both = np.empty(held * (w + k), dtype=np.uint64)
-                    rows_at = both.ctypes.data
-                    out = both[:held * w].reshape(held, w), both[held * w:].reshape(held, k)
-                    made[:] = *out, rows_at, rows_at + 8 * held * w
-            finally:  # keys stays referenced until here: dp_take reads its rows
-                take(done, *((None, None) if out is None else made[2:]))
+            if overflow:
+                raise OverflowError("int too large to convert to float")
+            if held > limit:
+                return held, None
+            both = np.empty(held * (w + k), dtype=np.uint64)
+            rows_at = both.ctypes.data
+            out = both[:held * w].reshape(held, w), both[held * w:].reshape(held, k)
+            made[:] = *out, rows_at, rows_at + 8 * held * w
+            take(dp, *made[2:])  # keys stays referenced until here: dp_take reads its rows
             return held, out
 
+        weakref.finalize(layer, lib.dp_close, dp)
         return layer
 
 

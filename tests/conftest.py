@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+import linext.cftp as cftp
+import linext.exact as exact
 from linext.catalog import (
     antichain_poset,
     chain_poset,
@@ -12,6 +14,17 @@ from linext.catalog import (
     wedge_poset,
     zigzag_poset,
 )
+
+
+def pytest_addoption(parser):
+    parser.addoption("--no-kernel", action="store_true",
+                     help="run the Python loops in place of the C kernel")
+
+
+def pytest_configure(config):
+    # before collection, so the kernel-only skipifs see no kernel
+    if config.getoption("--no-kernel"):
+        cftp._kernel = exact._kernel = None
 
 
 @pytest.fixture

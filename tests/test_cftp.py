@@ -861,12 +861,14 @@ def test_threads_sharing_a_poset_draw_as_they_do_alone():
         assert got == alone
 
 
-def test_kernel_loads_when_a_compiler_is_present(tmp_path):
+def test_kernel_loads_when_a_compiler_is_present(tmp_path, pytestconfig):
     # The fallback must not hide a broken build: with a compiler on the path
     # the package's kernel exists, is shared by the sampler and the exact DP,
     # and a build is cached per source and opens.
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on the path")
+    if pytestconfig.getoption("--no-kernel"):
+        pytest.skip("--no-kernel runs the Python loops")
     assert cftp._kernel is not None and exact._kernel is cftp._kernel
     kernel = native.build(cache=tmp_path)
     assert kernel is not None

@@ -213,8 +213,8 @@ _PENS = (1, 0.5, 0.75, 0.3)
 
 
 def _layer_passes():
-    """The C layer pass when the kernel was built, then the Python loop."""
-    return [k for k in (native.KERNEL,) if k is not None] + [None]
+    """The C layer pass when the kernel is in use, then the Python loop."""
+    return [k for k in (exact._kernel,) if k is not None] + [None]
 
 
 def _each_layer_pass(dp, *args):
@@ -306,6 +306,22 @@ def test_dp_mixes_multi_word_ints_and_floats_as_python_does():
     _same_sum(antichain_poset(70), 2, 0.3)
 
 
+@pytest.mark.parametrize("n", [63, 64, 127, 128])
+def test_dp_matches_dict_reference_at_word_boundaries(n):
+    # element 63 of a word moves only the top bit of the C pass's row hash,
+    # and element 64 starts a new word: banded sums of orders ending at and
+    # just past a word, and the count where the guard admits it (the random
+    # order; antichain(n) stops at cap 1, as cap c puts C(n + c + 1, c + 1)
+    # ideals through the dict reference)
+    poset = random_poset(random.Random(n), n, 0.2)
+    for cap in range(4):
+        for pen in (1, 0.3):
+            _same_sum(poset, cap, pen)
+            if cap < 2:
+                _same_sum(antichain_poset(n), cap, pen)
+    _same_sum(poset, n, 1)
+
+
 @pytest.mark.parametrize("x", [
     2 ** 53 + 1, 2 ** 64 + 2 ** 11, 2 ** 64 + 2 ** 11 + 1, 2 ** 64 + 3 * 2 ** 11,
     2 ** 130 + 2 ** 77, 2 ** 130 + 2 ** 77 + 1, 3 ** 600,
@@ -339,7 +355,7 @@ def test_dp_refuses_a_pen_that_is_not_one_or_a_float_at_least_zero():
             exact._layered_sum(antichain_poset(3), 1, pen)
 
 
-@pytest.mark.skipif(native.KERNEL is None, reason="no C kernel was built")
+@pytest.mark.skipif(exact._kernel is None, reason="no C kernel was built")
 def test_kernel_layer_pass_refuses_rows_that_do_not_fit():
     # the pass reads the arrays through raw pointers, so a width or a window
     # that does not fit them is refused before the call
@@ -350,7 +366,7 @@ def test_kernel_layer_pass_refuses_rows_that_do_not_fit():
             native.KERNEL.dp_layers(below)(keys, weights, hi, 0, 1.0, 10)
 
 
-@pytest.mark.skipif(native.KERNEL is None, reason="no C kernel was built")
+@pytest.mark.skipif(exact._kernel is None, reason="no C kernel was built")
 def test_kernel_layer_pass_refuses_weights_that_do_not_fit():
     # one weight row per ideal row, of uint64 words, at least one of them
     keys, below = np.zeros((2, 1), dtype=np.uint64), np.zeros((3, 1), dtype=np.uint64)
@@ -409,6 +425,36 @@ def test_count_guard_trip_memory_is_bounded():
                          text=True, timeout=120, check=True).stdout.splitlines()
     assert out[0] == "n=2000 too large: 1000248 ideals in layer 3, over the limit 1000000"
     assert int(out[1]) <= 400 * 1024  # ru_maxrss is in KiB
+
+
+_GUARD_TRIPS_CHILD = """
+import os, resource
+from linext import GuardError, close_transitively, count_exact
+if os.fork() == 0:
+    middle = range(2, 2000)
+    poset = close_transitively([(1, v) for v in middle] + [(v, 2000) for v in middle], 2000)
+    for _ in range(5):
+        try:
+            count_exact(poset)
+        except GuardError as exc:
+            print(exc)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, flush=True)
+    os._exit(0)
+os.wait()
+"""
+
+
+def test_count_guard_trips_free_their_buffers():
+    # each DP's table, first pairs and weights (about 64 MB at this trip)
+    # live only as long as its pass, so five guard trips in one process peak
+    # within a few MB of one
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    one, five = (subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                                text=True, timeout=120, check=True).stdout.splitlines()
+                 for child in (_GUARD_CHILD, _GUARD_TRIPS_CHILD))
+    assert five[:5] == [one[0]] * 5
+    assert int(five[5]) <= min(400 * 1024, int(one[1]) + 32 * 1024)  # ru_maxrss is in KiB
 
 
 # -- enumerate_extensions -----------------------------------------------------

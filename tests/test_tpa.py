@@ -17,9 +17,20 @@ from linext import (
     tpa_runs,
     two_phase,
 )
+from linext import cftp, exact, tpa
 from linext.catalog import antichain_poset, grid_poset
 
 # -- tpa_runs -------------------------------------------------------------------
+
+@pytest.mark.skipif(cftp._kernel is None, reason="the Python loops take about 90 s for these runs")
+def test_runs_to_an_exact_center_tally_its_log_ratio():
+    # TPA from beta = n down to the DP's center 5 on antichain(24): a run's
+    # tally is Poisson with mean ln(24! / Z(5)), about 15.95
+    poset = antichain_poset(24)
+    a = math.log(math.factorial(24) / exact._layered_sum(poset, 5, 1))
+    res = tpa._contraction_runs(tpa._extension_step, poset, 24, 5.0, 20, BitStream(1, "center"), 1)
+    assert abs(res.k / 20 - a) <= 4 * math.sqrt(a / 20)
+
 
 def test_chain_runs_give_zero_tallies(chain5):
     res = tpa_runs(chain5, 50, BitStream(1))
