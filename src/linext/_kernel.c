@@ -1,5 +1,7 @@
 /* CFTP draws and the ideal DP's layer pass in C, one function per Python
    loop in cftp.py and exact.py; native.py calls draw and the dp_ functions.
+   A DP's weights are exact multi-word ints when pen is 1 and doubles
+   otherwise, one type per DP (see weight_t).
 
    draw runs a whole bounding-chain draw, generate's loop: blocks twice as
    long further into the past until one is constant, then the replay of its
@@ -21,7 +23,6 @@
    a is set iff a precedes b. Values, positions and slots are 1-based as in
    Python; arrays are 0-based. */
 
-#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -434,16 +435,18 @@ done:
    so rows of one word are equal iff their hashes are; longer rows of equal
    hashes are compared word by word.
 
-   A weight is an exact int or a double, as Python would hold it. An int is
-   k little-endian words below 2^(64 k - 1). A double, which is never
-   negative (pen >= 0), is held in the last word with its sign bit, REAL,
-   set. An ideal's weight stays an int while every term is an int; a double
-   term makes it a double, and from then on every term is rounded to a
-   double and added, as Python adds an int and a float. An ideal takes at
-   most hi terms, so k is the fewest words that hold hi times the largest
-   int of the source layer below the top bit. */
+   A DP has one number type, told by at. With at = 0 (pen is 1, which
+   scales nothing) a weight is an exact int in k little-endian words, k the
+   fewest that hold hi times the largest weight of the source layer, since an
+   ideal takes at most hi terms. With at > 0 every weight is one double, and
+   each term, the source's double times pen when v is at, is rounded and then
+   added, as Python adds floats: the build's -ffp-contract=off keeps the
+   product from fusing into the add. */
 
-#define REAL (1ULL << 63)
+typedef union {
+    uint64_t word;  /* a word of an int weight */
+    double real;    /* a double weight */
+} weight_t;
 
 typedef struct {
     uint64_t hash;
@@ -456,11 +459,12 @@ typedef struct {
 } next_t;  /* an element a source ideal can add, and the hash of the ideal it makes */
 
 typedef struct {
-    const uint64_t *keys, *in, *below;
-    int64_t w, kin, k, ideals, slots, shift, overflow;
+    const uint64_t *keys, *below;
+    const weight_t *in;
+    int64_t w, kin, k, ideals, slots, shift;
     uint64_t *salt;  /* K_j per word */
     int32_t *first;  /* per ideal: the source and element that made it first */
-    uint64_t *sum;   /* per ideal: its weight in k words */
+    weight_t *sum;   /* per ideal: its weight in k words */
     slot_t *table;   /* slots long, at most half full */
     next_t *next;    /* a source's pairs */
     int64_t first_room, sum_room, table_room, next_room;  /* their lengths */
@@ -504,7 +508,7 @@ dp_t *dp_open(int64_t w, const uint64_t *below) {
 
 /* dp_take writes the last layer's ideals' rows and weights in id order; its
    source rows must still be in place. */
-void dp_take(const dp_t *D, uint64_t *rows, uint64_t *weights) {
+void dp_take(const dp_t *D, uint64_t *rows, weight_t *weights) {
     for (int64_t k = 0; k < D->ideals; k++) {
         const int32_t *f = D->first + 2 * k;
         memcpy(rows + k * D->w, D->keys + f[0] * D->w, (size_t)D->w * 8);
@@ -513,56 +517,15 @@ void dp_take(const dp_t *D, uint64_t *rows, uint64_t *weights) {
     memcpy(weights, D->sum, (size_t)(D->ideals * D->k) * 8);
 }
 
-static double real(uint64_t word) {
-    double d;
-    word &= ~REAL;
-    memcpy(&d, &word, 8);
-    return d;
-}
-
-/* The int in words x[0..k) as a double, rounded to nearest with ties to
-   even as Python rounds it; *overflow is set when it is past the largest
-   double, where Python raises OverflowError. */
-static double to_double(const uint64_t *x, int64_t k, int64_t *overflow) {
-    int64_t j = k - 1;
-    while (j > 0 && !x[j])
-        j--;
-    if (j == 0)
-        return (double)x[0];
-    int lead = __builtin_clzll(x[j]);
-    uint64_t top = x[j] << lead, rest = x[j - 1] << lead;
-    if (lead)
-        top |= x[j - 1] >> (64 - lead);
-    for (int64_t i = 0; i < j - 1; i++)
-        rest |= x[i];
-    /* the bits below top's 64 only break ties, so one sticky bit stands
-       for them */
-    double d = ldexp((double)(top | (rest != 0)), (int)(64 * j - lead));
-    if (isinf(d))
-        *overflow = 1;
-    return d;
-}
-
-/* Add source s's weight, times pen when scaled, into the weight acc. */
-static void add(dp_t *D, uint64_t *acc, int64_t s, int scaled, double pen) {
-    const uint64_t *src = D->in + s * D->kin;
-    int64_t k = D->k, kin = D->kin;
-    if (!scaled && !((src[kin - 1] | acc[k - 1]) & REAL)) {
-        unsigned __int128 carry = 0;  /* an int term into an int: k fits the sum */
-        for (int64_t i = 0; i < k; i++) {
-            carry += (unsigned __int128)acc[i] + (i < kin ? src[i] : 0);
-            acc[i] = (uint64_t)carry;
-            carry >>= 64;
-        }
-        return;
+/* Add source s's int weight into the int weight acc: k fits the sum. */
+static void add(const dp_t *D, weight_t *acc, int64_t s) {
+    const weight_t *src = D->in + s * D->kin;
+    unsigned __int128 carry = 0;
+    for (int64_t i = 0; i < D->k; i++) {
+        carry += (unsigned __int128)acc[i].word + (i < D->kin ? src[i].word : 0);
+        acc[i].word = (uint64_t)carry;
+        carry >>= 64;
     }
-    double t = src[kin - 1] & REAL ? real(src[kin - 1]) : to_double(src, kin, &D->overflow);
-    if (scaled)
-        t *= pen;
-    t += acc[k - 1] & REAL ? real(acc[k - 1]) : to_double(acc, k, &D->overflow);
-    memset(acc, 0, (size_t)(k - 1) * 8);
-    memcpy(&acc[k - 1], &t, 8);
-    acc[k - 1] |= REAL;
 }
 
 /* Make *p hold count items of size bytes, *have counting what it holds. */
@@ -611,14 +574,14 @@ static int resize(dp_t *D, int64_t slots) {
 
 /* The weight of the ideal source s + v, whose row hashes to h; a new one is
    made first by that pair, with the weight 0. */
-static uint64_t *ideal_sum(dp_t *D, int64_t s, int64_t v, uint64_t h) {
+static weight_t *ideal_sum(dp_t *D, int64_t s, int64_t v, uint64_t h) {
     uint64_t mask = (uint64_t)D->slots - 1;
     int64_t w = D->w;
     const uint64_t *row = D->keys + s * w;
     for (uint64_t i = h >> D->shift;; i = (i + 1) & mask) {
         slot_t *slot = &D->table[i];
         if (slot->id < 0) {
-            uint64_t *acc = D->sum + D->ideals * D->k;
+            weight_t *acc = D->sum + D->ideals * D->k;
             slot->hash = h;
             slot->id = D->ideals;
             D->first[2 * D->ideals] = (int32_t)s;
@@ -673,52 +636,51 @@ static int64_t pairs(dp_t *D, int64_t s, int64_t hi, next_t *list) {
 
 /* Build the layer after keys in D's buffers, with a table of at least 32
    and 2 m slots; stops after the source ideal that takes the ideals past
-   limit, or that rounds an int past the largest double. sizes gets (ideals,
-   k, overflow). Returns 1, or 0 when memory runs out. A source's pairs are
-   listed, and their table slots prefetched, before any is looked up, so the
-   lookups' cache misses overlap. A one-word int term into a one-word int
-   weight is added in place; add takes every other. */
-int64_t dp_layer(dp_t *D, const uint64_t *keys, int64_t m, const uint64_t *weights, int64_t kin,
+   limit. sizes gets (ideals, k). Returns 1, or 0 when memory runs out. A
+   source's pairs are listed, and their table slots prefetched, before any
+   is looked up, so the lookups' cache misses overlap. A double term and a
+   one-word int term into a one-word int weight are added in place; add
+   takes every other. */
+int64_t dp_layer(dp_t *D, const uint64_t *keys, int64_t m, const weight_t *weights, int64_t kin,
                  int64_t hi, int64_t at, double pen, int64_t limit, int64_t *sizes) {
     int64_t bits = 0, slots = 32, ints;
     next_t *list;
-    for (int64_t s = 0; s < m; s++) {
-        const uint64_t *x = weights + s * kin;
+    for (int64_t s = 0; s < m && !at; s++) {
+        const weight_t *x = weights + s * kin;
         int64_t j = kin - 1;
-        if (x[j] & REAL)
-            continue;
-        while (j > 0 && !x[j])
+        while (j > 0 && !x[j].word)
             j--;
-        if (64 * j + bit_length(x[j]) > bits)
-            bits = 64 * j + bit_length(x[j]);
+        if (64 * j + bit_length(x[j].word) > bits)
+            bits = 64 * j + bit_length(x[j].word);
     }
     D->keys = keys;
     D->in = weights;
     D->kin = kin;
-    D->k = (bits + bit_length((uint64_t)hi)) / 64 + 1;
-    D->ideals = D->slots = D->overflow = 0;
+    D->k = at ? 1 : (bits + bit_length((uint64_t)hi)) / 64 + 1;
+    D->ideals = D->slots = 0;
     ints = kin == 1 && D->k == 1;
     while (slots < 2 * m)
         slots *= 2;
     if (!resize(D, slots) || !room(&D->next, &D->next_room, hi + 1, sizeof *D->next))
         return 0;
     list = D->next;
-    for (int64_t s = 0; s < m && D->ideals <= limit && !D->overflow; s++) {
-        uint64_t x = weights[s * kin];
+    for (int64_t s = 0; s < m && D->ideals <= limit; s++) {
+        weight_t x = weights[s * kin];
         for (int64_t c = 0, count = pairs(D, s, hi, list); c < count; c++) {
             int64_t v = list[c].v;
-            uint64_t *acc;
+            weight_t *acc;
             if (2 * (D->ideals + 1) > D->slots && !resize(D, 2 * D->slots))
                 return 0;
             acc = ideal_sum(D, s, v, list[c].hash);
-            if (ints && v != at && !((x | *acc) & REAL))
-                *acc += x;
+            if (at)
+                acc->real += v == at ? x.real * pen : x.real;
+            else if (ints)
+                acc->word += x.word;
             else
-                add(D, acc, s, v == at, pen);
+                add(D, acc, s);
         }
     }
     sizes[0] = D->ideals;
     sizes[1] = D->k;
-    sizes[2] = D->overflow;
     return 1;
 }

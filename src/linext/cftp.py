@@ -219,10 +219,10 @@ class _Support(tuple):
 def _support_tables(poset: Poset, cap: int) -> _Support | None:
     """The extensions with displacement at most cap, in enumeration order, or
     None at every cap when the order has over SUPPORT_LIMIT extensions; cached
-    either way. No extension moves v right of v - 1 - |below(v)|, so every cap
-    at or above the reach, the largest of those, shares one support: its
-    states' tops tell which coordinates sit at the cap."""
-    reach = max(v - 1 - poset.below_mask(v).bit_count() for v in range(1, poset.n + 1))
+    either way. No displacement passes exact.reach, so every cap at or above
+    it shares one support: its states' tops tell which coordinates sit at the
+    cap."""
+    reach = exact.reach(poset)
     if cap > reach:
         return _support_tables(poset, reach)
     if cap < reach and _support_tables(poset, reach) is None:

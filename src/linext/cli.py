@@ -135,9 +135,10 @@ def _cmd_estimate(args, report: dict) -> str:
     seed = _resolve_seed(args, report)
     est = two_phase(poset, args.epsilon, args.delta, BitStream(seed),
                     parallel=args.parallel, runs_override=args.runs_override)
-    a_hat2 = math.log(est.l_hat2) if est.l_hat2 > 0 else 0.0
+    finite = est.l_hat2 < math.inf  # else L is past the largest double: its log alone
+    a_hat2 = math.log(est.l_hat2) if finite else est.phase2.k / est.phase2.r
     report["results"] = {
-        "estimate": est.l_hat2,
+        "estimate": est.l_hat2 if finite else None,
         "log_estimate": a_hat2,
         "epsilon": est.epsilon,
         "delta": est.delta,
@@ -154,7 +155,8 @@ def _cmd_estimate(args, report: dict) -> str:
         "total_bits_as_printed": total_bits_bound_as_printed(
             poset.n, a_hat2, args.epsilon, args.delta),
     }
-    return f"estimate: L ~ {est.l_hat2:.6g} (r1={est.r1}, r2={est.r2}, seed={seed})"
+    shown = f"L ~ {est.l_hat2:.6g}" if finite else f"ln L ~ {a_hat2:.6g}"
+    return f"estimate: {shown} (r1={est.r1}, r2={est.r2}, seed={seed})"
 
 
 def _cmd_sample(args, report: dict) -> str:

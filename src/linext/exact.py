@@ -17,20 +17,18 @@ made each ideal first; a pair's hash is its source's plus one term, and one
 DP keeps the pass's buffers from layer to layer. Without the kernel it is
 ``_layer_loop``, its reference, a dict keyed by the rows.
 
-A weight is what Python would hold: an exact int while every term added to
-it is an int, and a float from its first float term on, later int terms
-rounded as Python rounds an int added to a float. A layer's weights are rows
-of k uint64 words. An int is the k words little-endian, below 2^(64 k - 1);
-a float x >= 0 is held as -x in the last word, whose sign bit, which no int
-sets, marks it. A weight takes at most hi terms, so k holds hi times the
-largest int of the source layer. The guard stops the pass after the source
-ideal that takes the new ideals past STATE_LIMIT and reports their count.
+A DP has one number type, told by pen. With the int 1 every weight is an
+exact int, a layer's weights rows of k little-endian uint64 words; a weight
+takes at most hi terms, so k holds hi times the largest weight of the source
+layer. With a float pen every weight is a float from the start, 1.0, and a
+layer's weights are one float64 column. The guard stops the pass after the
+source ideal that takes the new ideals past STATE_LIMIT and reports their
+count.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import partial
 
@@ -46,7 +44,6 @@ ENUMERATION_GUARD = 10 ** 6
 KERNEL_SUPPORT_GUARD = 10 ** 4
 _WORD = np.dtype("<u8")
 _FLOAT = np.dtype("<f8")
-_DOUBLE = struct.Struct("<d")
 _kernel = native.KERNEL  # the C layer pass, or None to run _layer_loop
 
 
@@ -57,12 +54,12 @@ def _layered_sum(poset: Poset, cap: int, pen):
     place it. Element v may go at position p + 1 when its predecessors are in
     I, with factor 1 when v < p + 1 + cap, pen when equal, none beyond, so the
     candidates are the unplaced elements in 1..p + cap + 1. pen is the int 1,
-    which scales nothing and gives exact ints, or a float >= 0. GuardError
-    fires once the layer being built holds more than STATE_LIMIT ideals, and,
-    with no band (cap >= n), before any layer when w minimal or w maximal
-    elements put C(w, w // 2) ideals into one layer: those subsets of the
-    minimal elements, or the other elements plus those subsets of the maximal
-    ones."""
+    which scales nothing and gives an exact int, or a float >= 0, which gives
+    a float, summed as Python sums floats from 1.0. GuardError fires once the
+    layer being built holds more than STATE_LIMIT ideals, and, with no band
+    (cap >= n), before any layer when w minimal or w maximal elements put
+    C(w, w // 2) ideals into one layer: those subsets of the minimal elements,
+    or the other elements plus those subsets of the maximal ones."""
     if not (pen == 1 if isinstance(pen, int) else pen >= 0):
         raise LinextError(f"pen must be the int 1 or a float >= 0, not {pen!r}")
     n = poset.n
@@ -77,8 +74,8 @@ def _layered_sum(poset: Poset, cap: int, pen):
     below = np.frombuffer(b"".join(poset.below_mask(v).to_bytes(8 * width, "little")
                                    for v in range(n + 1)), dtype=_WORD).reshape(n + 1, width)
     keys = np.zeros((1, width), dtype=_WORD)
-    weights = np.ones((1, 1), dtype=_WORD)
     scaled = not isinstance(pen, int)  # the int 1 scales nothing: no element is at
+    weights = np.ones((1, 1), dtype=_FLOAT if scaled else _WORD)
     run = partial(_layer_loop, below) if _kernel is None else _kernel.dp_layers(below)
     for p in range(n):
         held, layer = run(keys, weights, min(n, p + cap + 1), p + cap + 1 if scaled else 0, pen,
@@ -91,34 +88,19 @@ def _layered_sum(poset: Poset, cap: int, pen):
 
 
 def _numbers(weights: np.ndarray) -> list:
-    """A layer's weights as Python ints and floats; a one-word layer of only
-    ints or only floats in one numpy step."""
+    """A layer's weights as Python floats or ints."""
     if weights.shape[1] == 1:
-        col = weights[:, 0]
-        signs = col >> 63
-        if not signs.any():
-            return col.tolist()
-        if signs.all():
-            return (-col.view(_FLOAT)).tolist()
+        return weights[:, 0].tolist()
     size = 8 * weights.shape[1]
     raw = weights.tobytes()
-    return [-_DOUBLE.unpack_from(raw, end - 8)[0] if raw[end - 1] & 0x80
-            else int.from_bytes(raw[end - size:end], "little")
-            for end in range(size, len(raw) + 1, size)]
+    return [int.from_bytes(raw[end - size:end], "little") for end in range(size, len(raw) + 1, size)]
 
 
 def _words(numbers: list, k: int) -> np.ndarray:
-    """Python ints and floats as a layer's weights of k words; a one-word
-    layer of only ints or only floats in one numpy step."""
+    """Python ints as a layer's weights of k words."""
     if k == 1:
-        types = set(map(type, numbers))
-        if types == {int}:
-            return np.array(numbers, dtype=_WORD).reshape(len(numbers), 1)
-        if types == {float}:
-            return (-np.array(numbers, dtype=_FLOAT)).view(_WORD).reshape(len(numbers), 1)
-    size = 8 * k
-    return np.frombuffer(b"".join(x.to_bytes(size, "little") if type(x) is int
-                                  else bytes(size - 8) + _DOUBLE.pack(-x) for x in numbers),
+        return np.array(numbers, dtype=_WORD).reshape(len(numbers), 1)
+    return np.frombuffer(b"".join(x.to_bytes(8 * k, "little") for x in numbers),
                          dtype=_WORD).reshape(len(numbers), k)
 
 
@@ -156,10 +138,13 @@ def _layer_loop(below, keys, weights, hi, at, pen, limit):
                 sums[key] = get(key, 0) + (x * pen if v == at else x)
         if len(sums) > limit:
             return len(sums), None
-    bits = max((x.bit_length() for x in sources if type(x) is int), default=0)
     rows = np.frombuffer(b"".join(key.ljust(size, b"\0") for key in sums),
                          dtype=_WORD).reshape(len(sums), keys.shape[1])
-    return len(sums), (rows, _words(list(sums.values()), (bits + hi.bit_length()) // 64 + 1))
+    values = list(sums.values())
+    if weights.dtype == _FLOAT:
+        return len(sums), (rows, np.array(values, dtype=_FLOAT).reshape(len(values), 1))
+    bits = max(x.bit_length() for x in sources)
+    return len(sums), (rows, _words(values, (bits + hi.bit_length()) // 64 + 1))
 
 
 def count_exact(poset: Poset) -> int:
@@ -206,9 +191,18 @@ def enumerate_extensions(poset: Poset, guard: int = ENUMERATION_GUARD,
     return out
 
 
+def reach(poset: Poset) -> int:
+    """The reach: the largest v - 1 - |below(v)|, which bounds the displacement
+    v - p of every element of every extension, as v comes after below(v), at
+    p > |below(v)|."""
+    return max(v - 1 - poset.below_mask(v).bit_count() for v in range(1, poset.n + 1))
+
+
 def partition_z(poset: Poset, bp: BetaParam) -> float:
-    """Exact normalizer: the sum of weights over all linear extensions."""
-    return float(_layered_sum(poset, bp.cap, bp.pen if bp.pen < 1.0 else 1))
+    """Exact normalizer: the sum of weights over all linear extensions. Above
+    the reach no extension meets pen, so Z is the count L, rounded once."""
+    exact_count = bp.pen >= 1.0 or bp.cap > reach(poset)
+    return float(_layered_sum(poset, bp.cap, 1 if exact_count else bp.pen))
 
 
 @dataclass

@@ -23,8 +23,9 @@ draws, counters and the generator state match the Python loops exactly. A
 block of at least 4096 steps (the C ``ENTRIES``) decodes a step by one lookup
 of its next 12 bits in a table built once per draw; shorter blocks and the
 steps that read more than 12 bits are decoded bit by bit, the same bits.
-A DP layer is held in numpy arrays of uint64 words: its ideals' rows and
-their weights, which the pass sums itself. The pass's own buffers, the
+A DP layer is held in numpy arrays: its ideals' rows, in uint64 words, and
+their weights, which the pass sums itself: exact ints in uint64 words when
+pen is the int 1, one float64 each otherwise. The pass's own buffers, the
 table included, belong to one ``dp_layers`` binding and live as long as it,
 so DPs may run in parallel threads, each on its own binding.
 """
@@ -48,8 +49,10 @@ from .poset import Poset
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 CACHE = Path(__file__).with_name("__pycache__")
-FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")  # the compiler flags of a build
-_SIZES = c_int64 * 3  # a DP layer's ideals, words per weight, and 1 if an int passed a double
+# the compiler flags of a build; with -ffp-contract=off a DP term x * pen is
+# rounded before it is added, as Python rounds it
+FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_SIZES = c_int64 * 2  # a DP layer's ideals and words per weight
 _OUT = c_int64 * 4  # a draw's blocks, steps, order tests, and 1 drawn, 0 refused or -1 no memory
 
 
@@ -136,12 +139,14 @@ class Kernel:
         """The C layer pass over one order, whose elements' predecessor rows
         are below: a function of (keys, weights, hi, at, pen, limit) that
         returns what exact._layer_loop(below, ...) does. below is checked and
-        its address taken once. The pass's table, first pairs, weights and
-        pair list are allocated once, grown as layers need, and freed with
-        the function, so one DP's layers reuse them and the function must not
-        run in two threads at once. A layer's rows and weights are made in
-        one array and kept with their addresses, so the next layer, which
-        takes them, neither checks them nor looks their addresses up."""
+        its address taken once. The weights are uint64 words when at is 0
+        and one float64 each when at > 0. The pass's table, first pairs,
+        weights and pair list are allocated once, grown as layers need, and
+        freed with the function, so one DP's layers reuse them and the
+        function must not run in two threads at once. A layer's rows and
+        weights are made in one array and kept with their addresses, so the
+        next layer, which takes them, checks only their weights' type and
+        does not look their addresses up."""
         if not (below.dtype == np.uint64 and below.ndim == 2 and len(below) <= 64 * below.shape[1]
                 and below.flags.c_contiguous):
             raise LinextError("ideal rows and predecessor rows do not fit each other")
@@ -157,27 +162,27 @@ class Kernel:
                   limit: int) -> tuple:
             if not 0 <= hi < len(below):  # below stays referenced while the pass lives
                 raise LinextError("ideal rows and predecessor rows do not fit each other")
-            m = len(keys)
-            if keys is made[0] and weights is made[1]:
+            m, real = len(keys), at > 0
+            if keys is made[0] and weights is made[1] and (weights.dtype == np.float64) == real:
                 keys_at, weights_at = made[2], made[3]
             else:
                 if not (keys.dtype == np.uint64 and keys.ndim == 2 and keys.shape[1] == w
                         and keys.flags.c_contiguous):
                     raise LinextError("ideal rows and predecessor rows do not fit each other")
-                if not (weights.dtype == np.uint64 and weights.ndim == 2 and len(weights) == m
-                        and weights.shape[1] > 0 and weights.flags.c_contiguous):
+                if not (weights.dtype == (np.float64 if real else np.uint64) and weights.ndim == 2
+                        and len(weights) == m and weights.shape[1] > 0
+                        and (not real or weights.shape[1] == 1) and weights.flags.c_contiguous):
                     raise LinextError("weights do not fit the ideal rows")
                 keys_at, weights_at = keys.ctypes.data, weights.ctypes.data
             if not run(dp, keys_at, m, weights_at, weights.shape[1], hi, at, pen, limit, sizes):
                 raise MemoryError("no memory for a layer of the ideal DP")
-            held, k, overflow = sizes
-            if overflow:
-                raise OverflowError("int too large to convert to float")
+            held, k = sizes
             if held > limit:
                 return held, None
             both = np.empty(held * (w + k), dtype=np.uint64)
             rows_at = both.ctypes.data
-            out = both[:held * w].reshape(held, w), both[held * w:].reshape(held, k)
+            sums = both[held * w:].reshape(held, k)
+            out = both[:held * w].reshape(held, w), sums.view(np.float64) if real else sums
             made[:] = *out, rows_at, rows_at + 8 * held * w
             take(dp, *made[2:])  # keys stays referenced until here: dp_take reads its rows
             return held, out

@@ -62,7 +62,8 @@ class TpaRunResult:
 @dataclass
 class TwoPhaseEstimate:
     """Result of the two-phase schedule: the pilot phase, the sized main
-    phase, and aggregate work accounting."""
+    phase, and aggregate work accounting. l_hat2 is exp(k / r) of the main
+    phase, or inf when that is past the largest double."""
 
     epsilon: float
     delta: float
@@ -193,7 +194,10 @@ def two_phase(poset: Poset, epsilon: float, delta: float, stream: BitStream,
     a_hat1 = phase1.k / phase1.r
     r2 = runs_override if runs_override is not None else phase2_runs(a_hat1, epsilon, delta)
     phase2 = tpa_runs(poset, r2, stream.fork("phase/2"), parallel)
-    l_hat2 = math.exp(phase2.k / phase2.r)
+    try:
+        l_hat2 = math.exp(phase2.k / phase2.r)
+    except OverflowError:
+        l_hat2 = math.inf
     stats = CftpStats()
     stats.merge(phase1.stats)
     stats.merge(phase2.stats)

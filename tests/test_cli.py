@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linext import cftp, cli
+from linext import cftp, cli, tpa
+from linext.cftp import CftpStats
 from linext.budgets import (
     sample_bits_bound,
     sample_comparisons_bound,
@@ -124,6 +125,23 @@ def test_estimate_chain_is_one(chain_file):
     assert bounds["comparisons_per_sample"] == sample_comparisons_bound(5)
     assert bounds["total_bits"] == total_bits_bound(5, 0.0, 0.5, 0.2)
     assert bounds["total_bits_as_printed"] == total_bits_bound_as_printed(5, 0.0, 0.5, 0.2)
+
+
+def test_estimate_past_the_largest_double_reports_its_log(chain_file, monkeypatch):
+    # two chains of 600 count C(1200, 600), ln L = 828: runs that tally 828
+    # per run put exp(k / r) past the largest double, so the report gives
+    # k / r alone and no estimate, as valid JSON
+    def tallies(poset, r, stream, parallel=1):
+        return tpa.TpaRunResult(r=r, k=828 * r, beta_traces=[[0.0]] * r, samples_used=0,
+                                stats=CftpStats(), per_run_ks=[828] * r)
+
+    monkeypatch.setattr(tpa, "tpa_runs", tallies)
+    code, out, err = run_cli(["estimate", "--input", chain_file, "--epsilon", "0.5",
+                              "--delta", "0.2", "--seed", "7"])
+    assert code == 0 and "Traceback" not in err
+    results = strict_json(out)["results"]
+    assert results["estimate"] is None and results["log_estimate"] == 828.0
+    assert results["phases"]["phase2"]["k"] == 828 * results["phases"]["phase2"]["r"]
 
 
 def test_estimate_structured_input(pairs_file):
@@ -265,18 +283,22 @@ def test_chain_diag_pinned_gaps(tmp_path):
     # in another order moves it in the last bits (unordered rows give 2.7e-20
     # on the grid at 0.25 and 3.5e-18 on antichain(6) at 0.25); these are the
     # figures of the order chain_kernel keeps: by slot, swap backs first,
-    # then the pair's ascending state.
-    cases = [(grid_poset(3, 4), "0.25,2.3", [0.0, 5.421010862427522e-20]),
-             (antichain_poset(6), "0.25,0.5,2.5", [0.0, 0.0, 0.0]),
-             (antichain_poset(5), "1.3,1.7", [1.734723475976807e-18, 8.673617379884035e-19])]
-    for poset, betas, gaps in cases:
+    # then the pair's ascending state. The normalizers z are the ideal DP's.
+    cases = [(grid_poset(3, 4), "0.25,2.3", [0.0, 5.421010862427522e-20],
+              [1.763916015625, 116.54999999999998]),
+             (antichain_poset(6), "0.25,0.5,2.5", [0.0, 0.0, 0.0], [3.0517578125, 7.59375, 257.25]),
+             (antichain_poset(5), "1.3,1.7", [1.734723475976807e-18, 8.673617379884035e-19],
+              [24.333999999999993, 39.366000000000014])]
+    for poset, betas, gaps, zs in cases:
         path = tmp_path / f"order{poset.n}.posets"
         path.write_text(f"n={poset.n}" + "".join(
             f"; {a}<{b}" for a in range(1, poset.n + 1) for b in range(1, poset.n + 1)
             if poset.less(a, b)))
         code, out, _ = run_cli(["chain-diag", "--input", str(path), "--betas", betas])
         assert code == 0
-        assert [row["stationarity_gap"] for row in json.loads(out)["results"]["kernels"]] == gaps
+        rows = json.loads(out)["results"]["kernels"]
+        assert [row["stationarity_gap"] for row in rows] == gaps
+        assert [row["z"] for row in rows] == zs
 
 
 def _address_space_2gb():

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import time
-from functools import partial
 
 import numpy as np
 import pytest
@@ -175,7 +174,8 @@ def test_count_forest_hook_formula():
 def _dict_layered_sum(poset, cap, pen):
     """Reference: the DP as one dict of ideal bitmasks per layer, summing each
     ideal's weight over its source ideals in layer order and its elements in
-    increasing order, with the per-source-ideal guard on exact.STATE_LIMIT."""
+    increasing order, with the per-source-ideal guard on exact.STATE_LIMIT;
+    ints from 1 at the int pen 1, floats from 1.0 at a float pen."""
     n = poset.n
     if cap >= n:
         w = max(sum(not poset.below_mask(v) for v in range(1, n + 1)),
@@ -188,7 +188,7 @@ def _dict_layered_sum(poset, cap, pen):
     tag = random.Random(n).getrandbits if n > 60 else lambda bits: 0
     moves = [(1 << v, (1 << v) | poset.below_mask(v), (1 << v) + (tag(61) << n + 1))
              for v in range(1, n + 1)]
-    layer = {0: 1}
+    layer = {0: 1 if isinstance(pen, int) else 1.0}
     for p in range(n):
         free, at_cap = moves[:p + cap], moves[p + cap:p + cap + 1]
         nxt = {}
@@ -296,13 +296,13 @@ def test_dp_counts_in_three_words():
         assert type(got) is int and got == math.comb(140, 70)
 
 
-def test_dp_mixes_multi_word_ints_and_floats_as_python_does():
-    # two chains of 70 beside element 141, at cap 71: only 141 at position 70
-    # takes pen, so the ideals of layer 69 hold ints past 2^64, which become
-    # floats there and meet the int sums of the paths that place 141 later,
-    # up to three words; on antichain(70) at cap 2 every ideal takes a term of
-    # pen within a few layers, so its ints stay small
-    _same_sum(_chain_union([70, 70, 1]), 71, 0.3)
+def test_dp_sums_three_word_ints_at_pen_one_and_floats_at_a_fractional_pen():
+    # two chains of 70 beside element 141, at cap 71: at pen 1 the ideals of
+    # layer 69 hold ints past 2^64 and the count takes three words; at pen 0.3
+    # only 141 at position 70 takes pen, and every weight is a float from 1.0
+    # on; on antichain(70) at cap 2 every ideal takes a term of pen
+    for pen in (1, 0.3):
+        _same_sum(_chain_union([70, 70, 1]), 71, pen)
     _same_sum(antichain_poset(70), 2, 0.3)
 
 
@@ -322,34 +322,9 @@ def test_dp_matches_dict_reference_at_word_boundaries(n):
     _same_sum(poset, n, 1)
 
 
-@pytest.mark.parametrize("x", [
-    2 ** 53 + 1, 2 ** 64 + 2 ** 11, 2 ** 64 + 2 ** 11 + 1, 2 ** 64 + 3 * 2 ** 11,
-    2 ** 130 + 2 ** 77, 2 ** 130 + 2 ** 77 + 1, 3 ** 600,
-    2 ** 1024 - 2 ** 970, 2 ** 1024 - 2 ** 970 - 1,  # halfway past, and below, the largest double
-])
-def test_layer_passes_round_an_int_times_pen_as_python_does(x):
-    # one source ideal of weight x and one element at the factor: the new
-    # weight is x * pen, the int rounded to nearest, ties to even, as Python
-    # rounds it, and an int past the largest double raises as Python does
-    keys, below = np.zeros((1, 1), dtype=np.uint64), np.zeros((2, 1), dtype=np.uint64)
-    weights = exact._words([x], x.bit_length() // 64 + 1)
-    for kernel in _layer_passes():
-        layer = partial(exact._layer_loop, below) if kernel is None else kernel.dp_layers(below)
-        try:
-            want = x * 0.75
-        except OverflowError as exc:
-            with pytest.raises(OverflowError, match=str(exc)):
-                layer(keys, weights, 1, 1, 0.75, 10)
-            continue
-        held, (rows, sums) = layer(keys, weights, 1, 1, 0.75, 10)
-        assert held == 1 and rows.tolist() == [[2]]
-        got, = exact._numbers(sums)
-        assert type(got) is float and got == want
-
-
 def test_dp_refuses_a_pen_that_is_not_one_or_a_float_at_least_zero():
-    # a float weight is held with its sign bit as its mark, so pen must not
-    # make it negative, and the pass scales no term by an int pen
+    # the int pen 1 picks the exact int DP, and a weight times a negative pen
+    # is no weight
     for pen in (2, 0, -0.5):
         with pytest.raises(LinextError, match="pen must be"):
             exact._layered_sum(antichain_poset(3), 1, pen)
@@ -368,14 +343,18 @@ def test_kernel_layer_pass_refuses_rows_that_do_not_fit():
 
 @pytest.mark.skipif(exact._kernel is None, reason="no C kernel was built")
 def test_kernel_layer_pass_refuses_weights_that_do_not_fit():
-    # one weight row per ideal row, of uint64 words, at least one of them
+    # one weight row per ideal row: at at = 0 of uint64 words, at least one of
+    # them, and at at > 0 of one float64
     keys, below = np.zeros((2, 1), dtype=np.uint64), np.zeros((3, 1), dtype=np.uint64)
-    for weights in (np.ones((1, 1), dtype=np.uint64), np.ones((3, 1), dtype=np.uint64),
-                    np.ones((2, 1), dtype=np.int64), np.ones((2, 1), dtype=np.float64),
-                    np.ones((2, 0), dtype=np.uint64), np.ones(2, dtype=np.uint64),
-                    np.ones((2, 2), dtype=np.uint64)[:, :1]):
+    for weights, at in ((np.ones((1, 1), dtype=np.uint64), 0), (np.ones((3, 1), dtype=np.uint64), 0),
+                        (np.ones((2, 1), dtype=np.int64), 0), (np.ones((2, 1), dtype=np.float64), 0),
+                        (np.ones((2, 0), dtype=np.uint64), 0), (np.ones(2, dtype=np.uint64), 0),
+                        (np.ones((2, 2), dtype=np.uint64)[:, :1], 0),
+                        (np.ones((2, 1), dtype=np.uint64), 1), (np.ones((2, 2), dtype=np.uint64), 2),
+                        (np.ones((2, 2), dtype=np.float64), 1), (np.ones((3, 1), dtype=np.float64), 1),
+                        (np.ones((2, 2), dtype=np.float64)[:, :1], 1)):
         with pytest.raises(LinextError, match="weights do not fit"):
-            native.KERNEL.dp_layers(below)(keys, weights, 2, 0, 1.0, 10)
+            native.KERNEL.dp_layers(below)(keys, weights, 2, at, 0.5, 10)
 
 
 def test_dp_guard_message_matches_dict_reference(monkeypatch):
@@ -564,6 +543,12 @@ def test_z_matches_enumeration():
                 bp = BetaParam(beta, n)
                 ref = _z_by_enumeration(poset, bp)
                 assert abs(partition_z(poset, bp) - ref) <= 1e-12 * ref
+
+
+def test_z_above_the_reach_is_the_count_rounded_once():
+    # two chains of 70 reach 70, so at cap 140 no extension meets pen: Z is
+    # the exact count C(140, 70), rounded once, not a float sum of its terms
+    assert partition_z(_chain_union([70, 70]), BetaParam(139.5, 140)) == float(math.comb(140, 70))
 
 
 def test_integer_cap_counts_displacement_band():
