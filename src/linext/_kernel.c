@@ -1,7 +1,7 @@
-/* CFTP draws and the ideal DP's layer pass in C, one function per Python
-   loop in cftp.py and exact.py; native.py calls draw and the dp_ functions.
-   A DP's weights are exact multi-word ints when pen is 1 and doubles
-   otherwise, one type per DP (see weight_t).
+/* CFTP draws and the ideal DP in C, one function per Python loop in
+   cftp.py and exact.py; native.py calls draw and dp_sum, each of which runs
+   a whole draw or DP in one call. A DP's weights are exact multi-word ints
+   when pen is 1 and doubles otherwise, one type per DP (see weight_t).
 
    draw runs a whole bounding-chain draw, generate's loop: blocks twice as
    long further into the past until one is constant, then the replay of its
@@ -414,18 +414,18 @@ done:
     return read;
 }
 
-/* The order-ideal DP, one layer per dp_layer call, as exact._layer_loop.
-   dp_open binds an order of rows of w words, below holding the row of each
-   element's predecessors, and the buffers its layers share until dp_close.
-   A layer's keys hold its m source ideals as rows, bit v set when element v
-   is placed, and weights their weights in rows of kin words. For each source
-   ideal in order and each v in 1..hi in increasing order that is unplaced
-   and has every predecessor placed, the pair (source, v) makes the ideal
-   source + v, found by its full row in an open-addressing table; a new ideal
-   takes the next id and the weight 0, and the pair's term, the source's
-   weight, times pen when v is at, is added to it there and then. No row is
-   stored until dp_take: ideal k is the source of the pair that made it first
-   plus its element, so with one-word weights a layer holds 48 to 96 B per
+/* The order-ideal DP, exact._layer_loop, in one dp_sum call: dp_layer
+   builds each layer from the one before, dp_take makes it the next source,
+   and every buffer is dp_open's or grown by the layers, and freed by
+   dp_close before dp_sum returns. A layer's ideals are rows of w words, bit
+   v set when element v is placed, each with a weight. For each source ideal
+   in order and each v in 1..hi in increasing order that is unplaced and has
+   every predecessor placed, the pair (source, v) makes the ideal source + v,
+   found by its full row in an open-addressing table; a new ideal takes the
+   next id and the weight 0, and the pair's term, the source's weight, times
+   pen when v is at, is added to it there and then. No row is stored until
+   dp_take: ideal k is the source of the pair that made it first plus its
+   element, so with one-word weights a layer being built holds 48 to 96 B per
    ideal: its table slot, its first pair and its weight.
 
    A row hashes to the sum over its words of row[j] * K_j mod 2^64, K_j odd
@@ -459,16 +459,18 @@ typedef struct {
 } next_t;  /* an element a source ideal can add, and the hash of the ideal it makes */
 
 typedef struct {
-    const uint64_t *keys, *below;
-    const weight_t *in;
-    int64_t w, kin, k, ideals, slots, shift;
-    uint64_t *salt;  /* K_j per word */
+    uint64_t *below;        /* per element: the row of its predecessors */
+    uint64_t *salt;         /* K_j per word */
+    uint64_t *keys, *rows;  /* the source layer's m rows, and dp_take's for the new layer */
+    weight_t *in, *sum;     /* per ideal: a source's weight in kin words, a new one's in k */
     int32_t *first;  /* per ideal: the source and element that made it first */
-    weight_t *sum;   /* per ideal: its weight in k words */
     slot_t *table;   /* slots long, at most half full */
     next_t *next;    /* a source's pairs */
-    int64_t first_room, sum_room, table_room, next_room;  /* their lengths */
+    int64_t w, m, kin, k, ideals, slots, shift;
+    int64_t keys_room, rows_room, in_room, sum_room, first_room, table_room, next_room;
 } dp_t;
+
+#define SWAP(a, b) do { __typeof__(a) swap_ = a; a = b; b = swap_; } while (0)
 
 /* Word j's K_j, 2 x + 1 for x a bijection of j mod 2^63 (splitmix64's
    finalizer there), so odd and distinct for every j. */
@@ -480,41 +482,47 @@ static uint64_t salt(uint64_t j) {
     return (x ^ (x >> 31)) << 1 | 1;
 }
 
-void dp_close(dp_t *D) {
+static void dp_close(dp_t *D) {
     if (!D)
         return;
+    free(D->below);
     free(D->salt);
-    free(D->first);
+    free(D->keys);
+    free(D->rows);
+    free(D->in);
     free(D->sum);
+    free(D->first);
     free(D->table);
     free(D->next);
     free(D);
 }
 
-/* The DP of the order whose predecessor rows are below, or NULL when memory
-   runs out. */
-dp_t *dp_open(int64_t w, const uint64_t *below) {
+/* The DP of the order of n elements whose rows of w words are order, at its
+   first layer: the empty ideal, of weight 1, or 1.0 when real. Returns NULL
+   when memory runs out. */
+static dp_t *dp_open(int64_t n, const uint64_t *order, int64_t w, int64_t real) {
     dp_t *D = calloc(1, sizeof *D);
-    if (!D || !(D->salt = malloc((size_t)w * sizeof *D->salt))) {
+    if (!D || !(D->salt = malloc((size_t)w * sizeof *D->salt))
+        || !(D->below = calloc((size_t)((n + 1) * w), sizeof *D->below))
+        || !(D->keys = calloc((size_t)w, sizeof *D->keys))
+        || !(D->in = malloc(sizeof *D->in))) {
         dp_close(D);
         return NULL;
     }
     for (int64_t j = 0; j < w; j++)
         D->salt[j] = salt((uint64_t)j);
+    for (int64_t a = 1; a <= n; a++)
+        for (int64_t j = 0; j < w; j++)
+            for (uint64_t x = order[a * w + j]; x; x &= x - 1)
+                D->below[(64 * j + __builtin_ctzll(x)) * w + (a >> 6)] |= 1ULL << (a & 63);
+    if (real)
+        D->in->real = 1.0;
+    else
+        D->in->word = 1;
     D->w = w;
-    D->below = below;
+    D->keys_room = w;
+    D->m = D->kin = D->in_room = 1;
     return D;
-}
-
-/* dp_take writes the last layer's ideals' rows and weights in id order; its
-   source rows must still be in place. */
-void dp_take(const dp_t *D, uint64_t *rows, weight_t *weights) {
-    for (int64_t k = 0; k < D->ideals; k++) {
-        const int32_t *f = D->first + 2 * k;
-        memcpy(rows + k * D->w, D->keys + f[0] * D->w, (size_t)D->w * 8);
-        rows[k * D->w + (f[1] >> 6)] |= 1ULL << (f[1] & 63);
-    }
-    memcpy(weights, D->sum, (size_t)(D->ideals * D->k) * 8);
 }
 
 /* Add source s's int weight into the int weight acc: k fits the sum. */
@@ -634,16 +642,15 @@ static int64_t pairs(dp_t *D, int64_t s, int64_t hi, next_t *list) {
     return count;
 }
 
-/* Build the layer after keys in D's buffers, with a table of at least 32
-   and 2 m slots; stops after the source ideal that takes the ideals past
-   limit. sizes gets (ideals, k). Returns 1, or 0 when memory runs out. A
-   source's pairs are listed, and their table slots prefetched, before any
-   is looked up, so the lookups' cache misses overlap. A double term and a
-   one-word int term into a one-word int weight are added in place; add
-   takes every other. */
-int64_t dp_layer(dp_t *D, const uint64_t *keys, int64_t m, const weight_t *weights, int64_t kin,
-                 int64_t hi, int64_t at, double pen, int64_t limit, int64_t *sizes) {
-    int64_t bits = 0, slots = 32, ints;
+/* Build the layer after the source layer in D's buffers, with a table of at
+   least 32 and 2 m slots; stops after the source ideal that takes the
+   ideals past limit. Returns 1, or 0 when memory runs out. A source's pairs
+   are listed, and their table slots prefetched, before any is looked up, so
+   the lookups' cache misses overlap. A double term and a one-word int term
+   into a one-word int weight are added in place; add takes every other. */
+static int dp_layer(dp_t *D, int64_t hi, int64_t at, double pen, int64_t limit) {
+    const weight_t *weights = D->in;
+    int64_t bits = 0, slots = 32, m = D->m, kin = D->kin, ints;
     next_t *list;
     for (int64_t s = 0; s < m && !at; s++) {
         const weight_t *x = weights + s * kin;
@@ -653,9 +660,6 @@ int64_t dp_layer(dp_t *D, const uint64_t *keys, int64_t m, const weight_t *weigh
         if (64 * j + bit_length(x[j].word) > bits)
             bits = 64 * j + bit_length(x[j].word);
     }
-    D->keys = keys;
-    D->in = weights;
-    D->kin = kin;
     D->k = at ? 1 : (bits + bit_length((uint64_t)hi)) / 64 + 1;
     D->ideals = D->slots = 0;
     ints = kin == 1 && D->k == 1;
@@ -680,7 +684,57 @@ int64_t dp_layer(dp_t *D, const uint64_t *keys, int64_t m, const weight_t *weigh
                 add(D, acc, s);
         }
     }
-    sizes[0] = D->ideals;
-    sizes[1] = D->k;
     return 1;
+}
+
+/* Make the layer just built the source layer: write its ideals' rows in id
+   order, and swap them and its weights with the old source's buffers.
+   Returns 0 when memory runs out. */
+static int dp_take(dp_t *D) {
+    int64_t w = D->w;
+    if (!room(&D->rows, &D->rows_room, D->ideals * w, sizeof *D->rows))
+        return 0;
+    for (int64_t k = 0; k < D->ideals; k++) {
+        const int32_t *f = D->first + 2 * k;
+        memcpy(D->rows + k * w, D->keys + f[0] * w, (size_t)w * 8);
+        D->rows[k * w + (f[1] >> 6)] |= 1ULL << (f[1] & 63);
+    }
+    SWAP(D->keys, D->rows);
+    SWAP(D->keys_room, D->rows_room);
+    SWAP(D->in, D->sum);
+    SWAP(D->in_room, D->sum_room);
+    D->m = D->ideals;
+    D->kin = D->k;
+    return 1;
+}
+
+/* The DP of the order of n elements whose rows of w words are order (bit b
+   of row a set iff a precedes b) at cap: layer p + 1 takes the elements
+   1..min(n, p + cap + 1), with exact ints when real is 0, and doubles with
+   at = p + cap + 1 otherwise. Returns 0 with the weight of the last layer's
+   one ideal, the whole order, in out's size words (an int whose words past
+   size are 0, or a double in out[0]; out is left as it is when the layer is
+   empty), or the layer p whose ideals passed limit, with their count in
+   out[0], or -1 when memory runs out. */
+int64_t dp_sum(int64_t n, const uint64_t *order, int64_t w, int64_t cap, int64_t real, double pen,
+               int64_t limit, int64_t size, uint64_t *out) {
+    dp_t *D = dp_open(n, order, w, real);
+    int64_t p = 0, status = -1;
+    for (; D && p < n; p++) {
+        if (!dp_layer(D, p + cap + 1 < n ? p + cap + 1 : n, real ? p + cap + 1 : 0, pen, limit))
+            break;
+        if (D->ideals > limit) {
+            out[0] = (uint64_t)D->ideals;
+            status = p + 1;
+            break;
+        }
+        if (!dp_take(D))
+            break;
+    }
+    if (D && p == n) {
+        memcpy(out, D->in, (size_t)(D->m ? (D->kin < size ? D->kin : size) : 0) * 8);
+        status = 0;
+    }
+    dp_close(D);
+    return status;
 }

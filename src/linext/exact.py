@@ -4,33 +4,29 @@ built from its own step, which the stationarity check scores.
 
 The count and the normalizer are one layered DP over order ideals, whose cost
 follows the width of the order, not n: it is guarded by the ideals per layer.
-A layer is the ideals as rows of W = n // 64 + 1 little-endian uint64 words
-(bit v set when element v is placed) and a weight per ideal. One pass meets
-every (source ideal, addable element) pair in row-major order, gives each
-pair the ideal it makes, new ideals taking ids in order of first occurrence
-and the weight 0, and adds the pair's term to that ideal's weight there and
-then, so every weight is summed in the same order as a loop over ideals and
-elements would sum it. It returns the new ideals' rows and weights in id
-order. The pass is one C function of the ``native`` kernel, whose
-open-addressing table is keyed by the full rows but holds only the pair that
-made each ideal first; a pair's hash is its source's plus one term, and one
-DP keeps the pass's buffers from layer to layer. Without the kernel it is
-``_layer_loop``, its reference, a dict keyed by the rows.
+A layer is the ideals of one size, each with a weight. Building the next
+layer meets every (source ideal, addable element) pair in row-major order,
+gives each pair the ideal it makes, new ideals taking ids in order of first
+occurrence and the weight 0, and adds the pair's term to that ideal's weight
+there and then, so every weight is summed in the same order as a loop over
+ideals and elements would sum it. The whole DP is one call of the
+``native`` kernel, which holds an ideal as a row of W = n // 64 + 1 uint64
+words (bit v set when element v is placed) in an open-addressing table
+keyed by the full rows that holds only the pair that made each ideal first;
+a pair's hash is its source's plus one term. Without the kernel it is
+``_layer_loop``, its reference, a dict per layer keyed by the rows.
 
 A DP has one number type, told by pen. With the int 1 every weight is an
-exact int, a layer's weights rows of k little-endian uint64 words; a weight
-takes at most hi terms, so k holds hi times the largest weight of the source
-layer. With a float pen every weight is a float from the start, 1.0, and a
-layer's weights are one float64 column. The guard stops the pass after the
-source ideal that takes the new ideals past STATE_LIMIT and reports their
-count.
+exact int; with a float pen every weight is a float from the start, 1.0.
+The guard stops a layer after the source ideal that takes its ideals past
+STATE_LIMIT and reports their count.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -42,9 +38,7 @@ from .poset import Poset
 STATE_LIMIT = 10 ** 6  # most order ideals in one layer of the exact DP
 ENUMERATION_GUARD = 10 ** 6
 KERNEL_SUPPORT_GUARD = 10 ** 4
-_WORD = np.dtype("<u8")
-_FLOAT = np.dtype("<f8")
-_kernel = native.KERNEL  # the C layer pass, or None to run _layer_loop
+_kernel = native.KERNEL  # the C DP, or None to run _layer_loop
 
 
 def _layered_sum(poset: Poset, cap: int, pen):
@@ -70,81 +64,52 @@ def _layered_sum(poset: Poset, cap: int, pen):
             raise GuardError(f"n={n} too large: {w} minimal or maximal elements put "
                              f"C({w}, {w // 2}) ideals in one layer, over the limit "
                              f"{STATE_LIMIT}")
-    width = n // 64 + 1
-    below = np.frombuffer(b"".join(poset.below_mask(v).to_bytes(8 * width, "little")
-                                   for v in range(n + 1)), dtype=_WORD).reshape(n + 1, width)
-    keys = np.zeros((1, width), dtype=_WORD)
+    run = _layer_loop if _kernel is None else _kernel.dp_sum
+    layer, value = run(poset, cap, pen, STATE_LIMIT)
+    if layer:
+        raise GuardError(f"n={n} too large: {value} ideals in layer {layer}, "
+                         f"over the limit {STATE_LIMIT}")
+    return value
+
+
+def _layer_loop(poset: Poset, cap: int, pen, limit: int) -> tuple:
+    """The DP of _layered_sum, as (0, the sum), or (p, the ideals held) when
+    layer p passes limit; one dict per layer, from each ideal to its weight,
+    in order of first occurrence. Layer p + 1 meets each source ideal of
+    layer p in order and each element v in 1..min(n, p + cap + 1) in
+    increasing order that is unplaced with every predecessor placed, and adds
+    the source's weight, times pen when pen is a float and v is p + cap + 1,
+    to the ideal they make, a new one starting at 0. It stops after the
+    source ideal that takes it past limit. The ideals are keyed by their
+    rows' bytes less trailing zeros: unlike an int's, their hash does not
+    fold bit v + 61 onto bit v, and an ideal of low elements takes few bytes
+    (a guard trip at n = 2000 peaks at about 260 MB)."""
+    n = poset.n
+    size = 8 * (n // 64 + 1)
+    need = [poset.below_mask(v) | 1 << v for v in range(n + 1)]  # v's bit and its predecessors'
     scaled = not isinstance(pen, int)  # the int 1 scales nothing: no element is at
-    weights = np.ones((1, 1), dtype=_FLOAT if scaled else _WORD)
-    run = partial(_layer_loop, below) if _kernel is None else _kernel.dp_layers(below)
+    zero = 0.0 if scaled else 0
+    layer: dict[bytes, int | float] = {b"": zero + 1}
     for p in range(n):
-        held, layer = run(keys, weights, min(n, p + cap + 1), p + cap + 1 if scaled else 0, pen,
-                          STATE_LIMIT)
-        if layer is None:
-            raise GuardError(f"n={n} too large: {held} ideals in layer {p + 1}, "
-                             f"over the limit {STATE_LIMIT}")
-        keys, weights = layer
-    return sum(_numbers(weights))
-
-
-def _numbers(weights: np.ndarray) -> list:
-    """A layer's weights as Python floats or ints."""
-    if weights.shape[1] == 1:
-        return weights[:, 0].tolist()
-    size = 8 * weights.shape[1]
-    raw = weights.tobytes()
-    return [int.from_bytes(raw[end - size:end], "little") for end in range(size, len(raw) + 1, size)]
-
-
-def _words(numbers: list, k: int) -> np.ndarray:
-    """Python ints as a layer's weights of k words."""
-    if k == 1:
-        return np.array(numbers, dtype=_WORD).reshape(len(numbers), 1)
-    return np.frombuffer(b"".join(x.to_bytes(8 * k, "little") for x in numbers),
-                         dtype=_WORD).reshape(len(numbers), k)
-
-
-def _layer_loop(below, keys, weights, hi, at, pen, limit):
-    """The layer after keys, as (held, (rows, weights)): each pair of a source
-    ideal (in layer order) and an element v in 1..hi (in increasing order)
-    that is unplaced with every predecessor placed adds the source's weight,
-    times pen when v is at, to the ideal it makes, a new ideal taking the next
-    id and the weight 0; then the held ideals' rows and weights in id order.
-    Stops after the source ideal that takes the held ideals past limit, with
-    None for the arrays. The ideals are keyed by their rows' bytes less
-    trailing zeros: unlike an int's, their hash does not fold bit v + 61 onto
-    bit v, and an ideal of low elements takes few bytes (a guard trip at
-    n = 2000 peaks at about 260 MB)."""
-    size = 8 * keys.shape[1]
-    raw, raw_below = keys.tobytes(), below.tobytes()
-    need: dict[int, int] = {}  # v's bit and its predecessors', for the v met so far
-    window = (2 << hi) - 2
-    sums: dict[bytes, int | float] = {}  # the ideals in order of first occurrence
-    get = sums.get
-    sources = _numbers(weights)
-    for s, x in enumerate(sources):
-        ideal = int.from_bytes(raw[s * size:(s + 1) * size], "little")
-        missing = ~ideal
-        rest = missing & window
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            req = need.get(v)
-            if req is None:
-                req = need[v] = int.from_bytes(raw_below[v * size:(v + 1) * size], "little") | low
-            if req & missing == low:
-                key = (ideal | low).to_bytes(size, "little").rstrip(b"\0")
-                sums[key] = get(key, 0) + (x * pen if v == at else x)
-        if len(sums) > limit:
-            return len(sums), None
-    rows = np.frombuffer(b"".join(key.ljust(size, b"\0") for key in sums),
-                         dtype=_WORD).reshape(len(sums), keys.shape[1])
-    values = list(sums.values())
-    if weights.dtype == _FLOAT:
-        return len(sums), (rows, np.array(values, dtype=_FLOAT).reshape(len(values), 1))
-    bits = max(x.bit_length() for x in sources)
-    return len(sums), (rows, _words(values, (bits + hi.bit_length()) // 64 + 1))
+        hi, at = min(n, p + cap + 1), p + cap + 1 if scaled else 0
+        window = (2 << hi) - 2
+        sums: dict[bytes, int | float] = {}  # the ideals in order of first occurrence
+        get = sums.get
+        for key, x in layer.items():
+            ideal = int.from_bytes(key, "little")
+            missing = ~ideal
+            rest = missing & window
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                if need[v] & missing == low:
+                    key = (ideal | low).to_bytes(size, "little").rstrip(b"\0")
+                    sums[key] = get(key, 0) + (x * pen if v == at else x)
+            if len(sums) > limit:
+                return p + 1, len(sums)
+        layer = sums
+    return 0, sum(layer.values(), zero)
 
 
 def count_exact(poset: Poset) -> int:
@@ -200,9 +165,13 @@ def reach(poset: Poset) -> int:
 
 def partition_z(poset: Poset, bp: BetaParam) -> float:
     """Exact normalizer: the sum of weights over all linear extensions. Above
-    the reach no extension meets pen, so Z is the count L, rounded once."""
+    the reach no extension meets pen, so Z is the count L, rounded once.
+    GuardError fires when Z passes the largest double."""
     exact_count = bp.pen >= 1.0 or bp.cap > reach(poset)
-    return float(_layered_sum(poset, bp.cap, 1 if exact_count else bp.pen))
+    z = _layered_sum(poset, bp.cap, 1 if exact_count else bp.pen)
+    if z > sys.float_info.max:
+        raise GuardError(f"Z at beta {bp.beta} passes the largest double, {sys.float_info.max}")
+    return float(z)
 
 
 @dataclass

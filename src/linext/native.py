@@ -1,5 +1,5 @@
-"""The C kernel for CFTP draws and the ideal DP's layers: built once, opened
-at import, shared by ``cftp`` and ``exact`` as ``KERNEL``.
+"""The C kernel for CFTP draws and the ideal DP: built once, opened at
+import, shared by ``cftp`` and ``exact`` as ``KERNEL``.
 
 ``build`` compiles ``_kernel.c`` with the system C compiler, with no fused
 multiply-add (the DP's float sums round as Python's do), into the package's
@@ -11,8 +11,8 @@ and callers then run the Python loops. A cached kernel costs a hash, a stat and
 opening the object, well under 1 ms.
 
 A Kernel's methods take and return what ``cftp._bounding_draw`` and
-``exact._layer_loop`` do, the latter bound once per order (``dp_layers``).
-``draw`` runs a whole bounding-chain draw in one C call: each block is
+``exact._layer_loop`` do, each in one C call, which releases the interpreter
+lock. ``draw`` runs a whole bounding-chain draw in one C call: each block is
 decoded with the bound run through it in one pass, and the blocks are kept as
 arrays of uint32, two words a step (the packed step and the bound's right
 entry before it), for the replay. The call makes the stream's bits itself,
@@ -23,24 +23,23 @@ draws, counters and the generator state match the Python loops exactly. A
 block of at least 4096 steps (the C ``ENTRIES``) decodes a step by one lookup
 of its next 12 bits in a table built once per draw; shorter blocks and the
 steps that read more than 12 bits are decoded bit by bit, the same bits.
-A DP layer is held in numpy arrays: its ideals' rows, in uint64 words, and
-their weights, which the pass sums itself: exact ints in uint64 words when
-pen is the int 1, one float64 each otherwise. The pass's own buffers, the
-table included, belong to one ``dp_layers`` binding and live as long as it,
-so DPs may run in parallel threads, each on its own binding.
+``dp_sum`` runs a whole ideal DP, every layer of it, and returns the one
+sum: exact ints in uint64 words when pen is the int 1, doubles otherwise.
+Its layers live in buffers of its own, freed before it returns, so DPs may
+run in parallel threads.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
-import weakref
+import sys
+from array import array
 from ctypes import POINTER, c_double, c_int32, c_int64, c_uint64, c_void_p
 from functools import lru_cache
 from pathlib import Path
-
-import numpy as np
 
 from .bitrng import BitStream
 from .chain import BetaParam
@@ -52,7 +51,6 @@ CACHE = Path(__file__).with_name("__pycache__")
 # the compiler flags of a build; with -ffp-contract=off a DP term x * pen is
 # rounded before it is added, as Python rounds it
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-_SIZES = c_int64 * 2  # a DP layer's ideals and words per weight
 _OUT = c_int64 * 4  # a draw's blocks, steps, order tests, and 1 drawn, 0 refused or -1 no memory
 
 
@@ -89,14 +87,15 @@ def _compile(cc: str, source: Path, path: Path) -> None:
 def _rows(poset: Poset) -> tuple:
     """The order as rows of w 64-bit words, row a holding raw_masks[a], and w."""
     w = poset.n // 64 + 1
-    words = [(mask >> (64 * j)) & 0xFFFF_FFFF_FFFF_FFFF
-             for mask in poset.raw_masks for j in range(w)]
-    return (c_uint64 * len(words))(*words), w
+    words = array("Q", b"".join(mask.to_bytes(8 * w, "little") for mask in poset.raw_masks))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return (c_uint64 * len(words)).from_buffer_copy(words), w
 
 
 class Kernel:
     """The functions of the shared object at path, for the bounding chain's
-    draws and the ideal DP's layers; opening it raises OSError when the file
+    draws and the ideal DP; opening it raises OSError when the file
     is not a loadable object."""
 
     def __init__(self, path: str):
@@ -105,17 +104,9 @@ class Kernel:
         lib.draw.argtypes = (c_void_p, c_void_p, c_void_p, c_int64, c_double, c_int64,
                              POINTER(c_uint64), c_int64, c_int64, c_int64, POINTER(c_int32), _OUT)
         lib.draw.restype = c_int64
-        # numpy arrays pass as addresses: data_as, like a ctypes array type
-        # made per call, leaves a reference cycle
-        lib.dp_open.argtypes = (c_int64, c_void_p)
-        lib.dp_open.restype = c_void_p
-        lib.dp_layer.argtypes = (c_void_p, c_void_p, c_int64, c_void_p, c_int64, c_int64, c_int64,
-                                 c_double, c_int64, _SIZES)
-        lib.dp_layer.restype = c_int64
-        lib.dp_take.argtypes = (c_void_p, c_void_p, c_void_p)
-        lib.dp_take.restype = None
-        lib.dp_close.argtypes = (c_void_p,)
-        lib.dp_close.restype = None
+        lib.dp_sum.argtypes = (c_int64, POINTER(c_uint64), c_int64, c_int64, c_int64, c_double,
+                               c_int64, c_int64, c_void_p)
+        lib.dp_sum.restype = c_int64
 
     def draw(self, t: int, stream: BitStream, poset: Poset, bp: BetaParam,
              max_steps: int) -> tuple:
@@ -135,60 +126,27 @@ class Kernel:
             raise MemoryError("no memory for a draw's blocks")
         return (sample[:] if status else None), steps, levels, probes
 
-    def dp_layers(self, below: np.ndarray):
-        """The C layer pass over one order, whose elements' predecessor rows
-        are below: a function of (keys, weights, hi, at, pen, limit) that
-        returns what exact._layer_loop(below, ...) does. below is checked and
-        its address taken once. The weights are uint64 words when at is 0
-        and one float64 each when at > 0. The pass's table, first pairs,
-        weights and pair list are allocated once, grown as layers need, and
-        freed with the function, so one DP's layers reuse them and the
-        function must not run in two threads at once. A layer's rows and
-        weights are made in one array and kept with their addresses, so the
-        next layer, which takes them, checks only their weights' type and
-        does not look their addresses up."""
-        if not (below.dtype == np.uint64 and below.ndim == 2 and len(below) <= 64 * below.shape[1]
-                and below.flags.c_contiguous):
-            raise LinextError("ideal rows and predecessor rows do not fit each other")
-        w = below.shape[1]
-        lib, sizes = self._lib, _SIZES()
-        run, take = lib.dp_layer, lib.dp_take
-        dp = lib.dp_open(w, below.ctypes.data)
-        if not dp:
+    def dp_sum(self, poset: Poset, cap: int, pen, limit: int) -> tuple:
+        """As exact._layer_loop, in one C call: (0, the sum), or (p, the
+        ideals held) when layer p passes limit."""
+        n = poset.n
+        rows, w = _rows(poset)
+        real = not isinstance(pen, int)
+        # words for L <= n!; an array, as a ctypes array type made per call
+        # leaves a reference cycle
+        out = array("Q", bytes(8 * (math.factorial(n).bit_length() // 64 + 1)))
+        # a cap of n or more bands nothing, and min keeps p + cap + 1 in int64
+        layer = self._lib.dp_sum(n, rows, w, min(cap, n), real, pen, limit, len(out),
+                                 out.buffer_info()[0])
+        if layer < 0:
             raise MemoryError("no memory for the ideal DP")
-        made = [None, None, 0, 0]  # the last layer's rows and weights, and their addresses
-
-        def layer(keys: np.ndarray, weights: np.ndarray, hi: int, at: int, pen: float,
-                  limit: int) -> tuple:
-            if not 0 <= hi < len(below):  # below stays referenced while the pass lives
-                raise LinextError("ideal rows and predecessor rows do not fit each other")
-            m, real = len(keys), at > 0
-            if keys is made[0] and weights is made[1] and (weights.dtype == np.float64) == real:
-                keys_at, weights_at = made[2], made[3]
-            else:
-                if not (keys.dtype == np.uint64 and keys.ndim == 2 and keys.shape[1] == w
-                        and keys.flags.c_contiguous):
-                    raise LinextError("ideal rows and predecessor rows do not fit each other")
-                if not (weights.dtype == (np.float64 if real else np.uint64) and weights.ndim == 2
-                        and len(weights) == m and weights.shape[1] > 0
-                        and (not real or weights.shape[1] == 1) and weights.flags.c_contiguous):
-                    raise LinextError("weights do not fit the ideal rows")
-                keys_at, weights_at = keys.ctypes.data, weights.ctypes.data
-            if not run(dp, keys_at, m, weights_at, weights.shape[1], hi, at, pen, limit, sizes):
-                raise MemoryError("no memory for a layer of the ideal DP")
-            held, k = sizes
-            if held > limit:
-                return held, None
-            both = np.empty(held * (w + k), dtype=np.uint64)
-            rows_at = both.ctypes.data
-            sums = both[held * w:].reshape(held, k)
-            out = both[:held * w].reshape(held, w), sums.view(np.float64) if real else sums
-            made[:] = *out, rows_at, rows_at + 8 * held * w
-            take(dp, *made[2:])  # keys stays referenced until here: dp_take reads its rows
-            return held, out
-
-        weakref.finalize(layer, lib.dp_close, dp)
-        return layer
+        if layer:
+            return layer, out[0]
+        if real:
+            return 0, array("d", out[:1].tobytes())[0]
+        if sys.byteorder == "big":  # native words, the least significant first
+            out.byteswap()
+        return 0, int.from_bytes(out, "little")
 
 
 KERNEL = build()  # the C loops, or None to run the Python ones

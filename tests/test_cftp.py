@@ -873,7 +873,9 @@ def test_kernel_loads_when_a_compiler_is_present(tmp_path, pytestconfig):
     kernel = native.build(cache=tmp_path)
     assert kernel is not None
     assert native.build(cache=tmp_path, cc=str(tmp_path / "no-cc")).path == kernel.path
-    assert kernel._lib.draw is not None and kernel._lib.dp_layer is not None
+    assert kernel._lib.draw is not None and kernel._lib.dp_sum is not None
+    for name in ("dp_open", "dp_layer", "dp_take", "dp_close"):  # static: a DP is one call
+        assert not hasattr(kernel._lib, name)
 
 
 def test_kernel_cache_is_keyed_on_the_flags(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -27,7 +28,7 @@ from linext import (
     stationarity_gap,
     weight,
 )
-from linext import catalog, exact, native
+from linext import catalog, exact
 from linext.catalog import antichain_poset, chain_poset, grid_poset, random_poset
 
 from conftest import SMALL_POSET_BUILDERS, brute_force_extensions, grid_hook_count, max_displacement
@@ -169,7 +170,7 @@ def test_count_forest_hook_formula():
         assert count_exact(poset) == hook
 
 
-# -- the layer passes against the dict DP ----------------------------------------
+# -- both DP paths against the dict DP -------------------------------------------
 
 def _dict_layered_sum(poset, cap, pen):
     """Reference: the DP as one dict of ideal bitmasks per layer, summing each
@@ -213,12 +214,12 @@ _PENS = (1, 0.5, 0.75, 0.3)
 
 
 def _layer_passes():
-    """The C layer pass when the kernel is in use, then the Python loop."""
+    """The C DP when the kernel is in use, then the Python loop."""
     return [k for k in (exact._kernel,) if k is not None] + [None]
 
 
 def _each_layer_pass(dp, *args):
-    """dp(*args) with each layer pass, as a result or the GuardError message."""
+    """dp(*args) with each DP path, as a result or the GuardError message."""
     out = []
     for kernel in _layer_passes():
         with pytest.MonkeyPatch.context() as mp:
@@ -330,33 +331,6 @@ def test_dp_refuses_a_pen_that_is_not_one_or_a_float_at_least_zero():
             exact._layered_sum(antichain_poset(3), 1, pen)
 
 
-@pytest.mark.skipif(exact._kernel is None, reason="no C kernel was built")
-def test_kernel_layer_pass_refuses_rows_that_do_not_fit():
-    # the pass reads the arrays through raw pointers, so a width or a window
-    # that does not fit them is refused before the call
-    keys, weights = np.zeros((1, 1), dtype=np.uint64), np.ones((1, 1), dtype=np.uint64)
-    for below, hi in ((np.zeros((3, 2), dtype=np.uint64), 2), (np.zeros((3, 1), dtype=np.uint64), 3),
-                      (np.zeros((3, 1), dtype=np.int64), 2)):
-        with pytest.raises(LinextError, match="do not fit"):
-            native.KERNEL.dp_layers(below)(keys, weights, hi, 0, 1.0, 10)
-
-
-@pytest.mark.skipif(exact._kernel is None, reason="no C kernel was built")
-def test_kernel_layer_pass_refuses_weights_that_do_not_fit():
-    # one weight row per ideal row: at at = 0 of uint64 words, at least one of
-    # them, and at at > 0 of one float64
-    keys, below = np.zeros((2, 1), dtype=np.uint64), np.zeros((3, 1), dtype=np.uint64)
-    for weights, at in ((np.ones((1, 1), dtype=np.uint64), 0), (np.ones((3, 1), dtype=np.uint64), 0),
-                        (np.ones((2, 1), dtype=np.int64), 0), (np.ones((2, 1), dtype=np.float64), 0),
-                        (np.ones((2, 0), dtype=np.uint64), 0), (np.ones(2, dtype=np.uint64), 0),
-                        (np.ones((2, 2), dtype=np.uint64)[:, :1], 0),
-                        (np.ones((2, 1), dtype=np.uint64), 1), (np.ones((2, 2), dtype=np.uint64), 2),
-                        (np.ones((2, 2), dtype=np.float64), 1), (np.ones((3, 1), dtype=np.float64), 1),
-                        (np.ones((2, 2), dtype=np.float64)[:, :1], 1)):
-        with pytest.raises(LinextError, match="weights do not fit"):
-            native.KERNEL.dp_layers(below)(keys, weights, 2, at, 0.5, 10)
-
-
 def test_dp_guard_message_matches_dict_reference(monkeypatch):
     monkeypatch.setattr(exact, "STATE_LIMIT", 100)
     poset = _bottom_middle_top(12)
@@ -364,6 +338,31 @@ def test_dp_guard_message_matches_dict_reference(monkeypatch):
     with pytest.raises(GuardError) as exc:
         _dict_layered_sum(poset, poset.n, 1)
     assert messages == [str(exc.value)] * len(messages)
+
+
+@pytest.mark.skipif(exact._kernel is None, reason="no C kernel was built")
+def test_dps_in_threads_sum_as_they_do_alone():
+    # the kernel's DP call releases the interpreter lock and owns its
+    # buffers, so two threads running DPs at once get the serial sums
+    jobs = [(count_exact, antichain_poset(18)), (partition_z, grid_poset(4, 6), BetaParam(2.3, 24))]
+    alone = [f(*args) for f, *args in jobs]
+    got = [None, None]
+
+    def run(j):
+        got[j] = [[f(*args) for f, *args in jobs] for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(j,)) for j in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [[alone] * 3] * 2
 
 
 def test_z_small_cap_on_wide_order_follows_the_band():
@@ -549,6 +548,14 @@ def test_z_above_the_reach_is_the_count_rounded_once():
     # two chains of 70 reach 70, so at cap 140 no extension meets pen: Z is
     # the exact count C(140, 70), rounded once, not a float sum of its terms
     assert partition_z(_chain_union([70, 70]), BetaParam(139.5, 140)) == float(math.comb(140, 70))
+
+
+@pytest.mark.parametrize("beta", [1030.0, 514.5])
+def test_z_past_the_largest_double_is_refused(beta):
+    # two chains of 515 have C(1030, 515) > 1.8e308 extensions: at beta 1030
+    # Z is that int, at beta 514.5 a float sum that passes the largest double
+    with pytest.raises(GuardError, match="passes the largest double, 1.7976931348623157e\\+308"):
+        partition_z(_chain_union([515, 515]), BetaParam(beta, 1030))
 
 
 def test_integer_cap_counts_displacement_band():
