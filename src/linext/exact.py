@@ -26,14 +26,17 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import native
 from .chain import BetaParam, _sigma_step_inplace, weight
 from .errors import GuardError, LinextError
 from .poset import Poset
+
+if TYPE_CHECKING:
+    import numpy as np
 
 STATE_LIMIT = 10 ** 6  # most order ideals in one layer of the exact DP
 ENUMERATION_GUARD = 10 ** 6
@@ -80,32 +83,63 @@ def _layer_loop(poset: Poset, cap: int, pen, limit: int) -> tuple:
     increasing order that is unplaced with every predecessor placed, and adds
     the source's weight, times pen when pen is a float and v is p + cap + 1,
     to the ideal they make, a new one starting at 0. It stops after the
-    source ideal that takes it past limit. The ideals are keyed by their
-    rows' bytes less trailing zeros: unlike an int's, their hash does not
-    fold bit v + 61 onto bit v, and an ideal of low elements takes few bytes
-    (a guard trip at n = 2000 peaks at about 260 MB)."""
+    source ideal that takes it past limit. Those elements, an ideal's
+    addable set, are worked out when the ideal is met as a source: they are
+    those of the source of its first pair (t, v), less v, plus the upper
+    covers of v whose predecessors are now all placed. So a source meets
+    only its addable elements, and a new ideal holds only its first pair
+    until then. The ideals are keyed by their rows' bytes less trailing
+    zeros: unlike an int's, their hash does not fold bit v + 61 onto bit v,
+    and an ideal of low elements takes few bytes (a guard trip at n = 2000
+    peaks at about 240 MB)."""
     n = poset.n
     size = 8 * (n // 64 + 1)
-    need = [poset.below_mask(v) | 1 << v for v in range(n + 1)]  # v's bit and its predecessors'
+    above, below = poset.raw_masks, [poset.below_mask(v) for v in range(n + 1)]
+    # per v, (bit, predecessors) of each upper cover: taking the lowest successor
+    # left and dropping its successors finds them all, and no other when the
+    # labels are a linear extension
+    ups = []
+    for v in range(n + 1):
+        rest, up = above[v], []
+        while rest:
+            low = rest & -rest
+            f = low.bit_length() - 1
+            up.append((low, below[f]))
+            rest &= ~(above[f] | low)
+        ups.append(up)
     scaled = not isinstance(pen, int)  # the int 1 scales nothing: no element is at
     zero = 0.0 if scaled else 0
     layer: dict[bytes, int | float] = {b"": zero + 1}
+    # the empty ideal's first pair is (0, 0), from a source that could add 0 and
+    # the minimal elements; element 0 has no covers
+    adds = [1 | sum(1 << v for v in range(1, n + 1) if not below[v])]
+    firsts = array("q", [0])  # t * (n + 1) + v of the pair (t, v) that made each first
     for p in range(n):
         hi, at = min(n, p + cap + 1), p + cap + 1 if scaled else 0
         window = (2 << hi) - 2
         sums: dict[bytes, int | float] = {}  # the ideals in order of first occurrence
         get = sums.get
-        for key, x in layer.items():
+        made, sources, adds, firsts = firsts, adds, [], array("q")
+        for s, (key, x) in enumerate(layer.items()):
             ideal = int.from_bytes(key, "little")
-            missing = ~ideal
-            rest = missing & window
+            t, v = divmod(made[s], n + 1)
+            add = sources[t] ^ 1 << v
+            for bit, pred in ups[v]:
+                if pred & ideal == pred:
+                    add |= bit
+            adds.append(add)
+            rest = add & window
             while rest:
                 low = rest & -rest
                 rest ^= low
                 v = low.bit_length() - 1
-                if need[v] & missing == low:
-                    key = (ideal | low).to_bytes(size, "little").rstrip(b"\0")
-                    sums[key] = get(key, 0) + (x * pen if v == at else x)
+                key = (ideal | low).to_bytes(size, "little").rstrip(b"\0")
+                y = get(key)
+                if y is None:
+                    sums[key] = x * pen if v == at else x
+                    firsts.append(s * (n + 1) + v)
+                else:
+                    sums[key] = y + (x * pen if v == at else x)
             if len(sums) > limit:
                 return p + 1, len(sums)
         layer = sums
@@ -196,6 +230,8 @@ def chain_kernel(poset: Poset, bp: BetaParam) -> KernelMatrix:
     destination of a swap back. A support of more than KERNEL_SUPPORT_GUARD
     states, counted by the ideal DP at bp.cap, is refused before any
     extension is enumerated."""
+    import numpy as np
+
     size = _layered_sum(poset, bp.cap, 1)
     if size > KERNEL_SUPPORT_GUARD:
         raise GuardError(f"support size {size} exceeds {KERNEL_SUPPORT_GUARD}")
@@ -228,6 +264,8 @@ def stationarity_gap(kernel: KernelMatrix, poset: Poset, bp: BetaParam) -> float
     """Largest |inflow - outflow| of pi over the kernel's transitions, pi the
     normalized weights over its support: the max-norm of pi P - pi. The chain
     design is correct iff this is ~0 (<= 1e-10)."""
+    import numpy as np
+
     w = np.array([weight(s, bp) for s in kernel.support])
     pi = w / w.sum()
     flow = pi[kernel.src] * kernel.prob

@@ -2,21 +2,22 @@
 a comparison counter, and linear-extension recognition.
 
 Elements are the integers 1..n throughout. The order is stored as its transitive
-closure so that a single comparison is an O(1) bit probe. Every comparison made
-on behalf of a sampler is tallied in ``query_count``; this is the comparison
-budget the samplers report.
+closure so that a single comparison is an O(1) bit probe, as one int mask of
+successors and one of predecessors per element. The predecessor masks and the
+canonical relabeling transpose the masks as one binary string, and pairs are
+listed from a mask's binary digits, so loading an order imports no numpy.
+Every comparison made on behalf of a sampler is tallied in ``query_count``;
+this is the comparison budget the samplers report.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from itertools import compress, count
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CycleError, GuardError, ParseError
 
@@ -40,7 +41,7 @@ class Poset:
             raise ParseError("poset needs at least one element")
         self.n = n
         self._above = tuple(above)
-        self._below = _masks(_bit_matrix(self._above, n).T)
+        self._below = _transpose(self._above, n)
         self._qcount = 0
         self._qlock = threading.Lock()
         self._identity_ext = all(
@@ -80,8 +81,7 @@ class Poset:
 
     def relation_pairs(self) -> list[Pair]:
         """All pairs (a, b) of the transitive closure, sorted."""
-        rows, cols = np.nonzero(_bit_matrix(self._above, self.n))
-        return list(zip(rows.tolist(), cols.tolist()))
+        return [(a, b) for a in range(1, self.n + 1) for b in _pick(count(), self._above[a])]
 
     def is_linear_extension(self, sigma: Sequence[int]) -> bool:
         """True iff sigma is a permutation of 1..n with no pair inverted against
@@ -98,10 +98,10 @@ class Poset:
 
     def digest(self) -> str:
         """Stable hash of (n, closure); identifies the instance in reports."""
-        bits = _bit_matrix(self._above, self.n)
+        names = [str(b) for b in range(self.n + 1)]
         payload = f"{self.n};" + ";".join(
-            f"{a}<" + f";{a}<".join(map(str, np.flatnonzero(bits[a]).tolist()))
-            for a in range(1, self.n + 1) if self._above[a])
+            f"{a}<" + f";{a}<".join(_pick(names, mask))
+            for a, mask in enumerate(self._above) if mask)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def __repr__(self) -> str:
@@ -250,44 +250,53 @@ def canonicalize(poset: Poset) -> tuple[Poset, Relabeling]:
 
     Repeatedly removes the smallest-id minimal element; the k-th element
     removed gets canonical label k. Downstream samplers assume this canonical
-    form (the home extension is then the identity).
+    form (the home extension is then the identity). The minimal elements are
+    those of the rest that no successor mask of the rest holds; a tree of ORs
+    over the successor masks keeps that union at O(log n) ORs per removal.
     """
-    n = poset.n
-    bits = _bit_matrix(poset.raw_masks, n)
-    rows, cols = np.nonzero(bits)  # the closure's pairs, grouped by their first element
-    first = np.searchsorted(rows, np.arange(n + 2)).tolist()
-    cols = cols.tolist()
-    indegree = bits.sum(axis=0).tolist()
-    minimal = [e for e in range(1, n + 1) if indegree[e] == 0]  # sorted, so a heap
+    n, above = poset.n, poset.raw_masks
+    size = 1 << n.bit_length()  # leaves 0..n, padded to a power of two
+    tree = [0] * size + list(above) + [0] * (size - n - 1)
+    for i in range(size - 1, 0, -1):
+        tree[i] = tree[2 * i] | tree[2 * i + 1]
+    rest = (2 << n) - 2
     canon_to_orig = [0]
-    while minimal:
-        e = heapq.heappop(minimal)
+    while rest:
+        free = rest & ~tree[1]
+        if not free:  # unreachable on a valid poset
+            raise CycleError("topological sort failed; relation is cyclic")
+        e = (free & -free).bit_length() - 1
         canon_to_orig.append(e)
-        for f in cols[first[e]:first[e + 1]]:
-            indegree[f] -= 1
-            if not indegree[f]:
-                heapq.heappush(minimal, f)
-    if len(canon_to_orig) <= n:  # unreachable on a valid poset
-        raise CycleError("topological sort failed; relation is cyclic")
+        rest ^= 1 << e
+        i = size + e
+        tree[i] = 0
+        while i > 1:
+            i >>= 1
+            tree[i] = tree[2 * i] | tree[2 * i + 1]
     orig_to_canon = [0] * (n + 1)
     for label, e in enumerate(canon_to_orig):
         orig_to_canon[e] = label
-    canon = Poset(n, _masks(bits[np.ix_(canon_to_orig, canon_to_orig)]))
-    return canon, Relabeling(tuple(orig_to_canon), tuple(canon_to_orig))
+    if not poset.identity_is_extension:  # else the sort is the identity
+        # bit j of row a is a < canon_to_orig[j]; row canon_to_orig[k] is then canonical k
+        rows = _transpose([poset.below_mask(e) for e in canon_to_orig], n)
+        above = [rows[e] for e in canon_to_orig]
+    return Poset(n, above), Relabeling(tuple(orig_to_canon), tuple(canon_to_orig))
 
 
-def _bit_matrix(masks: Sequence[int], n: int) -> np.ndarray:
-    """The masks as 0/1 rows: entry (a, b) is bit b of masks[a], b in 0..n."""
-    width = n // 8 + 1
-    raw = b"".join(m.to_bytes(width, "little") for m in masks)
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
-    return np.unpackbits(rows, axis=1, count=n + 1, bitorder="little")
+_BIT = bytes.maketrans(b"01", b"\0\1")
 
 
-def _masks(bits: np.ndarray) -> tuple[int, ...]:
-    """Inverse of _bit_matrix: one int mask per 0/1 row."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+def _pick(items: Iterable, mask: int) -> Iterator:
+    """The items at the set bits of mask, in increasing order of bit."""
+    return compress(items, f"{mask:b}".encode()[::-1].translate(_BIT))
+
+
+def _transpose(masks: Sequence[int], n: int) -> tuple[int, ...]:
+    """Column b of the masks, for b in 0..n: bit a of it is bit b of masks[a].
+    The rows, last first, are written as one binary string; a column is then
+    every (n + 1)-th digit."""
+    text = "".join(format(m, f"0{n + 1}b") for m in reversed(masks))
+    return tuple(int(text[n - b::n + 1], 2) for b in range(n + 1))
 
 
 def load_poset(text: str, fmt: str = "auto") -> tuple[Poset, Relabeling]:

@@ -29,11 +29,8 @@ from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .bitrng import BitStream
 from .chain import BetaParam
@@ -158,6 +155,8 @@ def _contraction_runs(step, arg, shell: int, center: float, r: int, stream: BitS
     job = functools.partial(_contract, step, arg, shell, center, stream.seed, stream.label)
     workers = min(parallel, r, os.cpu_count() or 1)
     if workers > 1:
+        import multiprocessing
+
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             rows = pool.map(job, range(1, r + 1))
     else:
@@ -277,6 +276,8 @@ class PoissonReport:
 def poisson_diagnostics(per_run_ks, reference: float | None = None) -> PoissonReport:
     """Mean, sample variance, their ratio, and a z-score of the mean against a
     supplied reference log-count; |z| beyond 4 flags a mismatch."""
+    import numpy as np
+
     ks = np.asarray(list(per_run_ks), dtype=float)
     if ks.size < 2:
         raise LinextError("diagnostics need at least two runs")

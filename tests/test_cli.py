@@ -325,10 +325,13 @@ def test_exit_code_3_on_step_ceiling(tmp_path):
     assert "no collapse" in proc.stderr
 
 
-def test_import_leaves_scipy_out():
-    # scipy.sparse alone takes longer to import than all of linext; only the
-    # selftest criteria import scipy, when they run
-    code = "import sys, linext; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+@pytest.mark.parametrize("module", ["linext", "linext.cli"])
+def test_import_leaves_scipy_out(module):
+    # numpy takes longer to import than all of linext, and scipy.sparse longer
+    # still; only chain-diag, interval-demo and the selftest criteria import
+    # them, when they run, and only a parallel batch imports multiprocessing
+    heavy = ("numpy", "scipy", "multiprocessing")
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] in {heavy}))"
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                          capture_output=True, text=True, timeout=60, check=True).stdout
     assert out == "[]\n"

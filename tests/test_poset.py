@@ -1,9 +1,12 @@
 """Poset ingestion, closure, canonical relabeling, and counted queries."""
 
 import hashlib
+import heapq
 import json
+import random
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,6 +236,80 @@ def test_canonicalize_matches_reference(n, data):
     assert canon.raw_masks == above
     for v in range(n + 1):
         assert relab.canonical_to_original[orig_to_canon[v]] == v
+
+
+def _bit_matrix(masks, n):
+    """The masks as 0/1 rows: entry (a, b) is bit b of masks[a], b in 0..n."""
+    width = n // 8 + 1
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(rows, axis=1, count=n + 1, bitorder="little")
+
+
+def _masks(bits):
+    """Inverse of _bit_matrix: one int mask per 0/1 row."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def _numpy_reference(poset):
+    """The bit-matrix round trips of the numpy poset module: the below masks
+    by transposing, the pairs and digest by listing nonzero entries, and the
+    canonical sort by indegrees and a heap, relabeled by reindexing the
+    matrix. Returns (below, pairs, digest, canonical masks, original to
+    canonical, canonical to original)."""
+    n = poset.n
+    bits = _bit_matrix(poset.raw_masks, n)
+    rows, cols = np.nonzero(bits)
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    payload = f"{n};" + ";".join(
+        f"{a}<" + f";{a}<".join(map(str, np.flatnonzero(bits[a]).tolist()))
+        for a in range(1, n + 1) if poset.raw_masks[a])
+    first = np.searchsorted(rows, np.arange(n + 2)).tolist()
+    cols = cols.tolist()
+    indegree = bits.sum(axis=0).tolist()
+    minimal = [e for e in range(1, n + 1) if indegree[e] == 0]
+    canon_to_orig = [0]
+    while minimal:
+        e = heapq.heappop(minimal)
+        canon_to_orig.append(e)
+        for f in cols[first[e]:first[e + 1]]:
+            indegree[f] -= 1
+            if not indegree[f]:
+                heapq.heappush(minimal, f)
+    orig_to_canon = [0] * (n + 1)
+    for label, e in enumerate(canon_to_orig):
+        orig_to_canon[e] = label
+    canon = _masks(bits[np.ix_(canon_to_orig, canon_to_orig)])
+    return (_masks(bits.T), pairs, hashlib.sha256(payload.encode()).hexdigest()[:16],
+            canon, tuple(orig_to_canon), tuple(canon_to_orig))
+
+
+def _int_mask_view(poset):
+    canon, relab = canonicalize(poset)
+    return (tuple(poset.below_mask(b) for b in range(poset.n + 1)), poset.relation_pairs(),
+            poset.digest(), canon.raw_masks, relab.original_to_canonical,
+            relab.canonical_to_original)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+@pytest.mark.parametrize("density", [0.0, 0.02, 0.1, 0.3, 0.7])
+def test_int_masks_match_numpy_reference(n, density):
+    # orders along a shuffled labeling, so the relabel moves every element;
+    # n = 63..65 and 130 put the top bits at and past 64-bit word edges
+    rng = random.Random(1000 * n + int(100 * density))
+    for _ in range(3):
+        perm = rng.sample(range(1, n + 1), n)
+        pairs = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < density]
+        poset = close_transitively(pairs, n)
+        assert _int_mask_view(poset) == _numpy_reference(poset)
+
+
+def test_int_masks_match_numpy_reference_on_a_long_chain():
+    perm = random.Random(3).sample(range(1, 2001), 2000)
+    poset = close_transitively(zip(perm, perm[1:]), 2000)
+    assert _int_mask_view(poset) == _numpy_reference(poset)
 
 
 # -- counted queries ---------------------------------------------------------
