@@ -13,7 +13,7 @@
    block draws a block's steps (pos, up, gate) as BitStream.uniform_int,
    next_bit and bernoulli do, reading bits least significant first, and runs
    the bound through each step as it is decoded: it is
-   _bound_forward(_draw_block(...)). uniform, bit and coin read the bits one
+   _block. uniform, bit and coin read the bits one
    at a time; a block given step_table's table instead looks up the step its
    next TABLE_BITS bits start, with the bits it reads, and leaves to those
    three only the steps that read more. Either way a step reads the same

@@ -44,11 +44,12 @@ distribution.
 A whole bounding-chain draw also runs in one C call (``native``) when the
 kernel was built at import: it makes the stream's bits with the stream's own
 generator, which ``BitStream.lend`` hands it, and decodes each step with the
-bound run through it in one pass. ``_bounding_draw`` over ``_block``
-(``_bound_forward`` over ``_draw_block``) and ``_bound_replay`` are then its
-reference and, when ``_kernel`` is None, the loops that run. Both read the
-same bits and keep a block in the same layout, two uint32 a step: the step
-packed as pos | up << 16 | gate << 17 and the bound's right entry before it.
+bound run through it in one pass. ``_bounding_draw`` over ``_block`` and
+``_bound_replay``, one for each of the kernel's draw, block and
+bound_replay, are then its reference and, when ``_kernel`` is None, the
+loops that run. Both read the same bits and keep a block in the same
+layout, two uint32 a step: the step packed as pos | up << 16 | gate << 17
+and the bound's right entry before it.
 """
 
 from __future__ import annotations
@@ -254,53 +255,42 @@ def _support_draw(support: _Support, bp: BetaParam, stream: BitStream) -> tuple[
             return support[j]
 
 
-def _draw_block(t: int, stream: BitStream, n: int, pen: float) -> array:
-    """A block's randomness, 8 B per step: step k packed in block[2k] as
-    i | up << 16 | gate << 17, i = uniform_int(n - 1), up one bit and gate
-    bernoulli(pen), 1 if pen = 1; block[2k + 1] is left for the bound's right
-    entry. i has 16 bits, so an order of over 2^16 elements is refused; a
-    draw's first block, of 2 n^2 steps, fits MAX_STEPS only while n <= 7071."""
+def _block(t: int, stream: BitStream, poset: Poset,
+           bp: BetaParam) -> tuple[array, list | None, int]:
+    """A block of t steps, drawn and run forward in one pass, 8 B per step:
+    step k packed in block[2k] as i | up << 16 | gate << 17, i =
+    uniform_int(n - 1), up one bit and gate bernoulli(pen), 1 if pen = 1, and
+    the bound's right entry B(i + 1) before it in block[2k + 1]. The bound
+    starts at initial_bound and moves on its own coins. Returns the block,
+    the bound if no wildcard is left (the block is then constant), else None,
+    and the probes made. i has 16 bits, so an order of over 2^16 elements is
+    refused; a draw's first block, of 2 n^2 steps, fits MAX_STEPS only while
+    n <= 7071."""
+    n = poset.n
     if n - 1 >= 1 << 16:
         raise LinextError(f"block steps hold positions below 2^16; n = {n} is too large")
     uniform_int = stream.uniform_int
     next_bit = stream.next_bit
     bernoulli = stream.bernoulli
+    cap, pen = bp.cap, bp.pen
+    above = poset.raw_masks
     m = n - 1
+    bnd = list(initial_bound(n))
+    placed = 1
+    probes = 0
     block = array("I", [0]) * (2 * t)
     for k in range(0, 2 * t, 2):
         i = uniform_int(m)
         up = next_bit()
         gate = 1 if pen == 1.0 else bernoulli(pen)
         block[k] = i | up << 16 | gate << 17
-    return block
-
-
-def _bound_forward(poset: Poset, bp: BetaParam, block: array) -> tuple[array, list | None, int]:
-    """Run the bound from initial_bound through a recorded block on its own
-    coins, and store in the block the bound's right entry B(i + 1) before each
-    step. Returns the block, the bound if no wildcard is left (the block is
-    then constant), else None, and the probes made."""
-    cap = bp.cap
-    above = poset.raw_masks
-    bnd = list(initial_bound(poset.n))
-    placed = 1
-    probes = 0
-    for k in range(0, len(block), 2):
-        step = block[k]
-        i = step & 0xFFFF
         block[k + 1] = bnd[i]
-        if step >> 16 & 1:
-            probes += _bound_step_inplace(bnd, i, 1, step >> 17, cap, above)
+        if up:
+            probes += _bound_step_inplace(bnd, i, 1, gate, cap, above)
             if not bnd[-1]:
                 placed += 1
                 bnd[-1] = placed
-    return block, (bnd if placed == poset.n else None), probes
-
-
-def _block(t: int, stream: BitStream, poset: Poset,
-           bp: BetaParam) -> tuple[array, list | None, int]:
-    """A block of t steps drawn and run forward, as _bound_forward returns it."""
-    return _bound_forward(poset, bp, _draw_block(t, stream, poset.n, bp.pen))
+    return block, (bnd if placed == n else None), probes
 
 
 def _bound_replay(poset: Poset, bp: BetaParam, sig: list, block: array) -> tuple[list, int]:

@@ -97,15 +97,6 @@ def _resolve_seed(args, report: dict) -> int:
     return seed
 
 
-def _accounting(stats: CftpStats) -> dict:
-    return {
-        "bits_discrete": stats.bits_discrete,
-        "bits_continuous": stats.bits_continuous,
-        "comparisons": stats.comparisons,
-        "total_steps": stats.total_steps,
-    }
-
-
 def _check_draw_count(count: int) -> None:
     """Refuse more than MAX_RUNS draws before the first one starts."""
     if count > MAX_RUNS:
@@ -136,10 +127,9 @@ def _cmd_estimate(args, report: dict) -> str:
     est = two_phase(poset, args.epsilon, args.delta, BitStream(seed),
                     parallel=args.parallel, runs_override=args.runs_override)
     finite = est.l_hat2 < math.inf  # else L is past the largest double: its log alone
-    a_hat2 = math.log(est.l_hat2) if finite else est.phase2.k / est.phase2.r
     report["results"] = {
         "estimate": est.l_hat2 if finite else None,
-        "log_estimate": a_hat2,
+        "log_estimate": est.a_hat2,
         "epsilon": est.epsilon,
         "delta": est.delta,
         "phases": {
@@ -148,14 +138,14 @@ def _cmd_estimate(args, report: dict) -> str:
         },
         "samples_used": est.phase1.samples_used + est.phase2.samples_used,
     }
-    report["accounting"] = _accounting(est.stats)
+    report["accounting"] = est.stats.as_dict()
     report["bounds"] = {
         **_per_sample_bounds(poset.n),
-        "total_bits": total_bits_bound(poset.n, a_hat2, args.epsilon, args.delta),
+        "total_bits": total_bits_bound(poset.n, est.a_hat2, args.epsilon, args.delta),
         "total_bits_as_printed": total_bits_bound_as_printed(
-            poset.n, a_hat2, args.epsilon, args.delta),
+            poset.n, est.a_hat2, args.epsilon, args.delta),
     }
-    shown = f"L ~ {est.l_hat2:.6g}" if finite else f"ln L ~ {a_hat2:.6g}"
+    shown = f"L ~ {est.l_hat2:.6g}" if finite else f"ln L ~ {est.a_hat2:.6g}"
     return f"estimate: {shown} (r1={est.r1}, r2={est.r2}, seed={seed})"
 
 
@@ -178,7 +168,7 @@ def _cmd_sample(args, report: dict) -> str:
         totals.merge(stats)
         draws.append(entry)
     report["results"] = {"beta": bp.beta, "count": args.count, "draws": draws}
-    report["accounting"] = _accounting(totals)
+    report["accounting"] = totals.as_dict()
     report["bounds"] = _per_sample_bounds(poset.n)
     return f"sample: {args.count} draw(s) at beta={bp.beta} (seed={seed})"
 
@@ -227,12 +217,8 @@ def _cmd_interval_demo(args, report: dict) -> str:
             "estimate_n": (1.0 / inv) if inv > 0 else None,
         },
     }
-    report["accounting"] = {
-        "bits_discrete": product_stream.bits_consumed,
-        "bits_continuous": res.stats.bits_continuous,
-        "comparisons": 0,
-        "total_steps": 0,
-    }
+    report["accounting"] = CftpStats(bits_discrete=product_stream.bits_consumed,
+                                     bits_continuous=res.stats.bits_continuous).as_dict()
     return (f"interval-demo: k/r = {res.k / res.r:.4f} vs ln {args.n} = "
             f"{math.log(args.n):.4f} (seed={seed})")
 

@@ -13,7 +13,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
 from scipy.stats import chisquare
 
 from .bitrng import BitStream
@@ -36,7 +35,7 @@ from .chain import BetaParam, weight
 from .errors import LinextError
 from .exact import chain_kernel, count_exact, enumerate_extensions, partition_z, stationarity_gap
 from .poset import Poset
-from .tpa import interval_tpa, product_estimator, tpa_runs, two_phase
+from .tpa import interval_tpa, poisson_diagnostics, product_estimator, tpa_runs, two_phase
 
 SEED = 20260809
 
@@ -174,9 +173,9 @@ def criterion_5_tpa_poisson() -> CriterionResult:
     for poset, label in ((two_pairs_poset(), "L=6"), (antichain_poset(4), "L=24")):
         log_l = math.log(count_exact(poset))
         res = tpa_runs(poset, runs, BitStream(SEED + 5, label=f"tpa/{label}"))
-        ks = np.array(res.per_run_ks, dtype=float)
-        mean = float(ks.mean())
-        ratio = mean / float(ks.var(ddof=1))
+        diag = poisson_diagnostics(res.per_run_ks)
+        mean = diag.mean
+        ratio = math.inf if diag.ratio is None else diag.ratio  # None: no variance, a failure
         tol = 3.0 * math.sqrt(log_l / runs)
         details.append(f"{label}: mean={mean:.4f} (lnL={log_l:.4f} +- {tol:.4f}), "
                        f"mean/var={ratio:.3f}")

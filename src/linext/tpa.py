@@ -59,14 +59,16 @@ class TpaRunResult:
 @dataclass
 class TwoPhaseEstimate:
     """Result of the two-phase schedule: the pilot phase, the sized main
-    phase, and aggregate work accounting. l_hat2 is exp(k / r) of the main
-    phase, or inf when that is past the largest double."""
+    phase, and aggregate work accounting. a_hat1 and a_hat2 are k / r of the
+    pilot and the main phase, the estimates of ln L; l_hat2 is exp(a_hat2),
+    or inf when that is past the largest double."""
 
     epsilon: float
     delta: float
     r1: int
     r2: int
     a_hat1: float
+    a_hat2: float
     l_hat2: float
     phase1: TpaRunResult
     phase2: TpaRunResult
@@ -193,8 +195,9 @@ def two_phase(poset: Poset, epsilon: float, delta: float, stream: BitStream,
     a_hat1 = phase1.k / phase1.r
     r2 = runs_override if runs_override is not None else phase2_runs(a_hat1, epsilon, delta)
     phase2 = tpa_runs(poset, r2, stream.fork("phase/2"), parallel)
+    a_hat2 = phase2.k / phase2.r
     try:
-        l_hat2 = math.exp(phase2.k / phase2.r)
+        l_hat2 = math.exp(a_hat2)
     except OverflowError:
         l_hat2 = math.inf
     stats = CftpStats()
@@ -206,6 +209,7 @@ def two_phase(poset: Poset, epsilon: float, delta: float, stream: BitStream,
         r1=phase1.r,
         r2=phase2.r,
         a_hat1=a_hat1,
+        a_hat2=a_hat2,
         l_hat2=l_hat2,
         phase1=phase1,
         phase2=phase2,

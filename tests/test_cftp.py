@@ -308,12 +308,16 @@ def test_bounding_path_stats_accounting(monkeypatch):
 
 
 def _bound_block(script, poset, bp):
-    """Run one bounding block whose steps (i, c3, c2) are script. Returns its
-    value, or None if it left a wildcard, and the recorded block."""
-    block = array("I", [0]) * (2 * len(script))
-    for k, (i, c3, c2) in enumerate(script):
-        block[2 * k] = i | c3 << 16 | c2 << 17
-    _, value, _ = cftp._bound_forward(poset, bp, block)
+    """Run one bounding block whose steps (i, c3, c2) are script, from a
+    stream that gives them in turn; at pen = 1 the block reads no gate, so
+    the stream gives none. Returns its value, or None if it left a wildcard,
+    and the recorded block."""
+    pos, up, gate = (iter(coins) for coins in zip(*script))
+    if bp.pen == 1.0:
+        gate = iter(())
+    stream = SimpleNamespace(uniform_int=lambda m: next(pos), next_bit=lambda: next(up),
+                             bernoulli=lambda pen: next(gate))
+    block, value, _ = cftp._block(len(script), stream, poset, bp)
     return (None if value is None else tuple(value)), block
 
 
@@ -510,9 +514,10 @@ def test_python_block_is_compact():
     # or without the C kernel; a stream of builtins that allocate nothing
     # keeps the traced loop fast and leaves only the block to measure
     stream = SimpleNamespace(uniform_int=abs, next_bit=int, bernoulli=bool)
+    poset, bp = antichain_poset(8), BetaParam(1.5, 8)  # pen 0.5
     tracemalloc.start()
     try:
-        block = cftp._draw_block(10 ** 6, stream, 8, 0.5)
+        block = cftp._block(10 ** 6, stream, poset, bp)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
