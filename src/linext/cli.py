@@ -2,12 +2,12 @@
 diagnostics, the interval demo, budget benchmarks, and the acceptance
 self-test.
 
-Every invocation writes one machine-readable JSON report to stdout and a short
-human summary (including wall time) to stderr. Reports are byte-identical for
-identical inputs, seed, and version: anything nondeterministic, timing
-included, stays out of stdout. Randomized subcommands require a seed or
-generate one and print it. Exit codes: 0 success, 2 input error, 3 guard or
-abort, 1 self-test failure.
+Every invocation writes one machine-readable report to stdout, JSON except
+for ``bench``'s CSV rows, and a short human summary (including wall time) to
+stderr. Reports are byte-identical for identical inputs, seed, and version:
+anything nondeterministic, timing included, stays out of stdout. Randomized
+subcommands require a seed or generate one and print it. Exit codes: 0
+success, 2 input error, 3 guard or abort, 1 self-test failure.
 """
 
 from __future__ import annotations

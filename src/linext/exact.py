@@ -28,15 +28,11 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from . import native
 from .chain import BetaParam, _sigma_step_inplace, weight
 from .errors import GuardError, LinextError
 from .poset import Poset
-
-if TYPE_CHECKING:
-    import numpy as np
 
 STATE_LIMIT = 10 ** 6  # most order ideals in one layer of the exact DP
 ENUMERATION_GUARD = 10 ** 6
@@ -156,11 +152,15 @@ def enumerate_extensions(poset: Poset, guard: int = ENUMERATION_GUARD,
     """The linear extensions with every displacement at most cap (all of them
     by default), in lexicographic order. Position q tries only the unplaced
     v <= q + cap; the smallest always qualifies, so no branch is a dead end.
-    Raises GuardError as soon as more than guard of them are found, so the
-    check costs O(guard * n). The search keeps its own stack, so any n works."""
+    An element that is not minimal, with p its smallest unplaced predecessor,
+    drops from the tries every element above p too, as none of them is
+    minimal either. Raises GuardError as soon as more than guard of them are
+    found, so the check visits O(guard * n) positions, each testing at most
+    n elements; on a chain plus one free element each tests at most three.
+    The search keeps its own stack, so any n works."""
     n = poset.n
     band = n if cap is None else cap
-    below = [poset.below_mask(e) for e in range(n + 1)]
+    above, below = poset.raw_masks, [poset.below_mask(e) for e in range(n + 1)]
     window = [(2 << min(q + band, n)) - 1 for q in range(n + 2)]  # values <= q + band
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
@@ -177,12 +177,14 @@ def enumerate_extensions(poset: Poset, guard: int = ENUMERATION_GUARD,
             low = rest & -rest
             rest ^= low
             e = low.bit_length() - 1
-            if below[e] & remaining == 0:  # e is minimal among the rest
+            pred = below[e] & remaining
+            if not pred:  # e is minimal among the rest
                 untried[-1] = rest
                 prefix.append(e)
                 remaining ^= low
                 untried.append(remaining & window[len(prefix) + 1])
                 break
+            rest &= ~above[(pred & -pred).bit_length() - 1]
         else:
             untried.pop()
             if prefix:
@@ -214,9 +216,9 @@ class KernelMatrix:
     support[dst[k]] with probability prob[k], and stays with the rest."""
 
     support: list[tuple[int, ...]]
-    src: np.ndarray
-    dst: np.ndarray
-    prob: np.ndarray
+    src: array  # of "q"
+    dst: array  # of "q"
+    prob: array  # of "d"
 
 
 def chain_kernel(poset: Poset, bp: BetaParam) -> KernelMatrix:
@@ -230,44 +232,48 @@ def chain_kernel(poset: Poset, bp: BetaParam) -> KernelMatrix:
     destination of a swap back. A support of more than KERNEL_SUPPORT_GUARD
     states, counted by the ideal DP at bp.cap, is refused before any
     extension is enumerated."""
-    import numpy as np
-
     size = _layered_sum(poset, bp.cap, 1)
     if size > KERNEL_SUPPORT_GUARD:
         raise GuardError(f"support size {size} exceeds {KERNEL_SUPPORT_GUARD}")
     n, cap, above = poset.n, bp.cap, poset.raw_masks
     states = enumerate_extensions(poset, KERNEL_SUPPORT_GUARD, cap)
     index = {s: k for k, s in enumerate(states)}
-    moves = []  # six per move: slot, 0 for a swap back, ascending state, src, dst, gated
+    moves = []  # (slot, 0 for a swap back, ascending state, src, dst, gated)
     for k, s in enumerate(states):
+        sig = list(s)  # each slot puts its pair back
         for i, a, b in zip(range(1, n), s, s[1:]):
-            sig = list(s)
             if a > b:
                 sig[i - 1:i + 1] = b, a
                 j = index[tuple(sig)]
-                moves += (i, 0, j, k, j, 0)
-                continue
-            _sigma_step_inplace(sig, i, 1, 1, cap, above)
-            if sig[i] != b:
+                moves.append((i, 0, j, k, j, False))
+            else:
+                _sigma_step_inplace(sig, i, 1, 1, cap, above)
+                if sig[i] == b:
+                    continue
                 j = index[tuple(sig)]
-                sig = list(s)
+                sig[i - 1:i + 1] = a, b
                 _sigma_step_inplace(sig, i, 1, 0, cap, above)
-                moves += (i, 1, k, k, j, sig[i] == b)
-    slot, kind, asc, src, dst, gated = np.array(moves, dtype=np.intp).reshape(-1, 6).T
-    order = np.lexsort((asc, kind, slot))
+                moves.append((i, 1, k, k, j, sig[i] == b))
+            sig[i - 1:i + 1] = a, b
+    moves.sort()  # no two share (slot, kind, ascending state)
     m = max(n - 1, 1)  # one element has no slot and no moves
-    prob = np.where(gated, 0.5 * bp.pen / m, 0.5 / m)
-    return KernelMatrix(states, src[order], dst[order], prob[order])
+    ungated, gated = 0.5 / m, 0.5 * bp.pen / m
+    return KernelMatrix(states, array("q", [mv[3] for mv in moves]),
+                        array("q", [mv[4] for mv in moves]),
+                        array("d", [gated if mv[5] else ungated for mv in moves]))
 
 
 def stationarity_gap(kernel: KernelMatrix, poset: Poset, bp: BetaParam) -> float:
     """Largest |inflow - outflow| of pi over the kernel's transitions, pi the
-    normalized weights over its support: the max-norm of pi P - pi. The chain
-    design is correct iff this is ~0 (<= 1e-10)."""
-    import numpy as np
-
-    w = np.array([weight(s, bp) for s in kernel.support])
-    pi = w / w.sum()
-    flow = pi[kernel.src] * kernel.prob
-    net = np.bincount(kernel.dst, flow, len(pi)) - np.bincount(kernel.src, flow, len(pi))
-    return float(np.max(np.abs(net)))
+    weights over its support divided by their correctly rounded sum: the
+    max-norm of pi P - pi. Each state's flows are added in the kernel's
+    order. The chain design is correct iff this is ~0 (<= 1e-10)."""
+    w = [weight(s, bp) for s in kernel.support]
+    total = math.fsum(w)
+    pi = [x / total for x in w]
+    inflow, outflow = [0.0] * len(pi), [0.0] * len(pi)
+    for k, j, p in zip(kernel.src, kernel.dst, kernel.prob):
+        flow = pi[k] * p
+        inflow[j] += flow
+        outflow[k] += flow
+    return max(abs(x - y) for x, y in zip(inflow, outflow))

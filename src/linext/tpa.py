@@ -280,18 +280,18 @@ class PoissonReport:
 def poisson_diagnostics(per_run_ks, reference: float | None = None) -> PoissonReport:
     """Mean, sample variance, their ratio, and a z-score of the mean against a
     supplied reference log-count; |z| beyond 4 flags a mismatch."""
-    import numpy as np
+    from statistics import fmean, variance
 
-    ks = np.asarray(list(per_run_ks), dtype=float)
-    if ks.size < 2:
+    ks = list(per_run_ks)
+    if len(ks) < 2:
         raise LinextError("diagnostics need at least two runs")
-    mean = float(ks.mean())
-    var = float(ks.var(ddof=1))
+    mean = fmean(ks)
+    var = float(variance(ks))  # an int when the ks are ints of whole variance
     ratio = mean / var if var > 0.0 else None
     z = None
     flagged = False
     if reference is not None:
-        sd = math.sqrt(reference / ks.size) if reference > 0.0 else 0.0
+        sd = math.sqrt(reference / len(ks)) if reference > 0.0 else 0.0
         z = (mean - reference) / sd if sd > 0.0 else (0.0 if mean == reference else math.inf)
         flagged = abs(z) > DIAGNOSTIC_FLAG_Z
-    return PoissonReport(int(ks.size), mean, var, ratio, reference, z, flagged)
+    return PoissonReport(len(ks), mean, var, ratio, reference, z, flagged)

@@ -283,8 +283,10 @@ def test_chain_diag_pinned_gaps(tmp_path):
     # in another order moves it in the last bits (unordered rows give 2.7e-20
     # on the grid at 0.25 and 3.5e-18 on antichain(6) at 0.25); these are the
     # figures of the order chain_kernel keeps: by slot, swap backs first,
-    # then the pair's ascending state. The normalizers z are the ideal DP's.
-    cases = [(grid_poset(3, 4), "0.25,2.3", [0.0, 5.421010862427522e-20],
+    # then the pair's ascending state, with pi normalized by the correctly
+    # rounded sum of the weights (a pairwise sum gives 5.4e-20 on the grid at
+    # 2.3). The normalizers z are the ideal DP's.
+    cases = [(grid_poset(3, 4), "0.25,2.3", [0.0, 1.0842021724855044e-19],
               [1.763916015625, 116.54999999999998]),
              (antichain_poset(6), "0.25,0.5,2.5", [0.0, 0.0, 0.0], [3.0517578125, 7.59375, 257.25]),
              (antichain_poset(5), "1.3,1.7", [1.734723475976807e-18, 8.673617379884035e-19],
@@ -328,13 +330,35 @@ def test_exit_code_3_on_step_ceiling(tmp_path):
 @pytest.mark.parametrize("module", ["linext", "linext.cli"])
 def test_import_leaves_scipy_out(module):
     # numpy takes longer to import than all of linext, and scipy.sparse longer
-    # still; only chain-diag, interval-demo and the selftest criteria import
-    # them, when they run, and only a parallel batch imports multiprocessing
+    # still; only the selftest criteria import them, when they run, and only a
+    # parallel batch imports multiprocessing
     heavy = ("numpy", "scipy", "multiprocessing")
     code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] in {heavy}))"
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                          capture_output=True, text=True, timeout=60, check=True).stdout
     assert out == "[]\n"
+
+
+_HEAVY_CHILD = """
+import sys
+from linext import cli
+for argv in {runs}:
+    assert cli.main(argv) == 0
+print(sorted(m for m in sys.modules if m.split('.')[0] in ("numpy", "scipy")), file=sys.stderr)
+"""
+
+
+def test_chain_diag_and_interval_demo_leave_numpy_out(tmp_path):
+    # the kernel, its stationarity check and the Poisson report are Python
+    # numbers, so these two commands run without numpy or scipy
+    path = tmp_path / "pairs.posets"
+    path.write_text(PAIRS)
+    runs = [["chain-diag", "--input", str(path)],
+            ["interval-demo", "--n", "20", "--runs", "50", "--seed", "3"]]
+    proc = subprocess.run([sys.executable, "-c", _HEAVY_CHILD.format(runs=runs)],
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stderr.splitlines()[-1] == "[]"
 
 
 def test_interval_demo_report():
