@@ -124,10 +124,13 @@ def _cmd_count_exact(args, report: dict) -> str:
 def _cmd_estimate(args, report: dict) -> str:
     poset, _ = _load_input(args, report)
     seed = _resolve_seed(args, report)
-    est = two_phase(poset, args.epsilon, args.delta, BitStream(seed),
-                    parallel=args.parallel, runs_override=args.runs_override)
+    est = two_phase(poset, args.epsilon, args.delta, BitStream(seed), parallel=args.parallel,
+                    runs_override=args.runs_override, center=None)
     finite = est.l_hat2 < math.inf  # else L is past the largest double: its log alone
+    a_run = est.phase2.k / est.r2  # ln(L / Z(center)), the work the runs did
     report["results"] = {
+        "center": est.center,
+        "log_z_center": est.log_z_center,
         "estimate": est.l_hat2 if finite else None,
         "log_estimate": est.a_hat2,
         "epsilon": est.epsilon,
@@ -141,12 +144,12 @@ def _cmd_estimate(args, report: dict) -> str:
     report["accounting"] = est.stats.as_dict()
     report["bounds"] = {
         **_per_sample_bounds(poset.n),
-        "total_bits": total_bits_bound(poset.n, est.a_hat2, args.epsilon, args.delta),
+        "total_bits": total_bits_bound(poset.n, a_run, args.epsilon, args.delta),
         "total_bits_as_printed": total_bits_bound_as_printed(
-            poset.n, est.a_hat2, args.epsilon, args.delta),
+            poset.n, a_run, args.epsilon, args.delta),
     }
     shown = f"L ~ {est.l_hat2:.6g}" if finite else f"ln L ~ {est.a_hat2:.6g}"
-    return f"estimate: {shown} (r1={est.r1}, r2={est.r2}, seed={seed})"
+    return f"estimate: {shown} (center={est.center}, r1={est.r1}, r2={est.r2}, seed={seed})"
 
 
 def _cmd_sample(args, report: dict) -> str:

@@ -13,8 +13,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.stats import chisquare
-
 from .bitrng import BitStream
 from .budgets import (
     antichain_draw_work,
@@ -143,6 +141,34 @@ def _random_support_state(rng: random.Random, poset: Poset, bp: BetaParam):
     return tuple(range(1, n + 1))
 
 
+def chi2_sf(x: float, k: int) -> float:
+    """P(X > x) for X chi-square on k >= 1 degrees of freedom, in closed form:
+    with h = x / 2, exp(-h) times the terms h^i / i! for i < k / 2 when k is
+    even; erfc(sqrt(h)) plus exp(-h) times the terms h^(i + 1/2) / Gamma(i +
+    3/2) for i < (k - 1) / 2 when k is odd."""
+    h = x / 2.0
+    odd = k % 2
+    terms = [math.erfc(math.sqrt(h))] if odd else []
+    term = math.exp(-h) * (2.0 * math.sqrt(h / math.pi) if odd else 1.0)
+    for i in range(k // 2):
+        terms.append(term)
+        term *= h / (i + 1.5 if odd else i + 1.0)
+    return math.fsum(terms)
+
+
+def chisquare(observed, expected) -> tuple[float, float]:
+    """Pearson's statistic of the tallies against the expected counts and its
+    upper tail on one degree of freedom fewer than the cells, as
+    scipy.stats.chisquare gives them. Sums that differ by more than 1e-8
+    relative raise LinextError, as scipy raises."""
+    got, want = sum(observed), math.fsum(expected)
+    if abs(got - want) > 1e-8 * min(got, want):
+        raise LinextError(f"observed sum {got} and expected sum {want!r} differ by more "
+                          f"than 1e-8 relative")
+    stat = math.fsum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    return stat, chi2_sf(stat, len(observed) - 1)
+
+
 def criterion_4_sampler_distribution() -> CriterionResult:
     """Chi-square of 5000 perfect draws against exact weights."""
     details = []
@@ -159,7 +185,11 @@ def criterion_4_sampler_distribution() -> CriterionResult:
             support = enumerate_extensions(poset, cap=bp.cap)
             observed = [tally.get(s, 0) for s in support]
             expected = [draws * weight(s, bp) / z for s in support]
-            _, pvalue = chisquare(observed, expected)
+            try:
+                _, pvalue = chisquare(observed, expected)
+            except LinextError as exc:
+                details.append(f"n={poset.n} beta={beta}: {exc}")
+                return _result(4, "sampler-distribution", False, "; ".join(details))
             details.append(f"n={poset.n} beta={beta}: p={pvalue:.4f}")
             if pvalue < 0.01:
                 return _result(4, "sampler-distribution", False, "; ".join(details))

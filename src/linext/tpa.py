@@ -37,6 +37,7 @@ from .chain import BetaParam
 from .cftp import CftpStats, perfect_sample
 from .embed import distance, lift
 from .errors import GuardError, LinextError
+from .exact import _layered_sum, count_exact, reach
 from .poset import Poset
 
 DIAGNOSTIC_FLAG_Z = 4.0
@@ -59,9 +60,11 @@ class TpaRunResult:
 @dataclass
 class TwoPhaseEstimate:
     """Result of the two-phase schedule: the pilot phase, the sized main
-    phase, and aggregate work accounting. a_hat1 and a_hat2 are k / r of the
-    pilot and the main phase, the estimates of ln L; l_hat2 is exp(a_hat2),
-    or inf when that is past the largest double."""
+    phase, and aggregate work accounting. The runs stop at the cap center, of
+    measure Z = exp(log_z_center); a_hat1 and a_hat2 are ln Z plus k / r of
+    the pilot and the main phase, the estimates of ln L; l_hat2 is Z times
+    exp(k / r) of the main phase, or inf when that is past the largest
+    double."""
 
     epsilon: float
     delta: float
@@ -72,6 +75,8 @@ class TwoPhaseEstimate:
     l_hat2: float
     phase1: TpaRunResult
     phase2: TpaRunResult
+    center: int
+    log_z_center: float
     stats: CftpStats = field(default_factory=CftpStats)
 
 
@@ -174,31 +179,68 @@ def _contraction_runs(step, arg, shell: int, center: float, r: int, stream: BitS
                         stats=stats, per_run_ks=ks)
 
 
-def tpa_runs(poset: Poset, r: int, stream: BitStream, parallel: int = 1) -> TpaRunResult:
-    """Execute r contraction runs on forked streams labeled run/1..run/r."""
+def tpa_runs(poset: Poset, r: int, stream: BitStream, parallel: int = 1,
+             center: int = 0) -> TpaRunResult:
+    """Execute r contraction runs on forked streams labeled run/1..run/r, each
+    from beta = n down to the cap center, an integer in [0, n]."""
     if not poset.identity_is_extension:
         raise LinextError("poset must be canonicalized before estimating")
-    return _contraction_runs(_extension_step, poset, poset.n, 0.0, r, stream, parallel)
+    if not 0 <= center <= poset.n:
+        raise LinextError(f"center must be in [0, {poset.n}], got {center}")
+    return _contraction_runs(_extension_step, poset, poset.n, float(center), r, stream,
+                             parallel)
+
+
+def exact_center(poset: Poset) -> tuple[int, int]:
+    """The center of ``linext estimate`` and its exact measure Z: n and L when
+    count_exact counts L, so that no draw is made; else the last cap before
+    the first of c = 1, 2, ... that the DP refuses at STATE_LIMIT, and its
+    Z(c); 0 and 1 when the DP refuses cap 1. A wider band holds every ideal
+    of a narrower one, so every cap past a refused one is refused too; from
+    the reach up a band holds every ideal, as the count does, so once the
+    count is refused only the caps below the reach are left to try."""
+    try:
+        return poset.n, count_exact(poset)
+    except GuardError:
+        pass
+    center, z = 0, 1
+    for c in range(1, reach(poset)):
+        try:
+            z = _layered_sum(poset, c, 1)
+        except GuardError:
+            break
+        center = c
+    return center, z
 
 
 def two_phase(poset: Poset, epsilon: float, delta: float, stream: BitStream,
-              parallel: int = 1, runs_override: int | None = None) -> TwoPhaseEstimate:
+              parallel: int = 1, runs_override: int | None = None,
+              center: int | None = 0) -> TwoPhaseEstimate:
     """Run the pilot phase, size the main phase from it, and estimate L(P).
 
     runs_override, when given, replaces both phases' run counts (useful for
     experiments; the coverage guarantee only applies to the derived counts).
-    epsilon and delta are checked either way.
+    epsilon and delta are checked either way. The runs stop at the cap
+    center, whose measure Z the DP counts, 1 at the default 0; None takes
+    exact_center's. Phase 2 is sized on the pilot's k / r, the estimate of
+    ln(L / Z).
     """
     _check_accuracy(delta, epsilon)
+    z = None
+    if center is None:
+        center, z = exact_center(poset)
     r1 = runs_override if runs_override is not None else phase1_runs(delta)
-    phase1 = tpa_runs(poset, r1, stream.fork("phase/1"), parallel)
-    a_hat1 = phase1.k / phase1.r
-    r2 = runs_override if runs_override is not None else phase2_runs(a_hat1, epsilon, delta)
-    phase2 = tpa_runs(poset, r2, stream.fork("phase/2"), parallel)
-    a_hat2 = phase2.k / phase2.r
+    phase1 = tpa_runs(poset, r1, stream.fork("phase/1"), parallel, center)
+    a1 = phase1.k / phase1.r
+    r2 = runs_override if runs_override is not None else phase2_runs(a1, epsilon, delta)
+    phase2 = tpa_runs(poset, r2, stream.fork("phase/2"), parallel, center)
+    a2 = phase2.k / phase2.r
+    if z is None:
+        z = _layered_sum(poset, center, 1) if center else 1
+    log_z = math.log(z)  # of the int, which may be past the largest double
     try:
-        l_hat2 = math.exp(a_hat2)
-    except OverflowError:
+        l_hat2 = z * math.exp(a2)
+    except OverflowError:  # from exp, or from z as a double
         l_hat2 = math.inf
     stats = CftpStats()
     stats.merge(phase1.stats)
@@ -208,11 +250,13 @@ def two_phase(poset: Poset, epsilon: float, delta: float, stream: BitStream,
         delta=delta,
         r1=phase1.r,
         r2=phase2.r,
-        a_hat1=a_hat1,
-        a_hat2=a_hat2,
+        a_hat1=log_z + a1,
+        a_hat2=log_z + a2,
         l_hat2=l_hat2,
         phase1=phase1,
         phase2=phase2,
+        center=center,
+        log_z_center=log_z,
         stats=stats,
     )
 

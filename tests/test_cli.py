@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -13,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linext import cftp, cli, tpa
-from linext.cftp import CftpStats
+from linext import cftp, cli
 from linext.budgets import (
     sample_bits_bound,
     sample_comparisons_bound,
@@ -127,21 +127,47 @@ def test_estimate_chain_is_one(chain_file):
     assert bounds["total_bits_as_printed"] == total_bits_bound_as_printed(5, 0.0, 0.5, 0.2)
 
 
-def test_estimate_past_the_largest_double_reports_its_log(chain_file, monkeypatch):
-    # two chains of 600 count C(1200, 600), ln L = 828: runs that tally 828
-    # per run put exp(k / r) past the largest double, so the report gives
-    # k / r alone and no estimate, as valid JSON
-    def tallies(poset, r, stream, parallel=1):
-        return tpa.TpaRunResult(r=r, k=828 * r, beta_traces=[[0.0]] * r, samples_used=0,
-                                stats=CftpStats(), per_run_ks=[828] * r)
-
-    monkeypatch.setattr(tpa, "tpa_runs", tallies)
-    code, out, err = run_cli(["estimate", "--input", chain_file, "--epsilon", "0.5",
+def test_estimate_past_the_largest_double_reports_its_log(tmp_path):
+    # two chains of 600 count C(1200, 600), ln L = 828, past the largest
+    # double: the DP counts it outright, so the center is n, no draw is made,
+    # and the report gives ln L alone and no estimate, as valid JSON
+    path = tmp_path / "chains.posets"
+    path.write_text("; ".join(["n=1200"] + [f"{i}<{i + 1}" for i in range(1, 1200) if i != 600]))
+    code, out, err = run_cli(["estimate", "--input", str(path), "--epsilon", "0.5",
                               "--delta", "0.2", "--seed", "7"])
     assert code == 0 and "Traceback" not in err
     results = strict_json(out)["results"]
-    assert results["estimate"] is None and results["log_estimate"] == 828.0
-    assert results["phases"]["phase2"]["k"] == 828 * results["phases"]["phase2"]["r"]
+    assert results["estimate"] is None
+    assert results["log_estimate"] == results["log_z_center"] == math.log(math.comb(1200, 600))
+    assert (results["center"], results["samples_used"]) == (1200, 0)
+
+
+def test_estimate_counted_order_makes_no_draw(grid_file):
+    # the DP counts the 2x3 grid's 5 extensions, so the center is n and every
+    # run starts at its end
+    code, out, _ = run_cli(["estimate", "--input", grid_file, "--epsilon", "0.5",
+                            "--delta", "0.25", "--seed", "1"])
+    assert code == 0
+    report = json.loads(out)
+    results = report["results"]
+    assert (results["center"], results["samples_used"], results["estimate"]) == (6, 0, 5.0)
+    assert report["accounting"]["bits_discrete"] == 0
+
+
+@pytest.mark.skipif(cftp._kernel is None, reason="the Python DP takes tens of seconds at "
+                    "caps 7 to 9 of antichain(24)")
+def test_estimate_past_the_count_stops_at_the_dp_center(tmp_path):
+    # count_exact refuses antichain(24); the DP affords caps 1 to 8, so the runs
+    # stop at 8, of measure Z(8) = e^45.76, and tally ln(24! / Z(8)), about 9
+    path = tmp_path / "wide.posets"
+    path.write_text("n=24")
+    code, out, err = run_cli(["estimate", "--input", str(path), "--epsilon", "0.5",
+                              "--delta", "0.25", "--seed", "1", "--runs-override", "5"])
+    assert code == 0 and "Traceback" not in err
+    results = json.loads(out)["results"]
+    assert results["center"] == 8
+    assert abs(results["log_z_center"] - 45.760) < 1e-3
+    assert results["samples_used"] > 0
 
 
 def test_estimate_structured_input(pairs_file):
@@ -153,12 +179,19 @@ def test_estimate_structured_input(pairs_file):
     assert report["results"]["phases"]["phase2"]["r"] == 30
 
 
-def test_estimate_parallel_matches_serial(pairs_file):
-    argv = ["estimate", "--input", pairs_file, "--epsilon", "0.9", "--delta", "0.4",
-            "--seed", "5", "--runs-override", "24"]
+@pytest.mark.skipif(cftp._kernel is None, reason="the Python DP takes tens of seconds at "
+                    "caps 7 to 9 of antichain(23)")
+def test_estimate_parallel_matches_serial(tmp_path):
+    # the DP counts every order that draws in well under a second, so this one
+    # is past the count: its runs stop at the DP's center 9 and draw
+    path = tmp_path / "wide.posets"
+    path.write_text("n=23")
+    argv = ["estimate", "--input", str(path), "--epsilon", "0.9", "--delta", "0.4",
+            "--seed", "5", "--runs-override", "4"]
     _, serial, _ = run_cli(argv)
     _, parallel, _ = run_cli(argv + ["--parallel", "2"])
     assert serial == parallel
+    assert json.loads(serial)["results"]["samples_used"] > 0
 
 
 def test_estimate_parallel_clamped_to_cpu_count(pairs_file):
@@ -312,7 +345,8 @@ def _address_space_2gb():
 def test_exit_code_3_on_step_ceiling(tmp_path):
     # beta = 0.1 on antichain(24) needs far more steps than MAX_STEPS; the draw
     # is refused before its blocks would pass it, instead of running out of
-    # memory (the refusal comes about 5.5 s in on a 2-core x86 host)
+    # memory (the refusal comes after 1.2-1.3 s of wall time on a 2-core x86
+    # host)
     wide = tmp_path / "wide.posets"
     wide.write_text("n=24")
     argv = ["sample", "--input", str(wide), "--beta", "0.1", "--count", "1", "--seed", "1"]
@@ -341,24 +375,28 @@ def test_import_leaves_scipy_out(module):
 
 _HEAVY_CHILD = """
 import sys
+sys.modules["numpy"] = sys.modules["scipy"] = None  # any import of either raises
 from linext import cli
 for argv in {runs}:
-    assert cli.main(argv) == 0
-print(sorted(m for m in sys.modules if m.split('.')[0] in ("numpy", "scipy")), file=sys.stderr)
+    assert cli.main(argv) == 0, argv
 """
 
 
-def test_chain_diag_and_interval_demo_leave_numpy_out(tmp_path):
-    # the kernel, its stationarity check and the Poisson report are Python
-    # numbers, so these two commands run without numpy or scipy
+def test_commands_run_without_numpy_or_scipy(tmp_path):
+    # linext depends on the standard library alone: the chi-square of the
+    # selftest, the chain's kernel, its stationarity check and the Poisson
+    # report are Python numbers, so these commands run with numpy and scipy
+    # unimportable
     path = tmp_path / "pairs.posets"
     path.write_text(PAIRS)
-    runs = [["chain-diag", "--input", str(path)],
-            ["interval-demo", "--n", "20", "--runs", "50", "--seed", "3"]]
-    proc = subprocess.run([sys.executable, "-c", _HEAVY_CHILD.format(runs=runs)],
-                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert proc.stderr.splitlines()[-1] == "[]"
+    runs = [["selftest", "--criteria", "1,4"],
+            ["chain-diag", "--input", str(path)],
+            ["interval-demo", "--n", "20", "--runs", "50", "--seed", "3"],
+            ["estimate", "--input", str(path), "--epsilon", "0.5", "--delta", "0.25",
+             "--seed", "3"]]
+    subprocess.run([sys.executable, "-c", _HEAVY_CHILD.format(runs=runs)],
+                   env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                   text=True, timeout=120, check=True)
 
 
 def test_interval_demo_report():

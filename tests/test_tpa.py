@@ -17,7 +17,7 @@ from linext import (
     tpa_runs,
     two_phase,
 )
-from linext import cftp, exact, tpa
+from linext import cftp, exact
 from linext.catalog import antichain_poset, grid_poset
 
 # -- tpa_runs -------------------------------------------------------------------
@@ -28,7 +28,7 @@ def test_runs_to_an_exact_center_tally_its_log_ratio():
     # tally is Poisson with mean ln(24! / Z(5)), about 15.95
     poset = antichain_poset(24)
     a = math.log(math.factorial(24) / exact._layered_sum(poset, 5, 1))
-    res = tpa._contraction_runs(tpa._extension_step, poset, 24, 5.0, 20, BitStream(1, "center"), 1)
+    res = tpa_runs(poset, 20, BitStream(1, "center"), center=5)
     assert abs(res.k / 20 - a) <= 4 * math.sqrt(a / 20)
 
 
@@ -100,6 +100,13 @@ def test_tpa_requires_canonical_poset():
     poset = close_transitively([(2, 1)], 2)
     with pytest.raises(LinextError):
         tpa_runs(poset, 1, BitStream(5))
+
+
+@pytest.mark.parametrize("center", [-1, 5])
+def test_tpa_refuses_a_center_outside_0_n(pairs4, center):
+    # below 0 no run would end, and past n no member of the family lies
+    with pytest.raises(LinextError, match="center must be in"):
+        tpa_runs(pairs4, 1, BitStream(5), center=center)
 
 
 # -- two-phase schedule -------------------------------------------------------------
